@@ -6,6 +6,7 @@ homology computations in this package.
 """
 
 from derham import intlinalg as la
+from derham.complexes import homology_of
 
 # A matrix with interesting invariant factors.
 m = la.intmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -22,12 +23,14 @@ print("\ncoker(M):", la.invariants_of_cokernel(m))
 # Divisor chains normalize automatically: Z/2 + Z/3 is cyclic of order 6.
 print("coker(diag(2, 3)):", la.invariants_of_cokernel([[2, 0], [0, 3]]))
 
-# Homology of a two-step complex  Z --2--> Z --0--> Z.
-h = la.homology_invariants(la.intmat([[2]]), la.intmat([[0]]))
-print("\nmiddle homology of (Z -2-> Z -0-> Z):", h)
+# Homology is read off the same Smith forms.  The weight-2 complex on Z is
+# Z --(-2)--> Z (x (x) x goes to -2 gamma_2(x)), so H_0 = Z/2.
+hom = homology_of("C", 2, 1)
+print("\nd_1 of C^2(Z):", hom.cx.d(1).tolist())
+print("H_0 of C^2(Z):", hom.invariants(0))
 
-# The same group, as generators and relations on a kernel basis.
-pres, kernel = la.homology_presentation(la.intmat([[2]]), la.intmat([[0]]))
+# The same group, as generators (a cycle basis) and relations.
+pres, kernel = hom.presentation(0)
 print("presentation: generators =", pres.gens, "invariants =", pres.invariants())
 print("kernel basis columns:")
 print(kernel.vectors)

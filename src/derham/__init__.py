@@ -48,8 +48,6 @@ from .intlinalg import (
     coordinates_in_lattice,
     fp_cokernel_basis,
     fp_rank,
-    homology_invariants,
-    homology_presentation,
     invariants_of_cokernel,
     presented_map_is_iso,
     smith_normal_form,
@@ -95,9 +93,7 @@ __all__ = [
     "gcd_stable",
     "generator_presentation",
     "homology",
-    "homology_invariants",
     "homology_of",
-    "homology_presentation",
     "invariants_of_cokernel",
     "kunneth_check",
     "presented_map_is_iso",

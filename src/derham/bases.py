@@ -50,8 +50,11 @@ def enumerate_basis(functor: str, degree: int, rank: int) -> tuple[tuple, ...]:
     """Ordered basis labels of wedge/sym/gamma powers of Z^rank.
 
     Sizes are C(rank, degree) for 'wedge' and C(rank + degree - 1, degree)
-    for 'sym' and 'gamma'.  A negative degree yields the empty basis.
+    for 'sym' and 'gamma'.  A negative degree yields the empty basis; a
+    negative rank is refused.
     """
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
     if degree < 0:
         return ()
     if functor == "wedge":

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -45,7 +44,6 @@ class UsageError(Exception):
 class RunConfig:
     max_n: int = DEFAULT_MAX_N
     rank: int = DEFAULT_RANK
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.max_n > HARD_MAX_N or self.rank > HARD_MAX_RANK:
@@ -62,13 +60,6 @@ class RunConfig:
             )
 
 
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("DERHAM_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -81,22 +72,11 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _map_cells(fn, cells, jobs: int):
-    """Evaluate fn over cells, deterministically ordered regardless of
-    completion order."""
-    cells = list(cells)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
-
-
 # ---------------------------------------------------------------------------
 # table
 
 
-def _table_cell(args):
-    q, i, rank = args
+def _table_cell(q, i, rank):
     computed = homology_of("C", q, rank).invariants(i)
     expected = expected_table_entry(q, i, rank).invariants()
     if i == 0:
@@ -112,14 +92,15 @@ def _table_cell(args):
 
 
 def cmd_table(ns) -> int:
-    config = RunConfig(max_n=ns.max_n, rank=ns.rank, jobs=ns.jobs)
+    config = RunConfig(max_n=ns.max_n, rank=ns.rank)
     config.validate()
     if config.max_n > 7:
         raise UsageError("the closed-form table covers weights up to 7")
-    cells = [
-        (q, i, config.rank) for q in range(2, config.max_n + 1) for i in range(4)
+    records = [
+        _table_cell(q, i, config.rank)
+        for q in range(2, config.max_n + 1)
+        for i in range(4)
     ]
-    records = _map_cells(_table_cell, cells, config.jobs)
     ok = all(rec["pass"] for rec in records)
     if ns.format == "json":
         payload = {
@@ -139,8 +120,8 @@ def cmd_table(ns) -> int:
                     rec["cell"]["n"],
                     rec["cell"]["i"],
                     rec["cell"]["rank"],
-                    _format_invariants(rec["computed"]),
-                    _format_invariants(rec["expected"]),
+                    _render(rec["computed"]),
+                    _render(rec["expected"]),
                     rec["pass"],
                 ]
             )
@@ -150,14 +131,9 @@ def cmd_table(ns) -> int:
     return 0 if ok else 1
 
 
-def _format_invariants(inv: dict) -> str:
-    parts = []
-    if inv["free_rank"] == 1:
-        parts.append("Z")
-    elif inv["free_rank"] > 1:
-        parts.append(f"Z^{inv['free_rank']}")
-    parts.extend(f"Z/{m}" for m in inv["torsion"])
-    return " + ".join(parts) if parts else "0"
+def _render(inv: dict) -> str:
+    """A record's group, written back through GroupInvariants.__str__."""
+    return str(la.GroupInvariants(**inv))
 
 
 def _render_table_md(records, config: RunConfig) -> str:
@@ -175,7 +151,7 @@ def _render_table_md(records, config: RunConfig) -> str:
         for i in range(4):
             rec = by_cell[(q, i)]
             mark = "PASS" if rec["pass"] else "FAIL"
-            row.append(f" {_format_invariants(rec['computed'])} ({mark}) |")
+            row.append(f" {_render(rec['computed'])} ({mark}) |")
         lines.append("".join(row))
     lines.append("")
     return "\n".join(lines)
@@ -191,10 +167,11 @@ def cmd_homology(ns) -> int:
     cx = build(ns.family, ns.n, ns.rank)
     hom = homology_of(ns.family, ns.n, ns.rank)
     degrees = [ns.degree] if ns.degree is not None else list(range(ns.n + 1))
+    groups = {i: hom.invariants(i) for i in degrees}
     records = [
         {
             "cell": {"family": ns.family, "n": ns.n, "i": i, "rank": ns.rank},
-            "computed": hom.invariants(i).as_dict(),
+            "computed": groups[i].as_dict(),
         }
         for i in degrees
     ]
@@ -208,9 +185,7 @@ def cmd_homology(ns) -> int:
         _emit(_json_dumps({"command": "homology", "records": records}), ns.output)
     else:
         lines = [f"{ns.family}^{ns.n}(Z^{ns.rank})"]
-        for rec in records:
-            inv = rec["computed"]
-            lines.append(f"  H_{rec['cell']['i']} = {_format_invariants(inv)}")
+        lines.extend(f"  H_{i} = {groups[i]}" for i in degrees)
         _emit("\n".join(lines) + "\n", ns.output)
     return 0
 
@@ -234,6 +209,12 @@ def cmd_basis(ns) -> int:
 
 
 def cmd_derived_sp(ns) -> int:
+    if not la.is_prime(ns.p):
+        raise UsageError(f"--p {ns.p} is not prime")
+    if not 0 <= ns.i <= ns.n - 1:
+        raise UsageError(f"need 0 <= i <= n - 1, got i={ns.i}, n={ns.n}")
+    if ns.rank < 0:
+        raise UsageError("rank must be nonnegative")
     group = derived_sp(ns.i, ns.n, ns.p, ns.rank)
     pres = generator_presentation(ns.i, ns.n, ns.p, ns.rank)
     payload = {
@@ -266,9 +247,8 @@ def _verify_lemma(primes, max_n) -> dict:
     }
 
 
-def _verify_h0(max_n, rank, jobs=1) -> dict:
-    def cell(args):
-        n, r = args
+def _verify_h0(max_n, rank) -> dict:
+    def cell(n, r):
         q = q_matrix(n, r)
         computed = homology_of("C", n, r).invariants(0)
         expected = expected_h0(n, r).invariants()
@@ -280,8 +260,9 @@ def _verify_h0(max_n, rank, jobs=1) -> dict:
             "pass": ok,
         }
 
-    cells = [(n, r) for n in range(2, max_n + 1) for r in range(rank + 1)]
-    records = _map_cells(cell, cells, jobs)
+    records = [
+        cell(n, r) for n in range(2, max_n + 1) for r in range(rank + 1)
+    ]
     return {
         "suite": "h0",
         "records": records,
@@ -289,9 +270,8 @@ def _verify_h0(max_n, rank, jobs=1) -> dict:
     }
 
 
-def _verify_theorem(max_n, rank, jobs=1) -> dict:
-    def cell(args):
-        n, i, r = args
+def _verify_theorem(max_n, rank) -> dict:
+    def cell(n, i, r):
         computed = homology_of("C", n, r).invariants(i)
         expected = expected_table_entry(n, i, r).invariants()
         ok = verify_theorem(i, n, r) and computed == expected
@@ -302,13 +282,12 @@ def _verify_theorem(max_n, rank, jobs=1) -> dict:
             "pass": ok,
         }
 
-    cells = [
-        (n, i, r)
+    records = [
+        cell(n, i, r)
         for n in range(2, max_n + 1)
         for i in (1, 2, 3)
         for r in range(1, rank + 1)
     ]
-    records = _map_cells(cell, cells, jobs)
     return {
         "suite": "theorem",
         "records": records,
@@ -356,12 +335,11 @@ def _verify_kunneth(max_n, rank_pairs=((1, 1), (1, 2))) -> dict:
 
 
 def cmd_verify(ns) -> int:
-    jobs = ns.jobs
     if ns.all:
         suites = {
             "lemma": _verify_lemma(DEFAULT_PRIMES, 60),
-            "h0": _verify_h0(DEFAULT_MAX_N, 3, jobs),
-            "theorem": _verify_theorem(DEFAULT_MAX_N, DEFAULT_RANK, jobs),
+            "h0": _verify_h0(DEFAULT_MAX_N, 3),
+            "theorem": _verify_theorem(DEFAULT_MAX_N, DEFAULT_RANK),
             "relations": _verify_relations(DEFAULT_MAX_N, DEFAULT_RANK),
             "kunneth": _verify_kunneth(6),
         }
@@ -372,19 +350,21 @@ def cmd_verify(ns) -> int:
         }
     elif ns.suite == "lemma":
         primes = [ns.p] if ns.p else DEFAULT_PRIMES
+        if not all(la.is_prime(p) for p in primes):
+            raise UsageError(f"--p {ns.p} is not prime")
         report = _verify_lemma(primes, ns.max_n if ns.max_n else 60)
         payload = {"command": "verify lemma", "reports": {"lemma": report}, "pass": report["pass"]}
     elif ns.suite == "h0":
-        config = RunConfig(max_n=ns.max_n or 12, rank=ns.rank if ns.rank is not None else 3, jobs=jobs)
+        config = RunConfig(max_n=ns.max_n or 12, rank=ns.rank if ns.rank is not None else 3)
         config.validate()
-        report = _verify_h0(config.max_n, config.rank, jobs)
+        report = _verify_h0(config.max_n, config.rank)
         payload = {"command": "verify h0", "reports": {"h0": report}, "pass": report["pass"]}
     elif ns.suite == "theorem":
-        config = RunConfig(max_n=ns.max_n or DEFAULT_MAX_N, rank=ns.rank if ns.rank is not None else 4, jobs=jobs)
+        config = RunConfig(max_n=ns.max_n or DEFAULT_MAX_N, rank=ns.rank if ns.rank is not None else 4)
         config.validate()
         if config.max_n > 7:
             raise UsageError("the isomorphism range stops at weight 7")
-        report = _verify_theorem(config.max_n, config.rank, jobs)
+        report = _verify_theorem(config.max_n, config.rank)
         payload = {"command": "verify theorem", "reports": {"theorem": report}, "pass": report["pass"]}
     elif ns.suite == "relations":
         config = RunConfig(max_n=ns.max_n or 8, rank=ns.rank if ns.rank is not None else 2)
@@ -405,6 +385,8 @@ def cmd_verify(ns) -> int:
 def cmd_counterexample(ns) -> int:
     if ns.which != "f18":
         raise UsageError("the only tabulated counterexample is f18")
+    if not 1 <= ns.rank <= HARD_MAX_RANK:
+        raise UsageError(f"f18 needs 1 <= rank <= {HARD_MAX_RANK}")
     report = f18_counterexample(ns.rank)
     expected_breakage = ns.rank >= 2
     ok = (
@@ -457,8 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default=None, help="write to a file")
-        p.add_argument("--jobs", type=int, default=_jobs_default(),
-                       help="parallel cells (env DERHAM_JOBS)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="ignored; cells are evaluated in order")
 
     p = sub.add_parser("table", help="homology table with expected values")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)

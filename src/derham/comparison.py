@@ -412,30 +412,12 @@ def f_matrix(i: int, n: int, p: int, r: int) -> np.ndarray:
     block = theorem_block(i, n, p, r)
     hom = homology_of("C", n, r)
     target_pres, _ = hom.presentation(i)
-    report = _map_report(block.matrix, block.source, target_pres)
-    if not report["well_defined"]:
+    facts = la.presented_map_facts(block.matrix, block.source, target_pres)
+    if not facts.well_defined:
         raise la.NotWellDefinedError(
             f"comparison relations not boundaries at i={i}, n={n}, p={p}"
         )
     return block.matrix
-
-
-def _map_report(f, source: PresentedGroup, target: PresentedGroup) -> dict:
-    """Well-definedness, surjectivity and isomorphism of a presented map."""
-    solver = la.LinearSolver(target.relations)
-    mapped = la.mat_mul(f, source.relations)
-    well_defined = all(
-        solver.contains(mapped[:, j]) for j in range(mapped.shape[1])
-    )
-    surjective = la.invariants_of_cokernel(
-        la.hstack([f, target.relations])
-    ).is_trivial
-    iso = (
-        well_defined
-        and surjective
-        and source.invariants() == target.invariants()
-    )
-    return {"well_defined": well_defined, "surjective": surjective, "iso": iso}
 
 
 def _theorem_sources(i: int, n: int, r: int):
@@ -588,7 +570,7 @@ def f18_counterexample(r: int) -> dict:
     target_inv = hom.invariants(1)
     block = theorem_block(1, 8, 2, r)
     target_pres, _ = hom.presentation(1)
-    facts = _map_report(block.matrix, block.source, target_pres)
+    facts = la.presented_map_facts(block.matrix, block.source, target_pres)
     source_inv = block.source.invariants()
     exponent = 1 if source_inv.is_trivial else max(source_inv.torsion)
     return {
@@ -599,7 +581,7 @@ def f18_counterexample(r: int) -> dict:
         "source_exponent": exponent,
         "target_invariants": target_inv.as_dict(),
         "contains_order4": any(t % 4 == 0 for t in target_inv.torsion),
-        "map_well_defined": facts["well_defined"],
-        "map_surjective": facts["surjective"],
-        "map_is_iso": facts["iso"],
+        "map_well_defined": facts.well_defined,
+        "map_surjective": facts.surjective,
+        "map_is_iso": facts.iso(source_inv, target_inv),
     }

@@ -9,6 +9,9 @@ Two families are materialized for a free abelian group Z^r:
   extracts a generator from the symmetric monomial (with its multiplicity)
   and inserts it into the wedge.
 
+Both, and the Koszul complex wedge^a (x) sym^(n-a) of ``koszul``, come from
+one builder that moves a generator from the left factor to the right one.
+
 All differentials are explicit integer matrices; d compose d = 0 is asserted
 at construction time.  Homology is read off Smith normal forms which are
 cached per complex, so repeated questions about the same (family, n, r) are
@@ -31,6 +34,7 @@ from .bases import (
     divided_product,
     enumerate_basis,
     gamma_module_action,
+    sym_multiply,
     wedge_delete,
     wedge_insert,
 )
@@ -89,67 +93,71 @@ def _check_dd_zero(cx: ChainComplexZ) -> None:
             )
 
 
-@lru_cache(maxsize=None)
-def build_C(n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r)."""
+# The differential moves one generator from the left factor to the right
+# one.  A take rule lists (coefficient, generator, remaining label) for a
+# left label; a put rule gives (coefficient, new label) for a right label,
+# with coefficient 0 when the product vanishes.
+
+
+def _take_wedge(w):
+    for pos, j in enumerate(w, start=1):
+        sign, rest = wedge_delete(w, pos)
+        yield sign, j, rest
+
+
+def _take_sym(m):
+    for j, mult in enumerate(m, start=1):
+        if mult:
+            yield mult, j, m[: j - 1] + (mult - 1,) + m[j:]
+
+
+_TAKE = {"wedge": _take_wedge, "sym": _take_sym}
+_PUT = {
+    "wedge": wedge_insert,
+    "gamma": gamma_module_action,
+    "sym": lambda j, m: (1, sym_multiply(j, m)),
+}
+
+
+def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
+    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r)."""
     if n < 1 or r < 0:
         raise ValueError("need n >= 1 and r >= 0")
     bases = tuple(
-        PairBasis(enumerate_basis("wedge", i, r), enumerate_basis("gamma", n - i, r))
+        PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
         for i in range(n + 1)
     )
+    take, put = _TAKE[left], _PUT[right]
     diffs = []
     for i in range(1, n + 1):
         src, dst = bases[i], bases[i - 1]
-        wedge_idx = basis_index("wedge", i - 1, r)
-        gamma_idx = basis_index("gamma", n - i + 1, r)
+        left_idx = basis_index(left, i - 1, r)
+        right_idx = basis_index(right, n - i + 1, r)
         mat = la.zeros(dst.size, src.size)
-        for wi, w in enumerate(src.left):
-            for gi, e in enumerate(src.right):
-                col = src.index(wi, gi)
-                for pos in range(1, i + 1):
-                    sign, w2 = wedge_delete(w, pos)
-                    coeff, e2 = gamma_module_action(w[pos - 1], e)
-                    row = dst.index(wedge_idx[w2], gamma_idx[e2])
-                    mat[row, col] += sign * coeff
+        for li, a in enumerate(src.left):
+            moves = [(c1, j, left_idx[a2]) for c1, j, a2 in take(a)]
+            for ri, b in enumerate(src.right):
+                col = src.index(li, ri)
+                for c1, j, li2 in moves:
+                    c2, b2 = put(j, b)
+                    if c2:
+                        mat[dst.index(li2, right_idx[b2]), col] += c1 * c2
         diffs.append(mat)
-    cx = ChainComplexZ("C", n, r, bases, tuple(diffs))
+    cx = ChainComplexZ(family, n, r, bases, tuple(diffs))
     _check_dd_zero(cx)
     return cx
+
+
+@lru_cache(maxsize=None)
+def build_C(n: int, r: int) -> ChainComplexZ:
+    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r)."""
+    return _build_complex("C", "wedge", "gamma", n, r)
 
 
 @lru_cache(maxsize=None)
 def build_D(n: int, r: int) -> ChainComplexZ:
     """The complex with degree-i term sym^i(Z^r) (x) wedge^(n-i)(Z^r)."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    bases = tuple(
-        PairBasis(enumerate_basis("sym", i, r), enumerate_basis("wedge", n - i, r))
-        for i in range(n + 1)
-    )
-    diffs = []
-    for i in range(1, n + 1):
-        src, dst = bases[i], bases[i - 1]
-        sym_idx = basis_index("sym", i - 1, r)
-        wedge_idx = basis_index("wedge", n - i + 1, r)
-        mat = la.zeros(dst.size, src.size)
-        for mi, m in enumerate(src.left):
-            for wi, w in enumerate(src.right):
-                col = src.index(mi, wi)
-                for j, mult in enumerate(m, start=1):
-                    if mult == 0:
-                        continue
-                    sign, w2 = wedge_insert(j, w)
-                    if sign == 0:
-                        continue
-                    m2 = list(m)
-                    m2[j - 1] -= 1
-                    row = dst.index(sym_idx[tuple(m2)], wedge_idx[w2])
-                    mat[row, col] += mult * sign
-        diffs.append(mat)
-    cx = ChainComplexZ("D", n, r, bases, tuple(diffs))
-    _check_dd_zero(cx)
-    return cx
+    return _build_complex("D", "sym", "wedge", n, r)
 
 
 def build(family: str, n: int, r: int) -> ChainComplexZ:

@@ -5,8 +5,8 @@ plain Python ints, so every operation is exact and entries may grow without
 bound.  No floating point is used anywhere.
 
 The central primitive is the Smith normal form ``U @ M @ V = D`` with
-unimodular ``U``, ``V``; everything else (cokernels, kernels, homology of a
-pair of composable differentials, finite group presentations) reduces to it.
+unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
+group presentations and the maps between them) reduces to it.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-
-class CompositionNonzeroError(ValueError):
-    """The two differentials handed to a homology routine do not compose to 0."""
 
 
 class NotInLatticeError(ValueError):
@@ -292,7 +288,11 @@ def smith_normal_form(m) -> SnfResult:
 
 
 def snf_diagonal(m) -> list[int]:
-    """Just the invariant factors of m (no transforms; faster)."""
+    """Just the invariant factors of m, without the transforms.
+
+    It runs the same elimination as smith_normal_form and is not measurably
+    faster: skipping U and V saves little next to the pivot search.
+    """
     a = as_intmat(m).copy()
     _snf_inplace(a, None, None)
     k = min(a.shape)
@@ -456,32 +456,6 @@ def invariants_of_cokernel(m) -> GroupInvariants:
     return GroupInvariants(rows - rank, tuple(torsion))
 
 
-def _check_composable(d_in: np.ndarray, d_out: np.ndarray) -> None:
-    if d_out.shape[1] != d_in.shape[0]:
-        raise CompositionNonzeroError(
-            f"differentials do not compose: {d_out.shape} after {d_in.shape}"
-        )
-    if not is_zero(mat_mul(d_out, d_in)):
-        raise CompositionNonzeroError("d_out @ d_in != 0")
-
-
-def homology_invariants(d_in, d_out) -> GroupInvariants:
-    """Invariants of ker(d_out) / im(d_in) for composable integer matrices.
-
-    Direct route: the free rank is nullity(d_out) - rank(d_in), and because
-    ker(d_out) is a saturated sublattice the torsion of the quotient equals
-    the torsion invariant factors of d_in itself.
-    """
-    d_in = as_intmat(d_in)
-    d_out = as_intmat(d_out)
-    _check_composable(d_in, d_out)
-    diag_in = snf_diagonal(d_in)
-    rank_in = sum(1 for d in diag_in if d != 0)
-    rank_out = sum(1 for d in snf_diagonal(d_out) if d != 0)
-    nullity = d_out.shape[1] - rank_out
-    return GroupInvariants(nullity - rank_in, tuple(d for d in diag_in if d > 1))
-
-
 class LinearSolver:
     """Exact solver for A @ x = v built on one Smith decomposition of A."""
 
@@ -517,38 +491,36 @@ class LinearSolver:
             return False
 
 
-def kernel_lattice(m) -> LatticeBasis:
-    """Basis of ker(m) as a sublattice of the domain Z^cols (saturated)."""
-    a = as_intmat(m)
-    snf = smith_normal_form(a)
-    return LatticeBasis(a.shape[1], snf.V[:, snf.rank :])
-
-
 def coordinates_in_lattice(v, basis: LatticeBasis) -> np.ndarray:
     """Coordinates c with basis.vectors @ c = v exactly."""
     v = np.asarray(v, dtype=object)
     return LinearSolver(basis.vectors).solve(v)
 
 
-def homology_presentation(d_in, d_out) -> tuple[PresentedGroup, LatticeBasis]:
-    """ker(d_out)/im(d_in) as generators (a kernel basis) and relations.
+class MapFacts(NamedTuple):
+    """What a generator matrix induces between two presented groups."""
 
-    The relations are the columns of d_in rewritten in kernel coordinates;
-    the invariants of the presentation agree with homology_invariants, which
-    computes the same group along an independent route.
-    """
-    d_in = as_intmat(d_in)
-    d_out = as_intmat(d_out)
-    _check_composable(d_in, d_out)
-    kernel = kernel_lattice(d_out)
-    solver = LinearSolver(kernel.vectors)
-    rel = zeros(kernel.rank, d_in.shape[1])
-    for j in range(d_in.shape[1]):
-        try:
-            rel[:, j] = solver.solve(d_in[:, j])
-        except NotInLatticeError as exc:  # impossible when d_out @ d_in = 0
-            raise CompositionNonzeroError("image column outside the kernel") from exc
-    return PresentedGroup(kernel.rank, rel), kernel
+    well_defined: bool
+    surjective: bool
+
+    def iso(self, source: GroupInvariants, target: GroupInvariants) -> bool:
+        """Given the invariants of both groups: a well-defined surjection
+        onto an isomorphic finitely generated abelian group is bijective."""
+        return self.well_defined and self.surjective and source == target
+
+
+def presented_map_facts(f, source: PresentedGroup, target: PresentedGroup) -> MapFacts:
+    """Whether f (source generators to target generators) sends every
+    source relation into the target relation span, and whether it hits
+    every target generator modulo the target relations."""
+    f = as_intmat(f)
+    if f.shape != (target.gens, source.gens):
+        raise ValueError("map shape does not match the presentations")
+    solver = LinearSolver(target.relations)
+    mapped = mat_mul(f, source.relations)
+    well_defined = all(solver.contains(mapped[:, j]) for j in range(mapped.shape[1]))
+    surjective = invariants_of_cokernel(hstack([f, target.relations])).is_trivial
+    return MapFacts(well_defined, surjective)
 
 
 def presented_map_is_iso(f, source: PresentedGroup, target: PresentedGroup) -> bool:
@@ -558,20 +530,14 @@ def presented_map_is_iso(f, source: PresentedGroup, target: PresentedGroup) -> b
     source relation lands in the target relation span) is a precondition and
     raises NotWellDefinedError when violated.  Both groups must be finite.
     """
-    f = as_intmat(f)
-    if f.shape != (target.gens, source.gens):
-        raise ValueError("map shape does not match the presentations")
     src_inv = source.invariants()
     tgt_inv = target.invariants()
     if src_inv.free_rank or tgt_inv.free_rank:
         raise InfiniteGroupUnsupportedError("both groups must be finite")
-    solver = LinearSolver(target.relations)
-    mapped = mat_mul(f, source.relations)
-    for j in range(mapped.shape[1]):
-        if not solver.contains(mapped[:, j]):
-            raise NotWellDefinedError(f"source relation {j} is not sent to zero")
-    surjective = invariants_of_cokernel(hstack([f, target.relations])).is_trivial
-    return surjective and src_inv == tgt_inv
+    facts = presented_map_facts(f, source, target)
+    if not facts.well_defined:
+        raise NotWellDefinedError("a source relation is not sent to zero")
+    return facts.iso(src_inv, tgt_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,14 @@ alongside so the two descriptions can be compared dimension by dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import intlinalg as la
-from .bases import (
-    basis_index,
-    basis_size,
-    enumerate_basis,
-    sym_multiply,
-    wedge_delete,
-)
+from .bases import enumerate_basis, sym_multiply, wedge_delete
+from .complexes import ChainComplexZ, _build_complex
 from .intlinalg import NotPrimeError, is_prime
 
 
@@ -30,60 +25,14 @@ class DegreeOutOfRangeError(ValueError):
     """Derived functor degree outside 0 <= i <= n - 1."""
 
 
-@dataclass(frozen=True)
-class KoszulComplexFp:
-    """Terms wedge^a (x) sym^(n-a) for 0 <= a <= n with mod-p differentials."""
-
-    p: int
-    n: int
-    r: int
-    diffs: tuple[np.ndarray, ...]  # diffs[a-1]: term a -> term a-1
-
-    def dim(self, a: int) -> int:
-        if 0 <= a <= self.n:
-            return basis_size("wedge", a, self.r) * basis_size("sym", self.n - a, self.r)
-        return 0
-
-    def d(self, a: int) -> np.ndarray:
-        if 1 <= a <= self.n:
-            return self.diffs[a - 1]
-        return la.zeros(self.dim(a - 1), self.dim(a))
-
-
-def _koszul_diff(a: int, n: int, r: int, p: int) -> np.ndarray:
-    """Matrix of the map wedge^a (x) sym^(n-a) -> wedge^(a-1) (x) sym^(n-a+1)."""
-    wedges = enumerate_basis("wedge", a, r)
-    syms = enumerate_basis("sym", n - a, r)
-    wedge_idx = basis_index("wedge", a - 1, r)
-    sym_idx = basis_index("sym", n - a + 1, r)
-    rows = basis_size("wedge", a - 1, r) * basis_size("sym", n - a + 1, r)
-    sym_width = basis_size("sym", n - a + 1, r)
-    mat = la.zeros(rows, len(wedges) * len(syms))
-    for wi, w in enumerate(wedges):
-        for si, m in enumerate(syms):
-            col = wi * len(syms) + si
-            for pos in range(1, a + 1):
-                sign, w2 = wedge_delete(w, pos)
-                m2 = sym_multiply(w[pos - 1], m)
-                row = wedge_idx[w2] * sym_width + sym_idx[m2]
-                mat[row, col] = (mat[row, col] + sign) % p
-    return mat
-
-
 @lru_cache(maxsize=None)
-def build_koszul(n: int, r: int, p: int) -> KoszulComplexFp:
-    """Weight-n Koszul complex on (F_p)^r; the composite of two differentials
-    is checked to vanish mod p."""
+def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
+    """Weight-n Koszul complex on (F_p)^r: the integral complex with terms
+    wedge^a (x) sym^(n-a) (d d = 0 checked over Z), each d reduced mod p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    diffs = tuple(_koszul_diff(a, n, r, p) for a in range(1, n + 1))
-    cpx = KoszulComplexFp(p, n, r, diffs)
-    for a in range(2, n + 1):
-        if not la.is_zero(la.mat_mul(cpx.d(a - 1), cpx.d(a)) % p):
-            raise AssertionError(f"koszul d d != 0 at weight {n}, term {a}")
-    return cpx
+    cx = _build_complex("K", "wedge", "sym", n, r)
+    return replace(cx, diffs=tuple(d % p for d in cx.diffs))
 
 
 @dataclass(frozen=True)
@@ -117,9 +66,7 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
     cpx = build_koszul(n, r, p)
     kappa = cpx.d(i + 2)
-    wedges = enumerate_basis("wedge", i + 1, r)
-    syms = enumerate_basis("sym", n - i - 1, r)
-    labels = tuple((w, m) for w in wedges for m in syms)
+    labels = cpx.bases[i + 1].labels()
     reps = la.fp_cokernel_basis(kappa, p)
     rep_labels = tuple(labels[int(np.nonzero(v)[0][0])] for v in reps)
     return DerivedSpGroup(i, n, p, r, len(reps), rep_labels)

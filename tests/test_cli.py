@@ -214,10 +214,26 @@ def test_counterexample_f18_rank_one(capsys):
     assert payload["report"]["contains_order4"] is False
 
 
+# Argument errors: each is refused with exit 2 and a message, not a traceback.
+BAD_ARGUMENTS = (
+    ["basis", "--functor", "sym", "--degree", "2", "--rank", "-1"],
+    ["derived-sp", "--i", "1", "--n", "3", "--p", "4", "--rank", "2"],
+    ["derived-sp", "--i", "5", "--n", "3", "--p", "2", "--rank", "2"],
+    ["derived-sp", "--i", "0", "--n", "3", "--p", "2", "--rank", "-1"],
+    ["counterexample", "f18", "--rank", "0"],
+    ["counterexample", "f18", "--rank", "7"],
+    ["verify", "lemma", "--p", "4"],
+)
+
+
 def test_range_caps_exit_2(capsys):
     code, _, err = run_cli(["table", "--max-n", "20", "--rank", "2"], capsys)
     assert code == 2
     assert "capped" in err
+    for argv in BAD_ARGUMENTS:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_warning_above_defaults(capsys):
@@ -236,6 +252,7 @@ def test_seed_flag_is_accepted(capsys):
 
 
 def test_jobs_flag(capsys):
+    # accepted for interface stability and ignored
     code, out, _ = run_cli(
         ["table", "--max-n", "4", "--rank", "2", "--format", "json", "--jobs", "2"],
         capsys,

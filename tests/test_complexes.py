@@ -116,16 +116,11 @@ def test_homology_stable_under_generator_permutation():
                 _generator_permutation_matrix(c, i, perm) for i in range(n + 1)
             ]
             # transform every differential consistently: P_{i-1} d_i P_i^T
-            # (signed permutation matrices are orthogonal)
-            transformed = [
-                la.mat_mul(la.mat_mul(mats[i - 1], c.d(i)), mats[i].T)
-                for i in range(1, n + 1)
-            ]
-            for i in range(n + 1):
-                d_out = transformed[i - 1] if i >= 1 else la.zeros(0, c.dim(0))
-                d_in = transformed[i] if i < n else la.zeros(c.dim(n), 0)
-                got = la.homology_invariants(d_in, d_out)
-                assert got == h.invariants(i)
+            # (signed permutation matrices are orthogonal); the homology is
+            # read off the Smith diagonals, so those must not move
+            for i in range(1, n + 1):
+                moved = la.mat_mul(la.mat_mul(mats[i - 1], c.d(i)), mats[i].T)
+                assert la.snf_diagonal(moved) == h.snf(i).diagonal
 
 
 # -- block decomposition and Kunneth ------------------------------------------

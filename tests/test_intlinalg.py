@@ -1,4 +1,8 @@
-"""Exact linear algebra: Smith form, cokernels, homology, presentations."""
+"""Exact linear algebra: Smith form, cokernels, homology, presentations.
+
+Homology of a composable pair goes through ComplexHomology, the package's
+one homology route, on a two-step complex.
+"""
 
 import itertools
 
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derham import intlinalg as la
+from derham.complexes import ChainComplexZ, ComplexHomology, PairBasis, _check_dd_zero
 
 
 def small_matrices(max_dim=4, max_entry=6):
@@ -175,39 +180,55 @@ def test_column_lattice_basis_preserves_cokernel():
 # -- homology of a composable pair --------------------------------------------
 
 
+def _pair_complex(d_in, d_out) -> ChainComplexZ:
+    """Z^a --d_in--> Z^b --d_out--> Z^c as a complex in degrees 2, 1, 0, so
+    that its degree-1 homology is ker(d_out) / im(d_in)."""
+    d_in, d_out = la.as_intmat(d_in), la.as_intmat(d_out)
+    dims = (d_out.shape[0], d_out.shape[1], d_in.shape[1])
+    bases = tuple(PairBasis(tuple(range(k)), ((),)) for k in dims)
+    return ChainComplexZ("pair", 2, 0, bases, (d_out, d_in))
+
+
+def _pair_homology(d_in, d_out) -> ComplexHomology:
+    return ComplexHomology(_pair_complex(d_in, d_out))
+
+
 def test_homology_zero_maps():
     d0 = la.zeros(0, 4)
     dz = la.zeros(4, 0)
-    assert la.homology_invariants(dz, d0) == la.GroupInvariants(4, ())
+    assert _pair_homology(dz, d0).invariants(1) == la.GroupInvariants(4, ())
 
 
 def test_homology_multiplication_by_n():
     for n in (2, 5, 12):
         d_in = la.intmat([[n]])
         d_out = la.zeros(0, 1)
-        assert la.homology_invariants(d_in, d_out) == la.GroupInvariants(0, (n,))
+        got = _pair_homology(d_in, d_out).invariants(1)
+        assert got == la.GroupInvariants(0, (n,))
 
 
 def test_homology_middle_of_three_term_complex():
     # Z --2--> Z --0--> Z : kernel everything, image 2Z
     d_in = la.intmat([[2]])
     d_out = la.intmat([[0]])
-    assert la.homology_invariants(d_in, d_out) == la.GroupInvariants(0, (2,))
+    assert _pair_homology(d_in, d_out).invariants(1) == la.GroupInvariants(0, (2,))
 
 
 def test_homology_rejects_nonzero_composition():
-    with pytest.raises(la.CompositionNonzeroError):
-        la.homology_invariants([[1]], [[1]])
-    with pytest.raises(la.CompositionNonzeroError):
-        la.homology_invariants(la.zeros(3, 1), la.zeros(1, 2))
+    # the construction-time check refuses d d != 0 and uncomposable shapes
+    with pytest.raises(AssertionError):
+        _check_dd_zero(_pair_complex([[1]], [[1]]))
+    with pytest.raises(ValueError):
+        _check_dd_zero(_pair_complex(la.zeros(3, 1), la.zeros(1, 2)))
 
 
 def _random_composable_pair(rng, dim=5):
     """d_out then d_in with d_out @ d_in = 0, built from a kernel basis."""
     d_out = la.intmat(rng.integers(-4, 4, size=(rng.integers(1, 4), dim)).tolist())
-    kernel = la.kernel_lattice(d_out)
-    coeff = la.intmat(rng.integers(-3, 3, size=(kernel.rank, 3)).tolist())
-    d_in = la.mat_mul(kernel.vectors, coeff)
+    snf = la.smith_normal_form(d_out)
+    kernel = snf.V[:, snf.rank :]
+    coeff = la.intmat(rng.integers(-3, 3, size=(kernel.shape[1], 3)).tolist())
+    d_in = la.mat_mul(kernel, coeff)
     return d_in, d_out
 
 
@@ -215,35 +236,36 @@ def test_presentation_agrees_with_direct_invariants():
     rng = np.random.default_rng(7)
     for _ in range(25):
         d_in, d_out = _random_composable_pair(rng)
-        pres, kernel = la.homology_presentation(d_in, d_out)
+        hom = _pair_homology(d_in, d_out)
+        pres, kernel = hom.presentation(1)
         assert kernel.ambient_dim == d_out.shape[1]
-        assert pres.invariants() == la.homology_invariants(d_in, d_out)
+        assert pres.invariants() == hom.invariants(1)
 
 
 def test_homology_invariants_stable_under_basis_permutation():
     rng = np.random.default_rng(11)
     for _ in range(15):
         d_in, d_out = _random_composable_pair(rng)
-        expect = la.homology_invariants(d_in, d_out)
+        expect = _pair_homology(d_in, d_out).invariants(1)
         p_mid = rng.permutation(d_out.shape[1])
         p_left = rng.permutation(d_out.shape[0])
         p_right = rng.permutation(d_in.shape[1])
-        got = la.homology_invariants(
+        got = _pair_homology(
             d_in[np.ix_(p_mid, p_right)], d_out[np.ix_(p_left, p_mid)]
-        )
+        ).invariants(1)
         assert got == expect
 
 
 def test_presentation_trivial_d_out():
     d_in = la.intmat([[2, 0], [0, 3]])
-    pres, kernel = la.homology_presentation(d_in, la.zeros(0, 2))
+    pres, kernel = _pair_homology(d_in, la.zeros(0, 2)).presentation(1)
     assert kernel.rank == 2
     assert la.is_zero(kernel.vectors - la.identity(2)) or pres.invariants() == la.GroupInvariants(0, (6,))
     assert pres.invariants() == la.GroupInvariants(0, (6,))
 
 
 def test_presentation_kernel_of_surjection():
-    pres, kernel = la.homology_presentation(la.zeros(2, 0), la.intmat([[1, 1]]))
+    pres, kernel = _pair_homology(la.zeros(2, 0), la.intmat([[1, 1]])).presentation(1)
     assert kernel.rank == 1
     v = kernel.vectors[:, 0]
     assert sorted([int(v[0]), int(v[1])]) == [-1, 1]
