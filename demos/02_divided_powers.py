@@ -7,6 +7,7 @@ cyclic, of an order controlled by the stabilized gcd (r, n^infinity).
 
 from derham import abelian as ab
 from derham import bases
+from derham.intlinalg import GroupInvariants
 from derham.numtheory import gcd_stable
 
 # Monomial bases of the three functors on Z^2.
@@ -29,13 +30,13 @@ print("Gamma_3(Z/3) =", ab.gamma_cyclic(3, 3))
 print("Gamma_3(Z/2) =", ab.gamma_cyclic(3, 2))
 
 # The exponential law assembles divided powers of sums.
-v2 = ab.FgAbelian.elementary(2, 2)
+v2 = ab.elementary(2, 2)
 print("Gamma_2((Z/2)^2) =", ab.gamma_group(2, v2))
 
 # Tensor and torsion products in closed form.
-z4 = ab.FgAbelian.cyclic(4)
+z4 = GroupInvariants(0, (4,))
 print("\nTor(Z/4, Z/4) =", ab.tor(z4, z4))
-print("Tor^[3](Z/2) =", ab.tor_power(3, ab.FgAbelian.cyclic(2)))
+print("Tor^[3](Z/2) =", ab.tor_power(3, GroupInvariants(0, (2,))))
 
 # Expanding a divided power of a sum of generators integrally.
 out = bases.gamma_of_vector((1, 1), 2)

@@ -19,7 +19,7 @@ for q in range(7, 1, -1):
     row = [f"{q:>2} |"]
     for i in range(4):
         got = homology_of("C", q, RANK).invariants(i)
-        expect = expected_table_entry(q, i, RANK).invariants()
+        expect = expected_table_entry(q, i, RANK)
         mark = "" if got == expect else " *** MISMATCH"
         row.append(f" {str(got) + mark:<16} |")
     print("".join(row))

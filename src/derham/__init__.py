@@ -11,7 +11,6 @@ symmetric powers, and the weight-8 breakdown where 4-torsion appears.
 """
 
 from .abelian import (
-    FgAbelian,
     expected_h0,
     expected_table_entry,
     gamma_cyclic,
@@ -63,7 +62,6 @@ from .numtheory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FgAbelian",
     "GroupInvariants",
     "LatticeBasis",
     "PresentedGroup",

@@ -1,19 +1,20 @@
-"""Closed-form functor calculus on direct sums of cyclic groups.
+"""Closed-form functor calculus on finitely generated abelian groups.
 
-A group is a multiset of cyclic summands (0 for Z, m >= 2 for Z/m).  Tensor,
-Tor, divided powers and iterated Tor are evaluated summand by summand, which
-produces the expected right-hand sides that the matrix pipeline is checked
-against.  Canonicalization to a divisor chain happens only when two groups
-are compared.
+Groups are ``GroupInvariants``, the type the computed homology has.  Tensor,
+Tor, iterated Tor and divided powers are evaluated summand by summand on the
+divisor-chain decomposition Z^f + Z/m1 + ... + Z/mk.  Any cyclic
+decomposition gives the same isomorphism type (tensor and Tor are additive,
+divided powers obey the exponential law), so the results can be compared
+with the homology directly.  They are the expected right-hand sides that the
+matrix pipeline is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .intlinalg import GroupInvariants
+from .intlinalg import TRIVIAL_GROUP, GroupInvariants
 from .numtheory import OutOfRangeError, gcd_stable, v_p
 
 
@@ -39,91 +40,50 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FgAbelian:
-    """Direct sum of cyclic groups; summand 0 means Z, m >= 2 means Z/m."""
-
-    summands: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        summands = tuple(sorted(int(m) for m in self.summands))
-        if any(m == 1 or m < 0 for m in summands):
-            raise ValueError("summands are 0 (infinite) or moduli >= 2")
-        object.__setattr__(self, "summands", summands)
-
-    @classmethod
-    def free(cls, rank: int) -> "FgAbelian":
-        return cls((0,) * rank)
-
-    @classmethod
-    def cyclic(cls, m: int) -> "FgAbelian":
-        return cls(()) if m == 1 else cls((m,))
-
-    @classmethod
-    def elementary(cls, p: int, dim: int) -> "FgAbelian":
-        return cls((p,) * dim)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.summands
-
-    def invariants(self) -> GroupInvariants:
-        free = sum(1 for m in self.summands if m == 0)
-        torsion = tuple(m for m in self.summands if m >= 2)
-        return GroupInvariants(free, torsion)
-
-    def plus(self, *others: "FgAbelian") -> "FgAbelian":
-        parts = list(self.summands)
-        for g in others:
-            parts.extend(g.summands)
-        return FgAbelian(tuple(parts))
-
-    def __str__(self) -> str:
-        free = sum(1 for m in self.summands if m == 0)
-        parts = []
-        if free == 1:
-            parts.append("Z")
-        elif free > 1:
-            parts.append(f"Z^{free}")
-        parts.extend(f"Z/{m}" for m in self.summands if m)
-        return " + ".join(parts) if parts else "0"
+Z = GroupInvariants(1)
 
 
-ZERO_GROUP = FgAbelian(())
-Z = FgAbelian((0,))
+def _cyclics(a: GroupInvariants) -> tuple[int, ...]:
+    """The summands of a's divisor-chain decomposition; 0 stands for Z."""
+    return (0,) * a.free_rank + a.torsion
 
 
-def direct_sum(groups: Iterable[FgAbelian]) -> FgAbelian:
-    return ZERO_GROUP.plus(*groups)
+def elementary(p: int, dim: int) -> GroupInvariants:
+    """The elementary abelian group (Z/p)^dim."""
+    return GroupInvariants(0, (p,) * dim)
 
 
-def tensor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
-    """Bilinear over summands; Z is the unit and Z/a (x) Z/b = Z/gcd(a,b)."""
-    out = []
-    for x in a.summands:
-        for y in b.summands:
-            if x == 0 and y == 0:
-                out.append(0)
-            else:
-                g = math.gcd(x, y) if x and y else max(x, y)
-                if g > 1:
-                    out.append(g)
-    return FgAbelian(tuple(out))
+def direct_sum(groups: Iterable[GroupInvariants]) -> GroupInvariants:
+    free, torsion = 0, []
+    for g in groups:
+        free += g.free_rank
+        torsion.extend(g.torsion)
+    return GroupInvariants(free, tuple(torsion))
 
 
-def tor(a: FgAbelian, b: FgAbelian) -> FgAbelian:
+def _tensor_cyclics(a: GroupInvariants, b: GroupInvariants) -> list[int]:
+    """The cyclic summands of a (x) b; 0 stands for Z."""
+    return [math.gcd(x, y) for x in _cyclics(a) for y in _cyclics(b)]
+
+
+def _from_cyclics(summands: list[int]) -> GroupInvariants:
+    """The direct sum of cyclic groups of these orders; 0 stands for Z."""
+    return GroupInvariants(summands.count(0), tuple(m for m in summands if m))
+
+
+def tensor(a: GroupInvariants, b: GroupInvariants) -> GroupInvariants:
+    """Bilinear over summands: Z/x (x) Z/y = Z/gcd(x, y), reading Z as Z/0."""
+    return _from_cyclics(_tensor_cyclics(a, b))
+
+
+def tor(a: GroupInvariants, b: GroupInvariants) -> GroupInvariants:
     """Torsion product: Tor(Z, -) = 0 and Tor(Z/a, Z/b) = Z/gcd(a,b)."""
-    out = []
-    for x in a.summands:
-        for y in b.summands:
-            if x and y:
-                g = math.gcd(x, y)
-                if g > 1:
-                    out.append(g)
-    return FgAbelian(tuple(out))
+    return GroupInvariants(
+        0, tuple(math.gcd(x, y) for x in a.torsion for y in b.torsion)
+    )
 
 
-def tor_power(n: int, a: FgAbelian) -> FgAbelian:
+def tor_power(n: int, a: GroupInvariants) -> GroupInvariants:
     """Iterated torsion product Tor(...Tor(Tor(A, A), A)..., A), n factors."""
     if n < 2:
         raise DegreeTooSmallError("iterated Tor starts at the square")
@@ -133,34 +93,36 @@ def tor_power(n: int, a: FgAbelian) -> FgAbelian:
     return out
 
 
-def gamma_cyclic(r: int, n: int) -> FgAbelian:
+def gamma_cyclic(r: int, n: int) -> GroupInvariants:
     """Degree-r divided power of Z/n: cyclic of order n * (r, n^infinity)."""
     if r < 0 or n < 2:
         raise OutOfRangeError("need degree >= 0 and modulus >= 2")
     if r == 0:
         return Z
-    return FgAbelian.cyclic(n * gcd_stable(r, n))
+    return GroupInvariants(0, (n * gcd_stable(r, n),))
 
 
-def gamma_grades(a: FgAbelian, top: int) -> list[FgAbelian]:
+def gamma_grades(a: GroupInvariants, top: int) -> list[GroupInvariants]:
     """Divided powers of a in every degree 0..top via the exponential law.
 
     Degree-n divided powers of a direct sum split as the sum over i + j = n
     of (degree-i of the first part) tensor (degree-j of the second).
     """
-    acc = [Z] + [ZERO_GROUP] * top  # divided powers of the zero group
-    for m in a.summands:
+    acc = [Z] + [TRIVIAL_GROUP] * top  # divided powers of the zero group
+    for m in _cyclics(a):
         cyc = [Z] + [
             (Z if m == 0 else gamma_cyclic(i, m)) for i in range(1, top + 1)
         ]
-        new = [ZERO_GROUP] * (top + 1)
-        for n in range(top + 1):
-            new[n] = direct_sum(tensor(acc[i], cyc[n - i]) for i in range(n + 1))
-        acc = new
+        acc = [
+            _from_cyclics(
+                [g for i in range(n + 1) for g in _tensor_cyclics(acc[i], cyc[n - i])]
+            )
+            for n in range(top + 1)
+        ]
     return acc
 
 
-def gamma_group(n: int, a: FgAbelian) -> FgAbelian:
+def gamma_group(n: int, a: GroupInvariants) -> GroupInvariants:
     """Degree-n divided power of a finitely generated abelian group."""
     if n < 0:
         raise OutOfRangeError("degree must be nonnegative")
@@ -179,12 +141,12 @@ def monomial_order_mod_p(exponents: tuple[int, ...], p: int) -> int:
     return p ** (1 + min(v_p(p, e) for e in nonzero))
 
 
-def expected_h0(n: int, rank: int) -> FgAbelian:
+def expected_h0(n: int, rank: int) -> GroupInvariants:
     """Sum over primes p | n of the (n/p)-th divided power of (Z/p)^rank."""
     if n < 2:
         raise OutOfRangeError("degree must be at least 2")
     return direct_sum(
-        gamma_group(n // p, FgAbelian.elementary(p, rank)) for p in prime_divisors(n)
+        gamma_group(n // p, elementary(p, rank)) for p in prime_divisors(n)
     )
 
 
@@ -196,7 +158,7 @@ def _lie3_dimension(p: int, rank: int) -> int:
     return derived_sp(1, 3, p, rank).dimension
 
 
-def expected_table_entry(q: int, i: int, rank: int) -> FgAbelian:
+def expected_table_entry(q: int, i: int, rank: int) -> GroupInvariants:
     """Closed-form table cell for the homology of the wedge-times-divided
     complex in weight q at homological degree i, evaluated on Z^rank."""
     if not (2 <= q <= 7 and 0 <= i <= 3 and rank >= 0):
@@ -205,12 +167,12 @@ def expected_table_entry(q: int, i: int, rank: int) -> FgAbelian:
         return expected_h0(q, rank)
 
     def wedge(p, deg):
-        return FgAbelian.elementary(p, math.comb(rank, deg))
+        return elementary(p, math.comb(rank, deg))
 
     if q == 4 and i == 1:
         return wedge(2, 2)
     if q == 6 and i == 1:
-        return wedge(3, 2).plus(FgAbelian.elementary(2, _lie3_dimension(2, rank)))
+        return direct_sum([wedge(3, 2), elementary(2, _lie3_dimension(2, rank))])
     if q == 6 and i == 2:
         return wedge(2, 3)
-    return ZERO_GROUP
+    return TRIVIAL_GROUP

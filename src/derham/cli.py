@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .abelian import expected_h0, expected_table_entry
+from .bases import basis_size
 from .comparison import (
     f18_counterexample,
     q_kills_boundaries,
@@ -34,10 +35,32 @@ HARD_MAX_RANK = 6
 DEFAULT_MAX_N = 7
 DEFAULT_RANK = 2
 DEFAULT_PRIMES = (2, 3, 5, 7)
+# Entries of the largest dense differential a command may build: C^7(Z^6)
+# has 1.05e7, while C^12(Z^5) would have 7.2e7 object pointers.
+MAX_DIFFERENTIAL_CELLS = 2 * 10**7
 
 
 class UsageError(Exception):
     pass
+
+
+def _refuse_costly(n: int, rank: int) -> None:
+    """Refuse (n, rank) when the largest d_i of C^n(Z^rank) is too large.
+
+    D^n and the Koszul complex wedge^i (x) sym^(n-i) have the same term
+    sizes, and the sizes grow with n and rank, so this bounds every complex
+    a range up to (n, rank) builds.
+    """
+    dims = [
+        basis_size("wedge", i, rank) * basis_size("gamma", n - i, rank)
+        for i in range(n + 1)
+    ]
+    cells = max((a * b for a, b in zip(dims, dims[1:])), default=0)
+    if cells > MAX_DIFFERENTIAL_CELLS:
+        raise UsageError(
+            f"n={n}, rank={rank} needs a differential with {cells:.2e} entries; "
+            f"the limit is {MAX_DIFFERENTIAL_CELLS:.0e}"
+        )
 
 
 @dataclass
@@ -45,13 +68,18 @@ class RunConfig:
     max_n: int = DEFAULT_MAX_N
     rank: int = DEFAULT_RANK
 
-    def validate(self) -> None:
+    def validate(self, first_n: int = 1, first_rank: int = 0) -> None:
+        """Refuse a range past the caps or the cost limit, and one that ends
+        before (first_n, first_rank): with no cell it would pass vacuously."""
         if self.max_n > HARD_MAX_N or self.rank > HARD_MAX_RANK:
             raise UsageError(
                 f"ranges capped at n <= {HARD_MAX_N}, rank <= {HARD_MAX_RANK}"
             )
-        if self.max_n < 1 or self.rank < 0:
-            raise UsageError("ranges must be positive")
+        if self.max_n < first_n or self.rank < first_rank:
+            raise UsageError(
+                f"this range starts at n = {first_n}, rank = {first_rank}"
+            )
+        _refuse_costly(self.max_n, self.rank)
         if self.max_n > DEFAULT_MAX_N or self.rank > 4:
             print(
                 f"warning: n={self.max_n}, rank={self.rank} is above the "
@@ -78,7 +106,7 @@ def _json_dumps(payload) -> str:
 
 def _table_cell(q, i, rank):
     computed = homology_of("C", q, rank).invariants(i)
-    expected = expected_table_entry(q, i, rank).invariants()
+    expected = expected_table_entry(q, i, rank)
     if i == 0:
         ok = computed == expected and verify_h0_iso(q, rank)
     else:
@@ -93,7 +121,7 @@ def _table_cell(q, i, rank):
 
 def cmd_table(ns) -> int:
     config = RunConfig(max_n=ns.max_n, rank=ns.rank)
-    config.validate()
+    config.validate(first_n=2)
     if config.max_n > 7:
         raise UsageError("the closed-form table covers weights up to 7")
     records = [
@@ -215,6 +243,7 @@ def cmd_derived_sp(ns) -> int:
         raise UsageError(f"need 0 <= i <= n - 1, got i={ns.i}, n={ns.n}")
     if ns.rank < 0:
         raise UsageError("rank must be nonnegative")
+    _refuse_costly(ns.n, ns.rank)
     group = derived_sp(ns.i, ns.n, ns.p, ns.rank)
     pres = generator_presentation(ns.i, ns.n, ns.p, ns.rank)
     payload = {
@@ -251,7 +280,7 @@ def _verify_h0(max_n, rank) -> dict:
     def cell(n, r):
         q = q_matrix(n, r)
         computed = homology_of("C", n, r).invariants(0)
-        expected = expected_h0(n, r).invariants()
+        expected = expected_h0(n, r)
         ok = q_kills_boundaries(q) and verify_h0_iso(n, r) and computed == expected
         return {
             "cell": {"n": n, "rank": r},
@@ -273,7 +302,7 @@ def _verify_h0(max_n, rank) -> dict:
 def _verify_theorem(max_n, rank) -> dict:
     def cell(n, i, r):
         computed = homology_of("C", n, r).invariants(i)
-        expected = expected_table_entry(n, i, r).invariants()
+        expected = expected_table_entry(n, i, r)
         ok = verify_theorem(i, n, r) and computed == expected
         return {
             "cell": {"n": n, "i": i, "rank": r},
@@ -334,6 +363,40 @@ def _verify_kunneth(max_n, rank_pairs=((1, 1), (1, 2))) -> dict:
     }
 
 
+def _default(value, default):
+    """An option's value; only an absent option takes the default."""
+    return default if value is None else value
+
+
+def _run_suite(ns) -> dict:
+    if ns.suite == "lemma":
+        primes = DEFAULT_PRIMES if ns.p is None else [ns.p]
+        if not all(la.is_prime(p) for p in primes):
+            raise UsageError(f"--p {ns.p} is not prime")
+        max_n = _default(ns.max_n, 60)
+        if max_n < 2:
+            raise UsageError("the lemma range starts at n = 2")
+        return _verify_lemma(primes, max_n)
+    if ns.suite == "h0":
+        config = RunConfig(_default(ns.max_n, 12), _default(ns.rank, 3))
+        config.validate(first_n=2)
+        return _verify_h0(config.max_n, config.rank)
+    if ns.suite == "theorem":
+        config = RunConfig(_default(ns.max_n, DEFAULT_MAX_N), _default(ns.rank, 4))
+        config.validate(first_n=2, first_rank=1)
+        if config.max_n > 7:
+            raise UsageError("the isomorphism range stops at weight 7")
+        return _verify_theorem(config.max_n, config.rank)
+    if ns.suite == "relations":
+        config = RunConfig(_default(ns.max_n, 8), _default(ns.rank, 2))
+        config.validate(first_n=2, first_rank=1)
+        return _verify_relations(config.max_n, config.rank)
+    # kunneth: the rank pairs (1, 1) and (1, 2) build complexes up to rank 3
+    config = RunConfig(_default(ns.max_n, 6), 3)
+    config.validate(first_n=2)
+    return _verify_kunneth(config.max_n)
+
+
 def cmd_verify(ns) -> int:
     if ns.all:
         suites = {
@@ -348,36 +411,15 @@ def cmd_verify(ns) -> int:
             "reports": suites,
             "pass": all(s["pass"] for s in suites.values()),
         }
-    elif ns.suite == "lemma":
-        primes = [ns.p] if ns.p else DEFAULT_PRIMES
-        if not all(la.is_prime(p) for p in primes):
-            raise UsageError(f"--p {ns.p} is not prime")
-        report = _verify_lemma(primes, ns.max_n if ns.max_n else 60)
-        payload = {"command": "verify lemma", "reports": {"lemma": report}, "pass": report["pass"]}
-    elif ns.suite == "h0":
-        config = RunConfig(max_n=ns.max_n or 12, rank=ns.rank if ns.rank is not None else 3)
-        config.validate()
-        report = _verify_h0(config.max_n, config.rank)
-        payload = {"command": "verify h0", "reports": {"h0": report}, "pass": report["pass"]}
-    elif ns.suite == "theorem":
-        config = RunConfig(max_n=ns.max_n or DEFAULT_MAX_N, rank=ns.rank if ns.rank is not None else 4)
-        config.validate()
-        if config.max_n > 7:
-            raise UsageError("the isomorphism range stops at weight 7")
-        report = _verify_theorem(config.max_n, config.rank)
-        payload = {"command": "verify theorem", "reports": {"theorem": report}, "pass": report["pass"]}
-    elif ns.suite == "relations":
-        config = RunConfig(max_n=ns.max_n or 8, rank=ns.rank if ns.rank is not None else 2)
-        config.validate()
-        report = _verify_relations(config.max_n, config.rank)
-        payload = {"command": "verify relations", "reports": {"relations": report}, "pass": report["pass"]}
-    elif ns.suite == "kunneth":
-        config = RunConfig(max_n=ns.max_n or 6, rank=2)
-        config.validate()
-        report = _verify_kunneth(config.max_n)
-        payload = {"command": "verify kunneth", "reports": {"kunneth": report}, "pass": report["pass"]}
-    else:
+    elif ns.suite is None:
         raise UsageError("choose a suite (h0, theorem, lemma, relations, kunneth) or --all")
+    else:
+        report = _run_suite(ns)
+        payload = {
+            "command": f"verify {ns.suite}",
+            "reports": {ns.suite: report},
+            "pass": report["pass"],
+        }
     _emit(_json_dumps(payload), ns.output)
     return 0 if payload["pass"] else 1
 
@@ -385,8 +427,9 @@ def cmd_verify(ns) -> int:
 def cmd_counterexample(ns) -> int:
     if ns.which != "f18":
         raise UsageError("the only tabulated counterexample is f18")
-    if not 1 <= ns.rank <= HARD_MAX_RANK:
-        raise UsageError(f"f18 needs 1 <= rank <= {HARD_MAX_RANK}")
+    if ns.rank < 1:
+        raise UsageError("f18 needs rank >= 1")
+    _refuse_costly(8, ns.rank)
     report = f18_counterexample(ns.rank)
     expected_breakage = ns.rank >= 2
     ok = (

@@ -348,21 +348,20 @@ def column_lattice_basis(m) -> np.ndarray:
 def _divisor_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     """Normalize arbitrary torsion moduli to a divisor chain m1 | m2 | ...
 
-    Repeated pairwise gcd/lcm passes; e.g. [2, 3] -> [6], [4, 6] -> [2, 12].
+    One pass of pairwise gcd/lcm suffices: once entry i has met every later
+    entry it divides all of them, and the later gcd/lcm steps keep it so.
+    E.g. [2, 3] -> [6], [4, 6] -> [2, 12].
     """
-    mods = [int(m) for m in torsion if int(m) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(mods)):
-            for j in range(i + 1, len(mods)):
-                a, b = mods[i], mods[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    mods[i], mods[j] = g, a * b // g
-                    changed = True
-        mods = [m for m in mods if m > 1]
-    return tuple(sorted(mods))
+    mods = sorted(int(m) for m in torsion if int(m) > 1)
+    if all(b % a == 0 for a, b in zip(mods, mods[1:])):
+        return tuple(mods)
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            a, b = mods[i], mods[j]
+            if b % a != 0:
+                g = gcd(a, b)
+                mods[i], mods[j] = g, a * b // g
+    return tuple(m for m in mods if m > 1)
 
 
 @dataclass(frozen=True)
@@ -382,16 +381,6 @@ class GroupInvariants:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def order(self) -> int:
-        """Group order; 0 encodes infinite."""
-        if self.free_rank:
-            return 0
-        out = 1
-        for m in self.torsion:
-            out *= m
-        return out
 
     def as_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

@@ -223,6 +223,26 @@ BAD_ARGUMENTS = (
     ["counterexample", "f18", "--rank", "0"],
     ["counterexample", "f18", "--rank", "7"],
     ["verify", "lemma", "--p", "4"],
+    # ranges without a cell would pass vacuously
+    ["verify", "theorem", "--rank", "0"],
+    ["verify", "theorem", "--max-n", "1"],
+    ["verify", "h0", "--max-n", "1"],
+    ["verify", "kunneth", "--max-n", "1"],
+    ["verify", "relations", "--rank", "0"],
+    ["verify", "relations", "--max-n", "1"],
+    ["verify", "lemma", "--max-n", "1"],
+    ["table", "--max-n", "1"],
+    # 0 is a value, not an absent option
+    ["verify", "kunneth", "--max-n", "0"],
+    ["verify", "h0", "--max-n", "0"],
+    ["verify", "lemma", "--max-n", "0"],
+    ["verify", "lemma", "--p", "0"],
+    # differentials above MAX_DIFFERENTIAL_CELLS, refused before any build
+    ["homology", "--family", "C", "--n", "12", "--rank", "6"],
+    ["homology", "--family", "D", "--n", "12", "--rank", "5"],
+    ["verify", "h0", "--max-n", "12", "--rank", "6"],
+    ["counterexample", "f18", "--rank", "6"],
+    ["derived-sp", "--i", "1", "--n", "12", "--p", "2", "--rank", "5"],
 )
 
 

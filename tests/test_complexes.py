@@ -175,7 +175,7 @@ def test_gamma_elementary_rank_one():
     for p in (2, 3):
         for n in range(1, 6):
             got = cx.gamma_elementary_invariants(n, p, 1)
-            expect = ab.gamma_cyclic(n, p).invariants()
+            expect = ab.gamma_cyclic(n, p)
             assert got == expect
 
 
@@ -184,5 +184,5 @@ def test_gamma_elementary_cross_module():
         for r in (1, 2, 3):
             for n in range(1, 7):
                 got = cx.gamma_elementary_invariants(n, p, r)
-                expect = ab.gamma_group(n, ab.FgAbelian.elementary(p, r)).invariants()
+                expect = ab.gamma_group(n, ab.elementary(p, r))
                 assert got == expect

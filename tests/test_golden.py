@@ -1,4 +1,6 @@
-"""Pinned differentials: the SHA-256 of every d_i in the matrix text format.
+"""Pinned outputs: the SHA-256 of every d_i in the matrix text format, and
+of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4` and the
+rank-2 table in every format.
 
 The digests in differentials_sha256.json were recorded from the separate
 hand-written loops that built C, D and the Koszul complexes before they
@@ -10,6 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from derham import cli
 from derham.complexes import build_C, build_D
 from derham.intlinalg import mat_to_text
 from derham.koszul import build_koszul
@@ -46,4 +49,25 @@ def test_golden_covers_all_cells():
 
 def test_differentials_match_pinned_digests():
     mismatched = [key for key, want in GOLDEN.items() if _digests(_built(key)) != want]
+    assert mismatched == []
+
+
+# SHA-256 of stdout, recorded while the closed forms were still evaluated on a
+# separate summand-multiset type; the "expected" columns come from them.
+CLI_STDOUT_SHA256 = {
+    "verify --all": "40d71ff10d02d4d442c90e12769023523c2bed5e9155f1934f0d55097c4044b1",
+    "table --rank 2 --format md": "de77e65d7deaaf42bea5316df590aef53846e27a908bf43a1d0e8f9210ee489d",
+    "table --rank 2 --format csv": "57aec819bbd87311fac1205d759e376b2722bcb98a26c295a69e1e76d11b72c2",
+    "table --rank 2 --format json": "325bcff804121c23b94731ff21a2c8555d4b4ad0ba4b8c73ee35ad101e686573",
+    "verify kunneth --max-n 4": "f881de3185cad9664fc7439162c9dfa2252d0e6d2484512517b20e78bfcada7b",
+}
+
+
+def test_cli_stdout_matches_pinned_digests(capsys):
+    mismatched = []
+    for command, want in CLI_STDOUT_SHA256.items():
+        assert cli.main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != want:
+            mismatched.append(command)
     assert mismatched == []
