@@ -33,12 +33,12 @@ print("H_0 of C^2(Z):", hom.invariants(0))
 pres, kernel = hom.presentation(0)
 print("presentation: generators =", pres.gens, "invariants =", pres.invariants())
 print("kernel basis columns:")
-print(kernel.vectors)
+print(kernel)
 
-# Exact coordinates inside a sublattice.
-basis = la.LatticeBasis(2, la.intmat([[2], [4]]))
-print("\n(6,12) in the lattice spanned by (2,4):",
-      list(la.coordinates_in_lattice([6, 12], basis)))
+# Exact coordinates inside a sublattice, from one Smith decomposition.
+solver = la.LinearSolver(la.intmat([[2], [4]]))
+print("\n(6,12) in the lattice spanned by (2,4):", list(solver.solve([6, 12])))
+print("cokernel of (2,4):", solver.cokernel())
 
 # Finite presented groups can be compared through explicit maps.
 z6 = la.PresentedGroup(1, la.intmat([[6]]))

@@ -41,10 +41,8 @@ from .complexes import (
 )
 from .intlinalg import (
     GroupInvariants,
-    LatticeBasis,
     PresentedGroup,
     SnfResult,
-    coordinates_in_lattice,
     fp_cokernel_basis,
     fp_rank,
     invariants_of_cokernel,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GroupInvariants",
-    "LatticeBasis",
     "PresentedGroup",
     "ChainComplexZ",
     "SnfResult",
@@ -73,7 +70,6 @@ __all__ = [
     "build_koszul",
     "check_binomial_lemma",
     "check_central_divisibility",
-    "coordinates_in_lattice",
     "cross_effect_h0",
     "derived_sp",
     "enumerate_basis",

@@ -38,6 +38,12 @@ DEFAULT_PRIMES = (2, 3, 5, 7)
 # Entries of the largest dense differential a command may build: C^7(Z^6)
 # has 1.05e7, while C^12(Z^5) would have 7.2e7 object pointers.
 MAX_DIFFERENTIAL_CELLS = 2 * 10**7
+# `basis --degree 10 --rank 10` lists 9.2e4 labels (2 MB of JSON); degree
+# and rank 20 would list 6.9e10.
+MAX_BASIS_LABELS = 10**6
+# The lemma sweep checks about N^2/2 binomials per prime, with growing
+# integers: about 1.5 s at N = 200 and 6 s at N = 300.
+MAX_LEMMA_N = 200
 
 
 class UsageError(Exception):
@@ -221,10 +227,14 @@ def cmd_homology(ns) -> int:
 def cmd_basis(ns) -> int:
     from .bases import enumerate_basis
 
-    try:
-        labels = enumerate_basis(ns.functor, ns.degree, ns.rank)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if ns.rank < 0:
+        raise UsageError("rank must be nonnegative")
+    size = basis_size(ns.functor, ns.degree, ns.rank)
+    if size > MAX_BASIS_LABELS:
+        raise UsageError(
+            f"the basis has {size:.2e} labels; the limit is {MAX_BASIS_LABELS:.0e}"
+        )
+    labels = enumerate_basis(ns.functor, ns.degree, ns.rank)
     payload = {
         "functor": ns.functor,
         "degree": ns.degree,
@@ -374,8 +384,8 @@ def _run_suite(ns) -> dict:
         if not all(la.is_prime(p) for p in primes):
             raise UsageError(f"--p {ns.p} is not prime")
         max_n = _default(ns.max_n, 60)
-        if max_n < 2:
-            raise UsageError("the lemma range starts at n = 2")
+        if not 2 <= max_n <= MAX_LEMMA_N:
+            raise UsageError(f"the lemma range is 2 <= n <= {MAX_LEMMA_N}")
         return _verify_lemma(primes, max_n)
     if ns.suite == "h0":
         config = RunConfig(_default(ns.max_n, 12), _default(ns.rank, 3))

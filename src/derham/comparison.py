@@ -583,5 +583,5 @@ def f18_counterexample(r: int) -> dict:
         "contains_order4": any(t % 4 == 0 for t in target_inv.torsion),
         "map_well_defined": facts.well_defined,
         "map_surjective": facts.surjective,
-        "map_is_iso": facts.iso(source_inv, target_inv),
+        "map_is_iso": facts.iso(source_inv),
     }

@@ -38,7 +38,7 @@ from .bases import (
     wedge_delete,
     wedge_insert,
 )
-from .intlinalg import GroupInvariants, LatticeBasis, PresentedGroup
+from .intlinalg import GroupInvariants, PresentedGroup
 
 
 @dataclass(frozen=True)
@@ -173,38 +173,36 @@ def build(family: str, n: int, r: int) -> ChainComplexZ:
 
 
 class ComplexHomology:
-    """All homology data of one complex, with per-degree Smith forms cached."""
+    """All homology data of one complex, read off one cached Smith
+    decomposition per differential."""
 
     def __init__(self, cx: ChainComplexZ):
         self.cx = cx
-        self._snf: dict[int, la.SnfResult] = {}
-        self._kernel: dict[int, LatticeBasis] = {}
+        self._solver: dict[int, la.LinearSolver] = {}
         self._kernel_solver: dict[int, la.LinearSolver] = {}
-        self._boundary_solver: dict[int, la.LinearSolver] = {}
-        self._presentation: dict[int, tuple[PresentedGroup, LatticeBasis]] = {}
+        self._presentation: dict[int, tuple[PresentedGroup, np.ndarray]] = {}
+
+    def solver(self, i: int) -> la.LinearSolver:
+        """The Smith decomposition of d_i, computed once."""
+        if i not in self._solver:
+            self._solver[i] = la.LinearSolver(self.cx.d(i))
+        return self._solver[i]
 
     def snf(self, i: int) -> la.SnfResult:
-        if i not in self._snf:
-            self._snf[i] = la.smith_normal_form(self.cx.d(i))
-        return self._snf[i]
+        return self.solver(i).snf
 
-    def kernel(self, i: int) -> LatticeBasis:
+    def kernel(self, i: int) -> np.ndarray:
         """Basis of the cycle lattice in degree i (saturated by construction)."""
-        if i not in self._kernel:
-            snf = self.snf(i)
-            self._kernel[i] = LatticeBasis(self.cx.d(i).shape[1], snf.V[:, snf.rank:])
-        return self._kernel[i]
+        return self.solver(i).kernel()
 
     def kernel_solver(self, i: int) -> la.LinearSolver:
         if i not in self._kernel_solver:
-            self._kernel_solver[i] = la.LinearSolver(self.kernel(i).vectors)
+            self._kernel_solver[i] = la.LinearSolver(self.kernel(i))
         return self._kernel_solver[i]
 
     def boundary_solver(self, i: int) -> la.LinearSolver:
         """Solver for membership in the image of d_{i+1} inside degree i."""
-        if i not in self._boundary_solver:
-            self._boundary_solver[i] = la.LinearSolver(self.cx.d(i + 1))
-        return self._boundary_solver[i]
+        return self.solver(i + 1)
 
     def invariants(self, i: int) -> GroupInvariants:
         """Degree-i homology along the direct route (no presentation).
@@ -215,22 +213,23 @@ class ComplexHomology:
         """
         if not 0 <= i <= self.cx.n:
             return la.TRIVIAL_GROUP
-        nullity = self.cx.dim(i) - self.snf(i).rank
-        diag_in = self.snf(i + 1).diagonal if i + 1 <= self.cx.n else []
+        nullity = self.cx.dim(i) - self.solver(i).rank
+        diag_in = self.solver(i + 1).diag if i + 1 <= self.cx.n else []
         rank_in = sum(1 for d in diag_in if d != 0)
         torsion = tuple(d for d in diag_in if d > 1)
         return GroupInvariants(nullity - rank_in, torsion)
 
-    def presentation(self, i: int) -> tuple[PresentedGroup, LatticeBasis]:
-        """Cycles-as-generators presentation of the degree-i homology."""
+    def presentation(self, i: int) -> tuple[PresentedGroup, np.ndarray]:
+        """Cycles-as-generators presentation of the degree-i homology, and
+        the cycle basis (one column per generator) it is written in."""
         if i not in self._presentation:
             kernel = self.kernel(i)
             solver = self.kernel_solver(i)
             d_in = self.cx.d(i + 1)
-            rel = la.zeros(kernel.rank, d_in.shape[1])
+            rel = la.zeros(kernel.shape[1], d_in.shape[1])
             for j in range(d_in.shape[1]):
                 rel[:, j] = solver.solve(d_in[:, j])
-            self._presentation[i] = (PresentedGroup(kernel.rank, rel), kernel)
+            self._presentation[i] = (PresentedGroup(kernel.shape[1], rel), kernel)
         return self._presentation[i]
 
 

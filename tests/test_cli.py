@@ -243,6 +243,9 @@ BAD_ARGUMENTS = (
     ["verify", "h0", "--max-n", "12", "--rank", "6"],
     ["counterexample", "f18", "--rank", "6"],
     ["derived-sp", "--i", "1", "--n", "12", "--p", "2", "--rank", "5"],
+    # a lemma sweep of hours, a basis of 6.9e10 labels
+    ["verify", "lemma", "--max-n", "10000"],
+    ["basis", "--functor", "gamma", "--degree", "20", "--rank", "20"],
 )
 
 

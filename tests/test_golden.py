@@ -1,6 +1,7 @@
 """Pinned outputs: the SHA-256 of every d_i in the matrix text format, and
-of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4` and the
-rank-2 table in every format.
+of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4`, the
+rank-2 table in every format, the JSON homology of C^4(Z^2) and D^4(Z^2)
+and `counterexample f18 --rank 2`.
 
 The digests in differentials_sha256.json were recorded from the separate
 hand-written loops that built C, D and the Koszul complexes before they
@@ -52,14 +53,19 @@ def test_differentials_match_pinned_digests():
     assert mismatched == []
 
 
-# SHA-256 of stdout, recorded while the closed forms were still evaluated on a
-# separate summand-multiset type; the "expected" columns come from them.
+# SHA-256 of stdout.  The first five were recorded while the closed forms
+# were still evaluated on a separate summand-multiset type (the "expected"
+# columns come from them), the last three while the Smith form was still
+# reached through separate transform-free and cached routes.
 CLI_STDOUT_SHA256 = {
     "verify --all": "40d71ff10d02d4d442c90e12769023523c2bed5e9155f1934f0d55097c4044b1",
     "table --rank 2 --format md": "de77e65d7deaaf42bea5316df590aef53846e27a908bf43a1d0e8f9210ee489d",
     "table --rank 2 --format csv": "57aec819bbd87311fac1205d759e376b2722bcb98a26c295a69e1e76d11b72c2",
     "table --rank 2 --format json": "325bcff804121c23b94731ff21a2c8555d4b4ad0ba4b8c73ee35ad101e686573",
     "verify kunneth --max-n 4": "f881de3185cad9664fc7439162c9dfa2252d0e6d2484512517b20e78bfcada7b",
+    "homology --family C --n 4 --rank 2 --format json": "2f40cd1570c79fc4407d58e38265f6b82ff07076bb1be6711e0c48502bb52ea0",
+    "homology --family D --n 4 --rank 2 --format json": "9b8838f4e95d0d484091203074cd5ed7dac0941f2cc4305b358ceb1700ff6056",
+    "counterexample f18 --rank 2": "2e31e9d57a65dcc21d9735f717a4d518d352b725b24bc46d8bf8f8bb4fd4c139",
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derham import intlinalg as la
-from derham.complexes import ChainComplexZ, ComplexHomology, PairBasis, _check_dd_zero
+from derham.complexes import ChainComplexZ, ComplexHomology, PairBasis, _check_dd_zero, build_C
 
 
 def small_matrices(max_dim=4, max_entry=6):
@@ -238,7 +238,7 @@ def test_presentation_agrees_with_direct_invariants():
         d_in, d_out = _random_composable_pair(rng)
         hom = _pair_homology(d_in, d_out)
         pres, kernel = hom.presentation(1)
-        assert kernel.ambient_dim == d_out.shape[1]
+        assert kernel.shape[0] == d_out.shape[1]
         assert pres.invariants() == hom.invariants(1)
 
 
@@ -259,15 +259,15 @@ def test_homology_invariants_stable_under_basis_permutation():
 def test_presentation_trivial_d_out():
     d_in = la.intmat([[2, 0], [0, 3]])
     pres, kernel = _pair_homology(d_in, la.zeros(0, 2)).presentation(1)
-    assert kernel.rank == 2
-    assert la.is_zero(kernel.vectors - la.identity(2)) or pres.invariants() == la.GroupInvariants(0, (6,))
+    assert kernel.shape[1] == 2
+    assert la.is_zero(kernel - la.identity(2)) or pres.invariants() == la.GroupInvariants(0, (6,))
     assert pres.invariants() == la.GroupInvariants(0, (6,))
 
 
 def test_presentation_kernel_of_surjection():
     pres, kernel = _pair_homology(la.zeros(2, 0), la.intmat([[1, 1]])).presentation(1)
-    assert kernel.rank == 1
-    v = kernel.vectors[:, 0]
+    assert kernel.shape[1] == 1
+    v = kernel[:, 0]
     assert sorted([int(v[0]), int(v[1])]) == [-1, 1]
     assert pres.invariants() == la.GroupInvariants(1, ())
 
@@ -276,29 +276,26 @@ def test_presentation_kernel_of_surjection():
 
 
 def test_coordinates_zero_vector():
-    basis = la.LatticeBasis(2, la.intmat([[1, 0], [0, 1]]))
-    c = la.coordinates_in_lattice([0, 0], basis)
+    c = la.LinearSolver(la.intmat([[1, 0], [0, 1]])).solve([0, 0])
     assert list(c) == [0, 0]
 
 
 def test_coordinates_standard_basis():
-    basis = la.LatticeBasis(3, la.identity(3))
-    c = la.coordinates_in_lattice([4, -1, 7], basis)
+    c = la.LinearSolver(la.identity(3)).solve([4, -1, 7])
     assert list(c) == [4, -1, 7]
 
 
 def test_coordinates_scaled_column():
-    basis = la.LatticeBasis(2, la.intmat([[2], [4]]))
-    c = la.coordinates_in_lattice([6, 12], basis)
+    c = la.LinearSolver(la.intmat([[2], [4]])).solve([6, 12])
     assert list(c) == [3]
 
 
 def test_coordinates_not_in_lattice():
-    basis = la.LatticeBasis(2, la.intmat([[2], [4]]))
+    solver = la.LinearSolver(la.intmat([[2], [4]]))
     with pytest.raises(la.NotInLatticeError):
-        la.coordinates_in_lattice([3, 6], basis)  # rational but not integral
+        solver.solve([3, 6])  # rational but not integral
     with pytest.raises(la.NotInLatticeError):
-        la.coordinates_in_lattice([1, 0], basis)  # not even rational
+        solver.solve([1, 0])  # not even rational
 
 
 # -- presented map isomorphism --------------------------------------------------
@@ -332,6 +329,9 @@ def test_iso_rejects_infinite_groups():
     free = la.PresentedGroup(1, la.zeros(1, 0))
     with pytest.raises(la.InfiniteGroupUnsupportedError):
         la.presented_map_is_iso(la.identity(1), free, free)
+    # Z/2 -> Z is not well defined either, but infiniteness is checked first
+    with pytest.raises(la.InfiniteGroupUnsupportedError):
+        la.presented_map_is_iso(la.intmat([[1]]), _cyclic(2), free)
 
 
 def test_iso_between_equal_invariants_with_different_presentations():
@@ -340,6 +340,41 @@ def test_iso_between_equal_invariants_with_different_presentations():
     target = la.PresentedGroup(2, la.intmat([[2, 0], [0, 3]]))
     f = la.intmat([[1], [1]])  # g -> (1, 1), a generator of Z/2 + Z/3
     assert la.presented_map_is_iso(f, source, target) is True
+
+
+def _count_reductions(monkeypatch) -> list:
+    calls = []
+    reduce = la._snf_inplace
+
+    def counted(a, u, v):
+        calls.append(a.shape)
+        reduce(a, u, v)
+
+    monkeypatch.setattr(la, "_snf_inplace", counted)
+    return calls
+
+
+def test_iso_reduces_each_relation_matrix_once(monkeypatch):
+    # the source relations, the target relations (invariants and
+    # well-definedness both) and [f | target relations] for surjectivity
+    calls = _count_reductions(monkeypatch)
+    source = _cyclic(6)
+    target = la.PresentedGroup(2, la.intmat([[2, 0], [0, 3]]))
+    assert la.presented_map_is_iso(la.intmat([[1], [1]]), source, target) is True
+    assert len(calls) == 3
+
+
+def test_complex_homology_reduces_each_differential_once(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    hom = ComplexHomology(build_C(4, 2))
+    for i in range(hom.cx.n + 1):
+        hom.snf(i)
+        hom.kernel(i)
+        hom.invariants(i)
+        hom.boundary_solver(i)
+    # d_0, ..., d_{n+1}: boundary_solver(n) asks for d_{n+1}
+    assert len(calls) == hom.cx.n + 2
+    assert all(hom.boundary_solver(i) is hom.solver(i + 1) for i in range(hom.cx.n + 1))
 
 
 # -- F_p routines ----------------------------------------------------------------
