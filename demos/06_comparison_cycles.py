@@ -18,9 +18,9 @@ from derham.comparison import (
 
 # The fundamental weight-4 cycle: x1 (x) x1 g2(x2) - x2 (x) x2 g2(x1).
 cycle = eta(1, 2, 4, [1, 2], 2)
-labels = build_C(4, 2).bases[1].labels()
+labels = build_C(4, 2).labels(1)
 print("weight-4 cycle:")
-for pos, coeff in cycle.vector:
+for pos, coeff in sorted(cycle.items()):
     wedge, mono = labels[pos]
     print(f"   {coeff:+d} * wedge{wedge} (x) gamma{mono}")
 
@@ -30,9 +30,9 @@ print("comparison matrix (one generator):", f_matrix(1, 4, 2, 2).tolist())
 
 # The three-term weight-6 cycle in homological degree 2.
 cycle6 = eta(2, 2, 6, [1, 2, 3], 3)
-labels6 = build_C(6, 3).bases[2].labels()
+labels6 = build_C(6, 3).labels(2)
 print("\nweight-6 cycle in degree 2:")
-for pos, coeff in cycle6.vector:
+for pos, coeff in sorted(cycle6.items()):
     wedge, mono = labels6[pos]
     print(f"   {coeff:+d} * wedge{wedge} (x) gamma{mono}")
 

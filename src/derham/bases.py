@@ -214,6 +214,17 @@ def divided_product(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> Ve
     return out
 
 
+def unit_terms(monomial: Exponents) -> list[tuple[int, tuple[int, ...]]]:
+    """A divided monomial as the (degree, unit vector) factors that
+    ``divided_product`` expands back into it."""
+    rank = len(monomial)
+    return [
+        (e, tuple(1 if t == j else 0 for t in range(rank)))
+        for j, e in enumerate(monomial)
+        if e
+    ]
+
+
 def gamma_induced_matrix(t: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of the divided-power functor applied to t: Z^r -> Z^s.
 

@@ -18,7 +18,7 @@ is decided on finite presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -33,6 +33,7 @@ from .bases import (
     divided_product,
     enumerate_basis,
     to_dense,
+    unit_terms,
     vec_add,
     wedge_normalize,
 )
@@ -55,9 +56,7 @@ class H0Target:
     r: int
     generators: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, monomial)
     orders: tuple[int, ...]
-
-    def row_of(self, p: int, monomial: tuple[int, ...]) -> int:
-        return _h0_row_index(self.n, self.r)[(p, monomial)]
+    rows: dict = field(repr=False, compare=False)  # (prime, monomial) -> row
 
     def presented_group(self) -> PresentedGroup:
         rel = la.zeros(len(self.generators), len(self.generators))
@@ -77,13 +76,8 @@ def h0_target(n: int, r: int) -> H0Target:
         for mono in enumerate_basis("gamma", n // p, r):
             gens.append((p, mono))
             orders.append(monomial_order_mod_p(mono, p))
-    return H0Target(n, r, tuple(gens), tuple(orders))
-
-
-@lru_cache(maxsize=None)
-def _h0_row_index(n: int, r: int) -> dict:
-    target = h0_target(n, r)
-    return {key: row for row, key in enumerate(target.generators)}
+    rows = {key: row for row, key in enumerate(gens)}
+    return H0Target(n, r, tuple(gens), tuple(orders), rows)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def q_matrix(n: int, r: int) -> QMap:
         for p in prime_divisors(n):
             if all(x % p == 0 for x in nonzero):
                 reduced = tuple(x // p for x in e)
-                mat[target.row_of(p, reduced), col] = 1
+                mat[target.rows[p, reduced], col] = 1
     q = QMap(n, r, target, mat)
     if not q_kills_boundaries(q):
         raise la.NotWellDefinedError(
@@ -156,7 +150,7 @@ def _q_value(expr, n: int, r: int, target: H0Target) -> tuple[int, ...]:
             prod = divided_product([(j // p, v) for j, v in expr], r)
             labels = enumerate_basis("gamma", n // p, r)
             for pos, c in prod.items():
-                out[target.row_of(p, labels[pos])] += c
+                out[target.rows[p, labels[pos]]] += c
     return target.reduce(out)
 
 
@@ -169,13 +163,6 @@ def _substitution_pool(r: int) -> list[tuple[int, ...]]:
         for l in range(k + 1, r)
     ]
     return units + sums
-
-
-def _monomial_tails(degree: int, r: int):
-    """Divided monomials of the given degree as (degree, unit vector) terms."""
-    units = [tuple(1 if t == k else 0 for t in range(r)) for k in range(r)]
-    for mono in enumerate_basis("gamma", degree, r):
-        yield [(e, units[j]) for j, e in enumerate(mono) if e]
 
 
 @dataclass
@@ -216,7 +203,7 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
 
     # merging two powers of the same element costs a binomial coefficient
     for s in range(2, n + 1):
-        for tail in _monomial_tails(n - s, r):
+        for tail in map(unit_terms, enumerate_basis("gamma", n - s, r)):
             for j1 in range(1, s):
                 j2 = s - j1
                 for x in pool:
@@ -227,7 +214,7 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
                         failures.append(("merge", s, j1, x, tuple(tail)))
     # the first argument is additive via the exponent-split expansion
     for j1 in range(1, n + 1):
-        for tail in _monomial_tails(n - j1, r):
+        for tail in map(unit_terms, enumerate_basis("gamma", n - j1, r)):
             for x in pool:
                 for y in pool:
                     summed = tuple(a + b for a, b in zip(x, y))
@@ -241,7 +228,7 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
                         failures.append(("sum", j1, x, y, tuple(tail)))
     # negating an argument multiplies by the parity of its exponent
     for j1 in range(1, n + 1):
-        for tail in _monomial_tails(n - j1, r):
+        for tail in map(unit_terms, enumerate_basis("gamma", n - j1, r)):
             for x in pool:
                 negated = tuple(-c for c in x)
                 lhs = q([(j1, negated)] + tail)
@@ -254,29 +241,6 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
 
 # ---------------------------------------------------------------------------
 # the higher comparison cycles
-
-
-@dataclass(frozen=True)
-class EtaCycle:
-    """The alternating comparison cycle in wedge^i (x) divided^(n-i).
-
-    Term t drops the t-th of the first i+1 arguments from the wedge, takes
-    (p-1)-st divided powers of the others, and the p-th divided power of
-    the dropped one and of every remaining argument.
-    """
-
-    i: int
-    n: int
-    p: int
-    r: int
-    lifts: tuple[tuple[int, ...], ...]
-    vector: tuple[tuple[int, int], ...]  # sorted (basis position, coefficient)
-
-    def as_dict(self) -> Vector:
-        return dict(self.vector)
-
-    def dense(self) -> np.ndarray:
-        return to_dense(self.as_dict(), build_C(self.n, self.r).dim(self.i))
 
 
 def _unit_vector(index: int, r: int) -> tuple[int, ...]:
@@ -335,20 +299,19 @@ def eta_vector(i: int, p: int, n: int, args, r: int) -> Vector:
     return out
 
 
-def eta(i: int, p: int, n: int, lifts, r: int) -> EtaCycle:
-    """The comparison cycle on standard-basis lifts; checked to be a cycle."""
-    vectors = [_unit_vector(k, r) for k in lifts]
-    vec = eta_vector(i, p, n, vectors, r)
-    cxn = build_C(n, r)
-    d = cxn.d(i)
-    image = np.zeros(d.shape[0], dtype=object)
-    for pos, c in vec.items():
-        image += c * d[:, pos]
-    if not la.is_zero(image):
+def eta(i: int, p: int, n: int, lifts, r: int) -> Vector:
+    """The comparison cycle on standard-basis lifts, in wedge^i (x)
+    divided^(n-i) of C^n(Z^r); checked to be a cycle.
+
+    Term t drops the t-th of the first i+1 arguments from the wedge, takes
+    (p-1)-st divided powers of the others, and the p-th divided power of
+    the dropped one and of every remaining argument.
+    """
+    vec = eta_vector(i, p, n, [_unit_vector(k, r) for k in lifts], r)
+    d = build_C(n, r).d(i)
+    if not la.is_zero(la.mat_vec(d, to_dense(vec, d.shape[1]))):
         raise AssertionError(f"eta({i}, {p}, {n}, {tuple(lifts)}) is not a cycle")
-    return EtaCycle(
-        i, n, p, r, tuple(vectors), tuple(sorted(vec.items()))
-    )
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +361,7 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
     for col, label in enumerate(pres.generators):
         lifts = _generator_lifts(label, n // p, i)
         cycle = eta(i, p, n, lifts, r)
-        mat[:, col] = solver.solve(cycle.dense())
+        mat[:, col] = solver.solve(to_dense(cycle, hom.cx.dim(i)))
     relations = la.hstack(
         [p * la.identity(len(pres.generators)), pres.relations]
     )
@@ -420,33 +383,20 @@ def f_matrix(i: int, n: int, p: int, r: int) -> np.ndarray:
     return block.matrix
 
 
-def _theorem_sources(i: int, n: int, r: int):
-    """Blocks over the primes dividing n, skipping degrees with zero source."""
-    blocks = []
-    for p in prime_divisors(n):
-        if 1 <= i <= n // p - 1:
-            blocks.append(theorem_block(i, n, p, r))
-    return blocks
-
-
 def assemble_comparison(i: int, n: int, r: int) -> tuple[np.ndarray, PresentedGroup]:
-    """Block sum of the per-prime comparisons into the degree-i homology."""
-    hom = homology_of("C", n, r)
-    target_pres, _ = hom.presentation(i)
-    blocks = _theorem_sources(i, n, r)
-    gens = sum(b.source.gens for b in blocks)
-    rel_cols = sum(b.source.relations.shape[1] for b in blocks)
-    relations = la.zeros(gens, rel_cols)
-    mat = la.zeros(target_pres.gens, gens)
-    g0 = 0
-    c0 = 0
-    for b in blocks:
-        g, c = b.source.relations.shape
-        relations[g0 : g0 + g, c0 : c0 + c] = b.source.relations
-        mat[:, g0 : g0 + g] = b.matrix
-        g0 += g
-        c0 += c
-    return mat, PresentedGroup(gens, relations)
+    """Block sum of the per-prime comparisons into the degree-i homology.
+
+    Primes p with no degree-i source (i > n/p - 1) contribute no block.
+    """
+    target_pres, _ = homology_of("C", n, r).presentation(i)
+    blocks = [
+        theorem_block(i, n, p, r)
+        for p in prime_divisors(n)
+        if 1 <= i <= n // p - 1
+    ]
+    relations = la.block_diag([b.source.relations for b in blocks])
+    mat = la.hstack([la.zeros(target_pres.gens, 0)] + [b.matrix for b in blocks])
+    return mat, PresentedGroup(relations.shape[0], relations)
 
 
 def verify_theorem(i: int, n: int, r: int) -> bool:

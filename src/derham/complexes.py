@@ -27,7 +27,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from . import intlinalg as la
-from .abelian import Z, direct_sum, tensor, tor
+from .abelian import direct_sum, tensor, tor
 from .bases import (
     basis_index,
     basis_size,
@@ -35,6 +35,8 @@ from .bases import (
     enumerate_basis,
     gamma_module_action,
     sym_multiply,
+    to_dense,
+    unit_terms,
     wedge_delete,
     wedge_insert,
 )
@@ -84,6 +86,12 @@ class ChainComplexZ:
             return self.diffs[i - 1]
         return la.zeros(self.dim(i - 1), self.dim(i))
 
+    def labels(self, i: int) -> tuple:
+        """Basis labels of degree i, ordered as the rows and columns of d."""
+        if 0 <= i <= self.n:
+            return self.bases[i].labels()
+        return ()
+
 
 def _check_dd_zero(cx: ChainComplexZ) -> None:
     for i in range(2, cx.n + 1):
@@ -121,8 +129,8 @@ _PUT = {
 
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
     """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r)."""
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
+    if n < 0 or r < 0:
+        raise ValueError("need n >= 0 and r >= 0")
     bases = tuple(
         PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
         for i in range(n + 1)
@@ -150,7 +158,11 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
 
 @lru_cache(maxsize=None)
 def build_C(n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r)."""
+    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r).
+
+    n = 0 gives the unit complex: Z in degree 0, with the one label
+    ((), (0,) * r), the weight-0 factor of a tensor decomposition.
+    """
     return _build_complex("C", "wedge", "gamma", n, r)
 
 
@@ -247,70 +259,36 @@ def homology(cx: ChainComplexZ, i: int) -> GroupInvariants:
 # direct sum decomposition of C^n(Z^(a+b)) into tensor products
 
 
-@dataclass(frozen=True)
-class CFactor:
-    """One weight factor of the decomposition; weight 0 is Z in degree 0."""
-
-    weight: int
-    rank: int
-
-    def dim(self, k: int) -> int:
-        if self.weight == 0:
-            return 1 if k == 0 else 0
-        cx = build_C(self.weight, self.rank)
-        return cx.dim(k)
-
-    def labels(self, k: int) -> tuple:
-        if self.weight == 0:
-            return (((), (0,) * self.rank),) if k == 0 else ()
-        return build_C(self.weight, self.rank).bases[k].labels() if 0 <= k <= self.weight else ()
-
-    def d(self, k: int) -> np.ndarray:
-        if self.weight == 0:
-            return la.zeros(self.dim(k - 1), self.dim(k))
-        return build_C(self.weight, self.rank).d(k)
+def tensor_complex_labels(a: ChainComplexZ, b: ChainComplexZ, k: int) -> list:
+    """Basis labels of (a (x) b) in degree k, ordered by (k1, left, right)."""
+    return [
+        (k1, l1, l2)
+        for k1 in range(k + 1)
+        for l1 in a.labels(k1)
+        for l2 in b.labels(k - k1)
+    ]
 
 
-def tensor_complex_labels(fa: CFactor, fb: CFactor, degree: int) -> list:
-    """Basis labels of (fa (x) fb) in one degree, ordered by (k1, left, right)."""
-    out = []
-    for k1 in range(degree + 1):
-        k2 = degree - k1
-        for l1 in fa.labels(k1):
-            for l2 in fb.labels(k2):
-                out.append((k1, l1, l2))
-    return out
+def tensor_complex_diff(a: ChainComplexZ, b: ChainComplexZ, k: int) -> np.ndarray:
+    """Differential of (a (x) b): d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
+
+    Column block k1 holds a_k1 (x) b_(k-k1); dx (x) y lands in row block
+    k1 - 1 and x (x) dy in row block k1, so each part is a block sum of
+    Kronecker products (the zero-row d_0 blocks keep the offsets aligned).
+    """
+    along_a = la.block_diag(
+        [np.kron(a.d(k1), la.identity(b.dim(k - k1))) for k1 in range(k + 1)]
+    )
+    along_b = la.block_diag(
+        [
+            (-1) ** k1 * np.kron(la.identity(a.dim(k1)), b.d(k - k1))
+            for k1 in range(k + 1)
+        ]
+    )
+    return along_a + along_b
 
 
-def tensor_complex_diff(fa: CFactor, fb: CFactor, degree: int) -> np.ndarray:
-    """Differential of (fa (x) fb): d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy."""
-    src = tensor_complex_labels(fa, fb, degree)
-    dst = tensor_complex_labels(fa, fb, degree - 1)
-    dst_index = {lab: i for i, lab in enumerate(dst)}
-    mat = la.zeros(len(dst), len(src))
-    label_index_a = {k: {lab: i for i, lab in enumerate(fa.labels(k))} for k in range(degree + 1)}
-    label_index_b = {k: {lab: i for i, lab in enumerate(fb.labels(k))} for k in range(degree + 1)}
-    for col, (k1, l1, l2) in enumerate(src):
-        k2 = degree - k1
-        da = fa.d(k1)
-        if da.shape[0]:
-            j = label_index_a[k1][l1]
-            targets_a = fa.labels(k1 - 1)
-            for row in np.nonzero(da[:, j] != 0)[0]:
-                key = (k1 - 1, targets_a[int(row)], l2)
-                mat[dst_index[key], col] += da[int(row), j]
-        db = fb.d(k2)
-        if db.shape[0]:
-            j = label_index_b[k2][l2]
-            targets_b = fb.labels(k2 - 1)
-            sign = (-1) ** k1
-            for row in np.nonzero(db[:, j] != 0)[0]:
-                key = (k1, l1, targets_b[int(row)])
-                mat[dst_index[key], col] += sign * db[int(row), j]
-    return mat
-
-
-def _split_label(label, rank_a: int, rank_b: int):
+def _split_label(label, rank_a: int):
     """Split a C^n(Z^(a+b)) basis label into first/second block labels."""
     wedge, exps = label
     w_a = tuple(g for g in wedge if g <= rank_a)
@@ -325,49 +303,30 @@ def _split_label(label, rank_a: int, rank_b: int):
 def block_decomposition_matches(n: int, rank_a: int, rank_b: int) -> bool:
     """Entry-for-entry check of C^n(Z^(a+b)) against its weight blocks.
 
-    Under the basis partition by the weight carried on the first rank_a
-    generators, the differential must be block diagonal, and the weight-i
-    block must equal the differential of C^i(Z^a) (x) C^(n-i)(Z^b).
+    Ordering each degree's basis by the weight i carried on the first
+    rank_a generators, then by the tensor labels, must turn every d_k into
+    the block sum over i of the differentials of C^i(Z^a) (x) C^(n-i)(Z^b).
     """
     big = build_C(n, rank_a + rank_b)
-    # positions and split labels per degree, grouped by first-block weight
-    split: list[dict[int, dict]] = []
+    pairs = [(build_C(i, rank_a), build_C(n - i, rank_b)) for i in range(n + 1)]
+    order = []
     for k in range(n + 1):
-        table: dict[int, dict] = {}
-        for pos, label in enumerate(big.bases[k].labels()):
-            weight, tensor_label = _split_label(label, rank_a, rank_b)
-            table.setdefault(weight, {})[tensor_label] = pos
-        split.append(table)
-    for weight in range(n + 1):
-        fa = CFactor(weight, rank_a)
-        fb = CFactor(n - weight, rank_b)
-        for k in range(1, n + 1):
-            src_labels = tensor_complex_labels(fa, fb, k)
-            dst_labels = tensor_complex_labels(fa, fb, k - 1)
-            expect = tensor_complex_diff(fa, fb, k)
-            src_pos = split[k].get(weight, {})
-            dst_pos = split[k - 1].get(weight, {})
-            if set(src_pos) != set(src_labels) or set(dst_pos) != set(dst_labels):
-                return False
-            cols = [src_pos[lab] for lab in src_labels]
-            rows = [dst_pos[lab] for lab in dst_labels]
-            got = (
-                big.d(k)[np.ix_(rows, cols)]
-                if rows and cols
-                else la.zeros(len(rows), len(cols))
-            )
-            if not la.is_zero(got - expect):
-                return False
-            # entries of this column block outside the weight block must vanish
-            other_rows = [
-                pos
-                for w, table in split[k - 1].items()
-                if w != weight
-                for pos in table.values()
-            ]
-            if cols and other_rows:
-                if not la.is_zero(big.d(k)[np.ix_(other_rows, cols)]):
-                    return False
+        position = {
+            _split_label(label, rank_a): pos
+            for pos, label in enumerate(big.labels(k))
+        }
+        perm = [
+            position.get((i, label), -1)
+            for i, (a, b) in enumerate(pairs)
+            for label in tensor_complex_labels(a, b, k)
+        ]
+        if sorted(perm) != list(range(big.dim(k))):
+            return False
+        order.append(perm)
+    for k in range(1, n + 1):
+        expect = la.block_diag([tensor_complex_diff(a, b, k) for a, b in pairs])
+        if not la.is_zero(big.d(k)[np.ix_(order[k - 1], order[k])] - expect):
+            return False
     return True
 
 
@@ -376,18 +335,12 @@ def block_decomposition_matches(n: int, rank_a: int, rank_b: int) -> bool:
 
 
 def _homology_grid(n: int, rank: int) -> dict[tuple[int, int], GroupInvariants]:
-    """H_k of the weight-i complex on Z^rank for all 0 <= k, i <= n.
-
-    Weight 0 contributes Z concentrated in degree 0.
-    """
-    grid: dict[tuple[int, int], GroupInvariants] = {}
-    for i in range(n + 1):
-        for k in range(n + 1):
-            if i == 0:
-                grid[i, k] = Z if k == 0 else la.TRIVIAL_GROUP
-            else:
-                grid[i, k] = homology_of("C", i, rank).invariants(k)
-    return grid
+    """H_k of the weight-i complex on Z^rank for all 0 <= k, i <= n."""
+    return {
+        (i, k): homology_of("C", i, rank).invariants(k)
+        for i in range(n + 1)
+        for k in range(n + 1)
+    }
 
 
 def kunneth_check(n: int, rank_a: int, rank_b: int, k: int) -> bool:
@@ -423,21 +376,12 @@ def cross_effect_h0(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
     if n < 2:
         raise ValueError("need n >= 2")
     big = build_C(n, rank_a + rank_b)
-    weight_of: list[dict[int, int]] = []
-    for k in (0, 1):
-        table = {}
-        for pos, label in enumerate(big.bases[k].labels()):
-            weight, _ = _split_label(label, rank_a, rank_b)
-            table[pos] = weight
-        weight_of.append(table)
-    rows = [pos for pos, w in weight_of[0].items() if 0 < w < n]
-    cols = [pos for pos, w in weight_of[1].items() if 0 < w < n]
-    d1 = (
-        big.d(1)[np.ix_(rows, cols)]
-        if rows and cols
-        else la.zeros(len(rows), len(cols))
-    )
-    return la.invariants_of_cokernel(d1)
+    weights = [
+        [_split_label(label, rank_a)[0] for label in big.labels(k)]
+        for k in (0, 1)
+    ]
+    mixed = [[pos for pos, w in enumerate(ws) if 0 < w < n] for ws in weights]
+    return la.invariants_of_cokernel(big.d(1)[np.ix_(*mixed)])
 
 
 def cross_effect_h0_expected(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
@@ -476,11 +420,8 @@ def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
                 continue
             scaled = tuple(p * c for c in point)
             for tail in tails:
-                terms = [(k, scaled)] + _unit_terms(tail)
-                vec = divided_product(terms, r)
-                dense = np.zeros(dim, dtype=object)
-                for pos, c in vec.items():
-                    dense[pos] = c
+                terms = [(k, scaled)] + unit_terms(tail)
+                dense = to_dense(divided_product(terms, r), dim)
                 key = tuple(int(x) for x in dense)
                 if any(key) and key not in seen:
                     seen.add(key)
@@ -489,12 +430,3 @@ def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
         return GroupInvariants(dim, ())
     return la.invariants_of_cokernel(np.stack(columns, axis=1))
 
-
-def _unit_terms(monomial: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """A divided monomial as (degree, unit vector) product terms."""
-    rank = len(monomial)
-    return [
-        (e, tuple(1 if t == j else 0 for t in range(rank)))
-        for j, e in enumerate(monomial)
-        if e
-    ]

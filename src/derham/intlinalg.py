@@ -88,6 +88,18 @@ def hstack(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return np.hstack(blocks)
 
 
+def block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Block sum: the blocks down the diagonal, zeros elsewhere."""
+    blocks = [as_intmat(b) for b in blocks]
+    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r0 = c0 = 0
+    for b in blocks:
+        r, c = b.shape
+        out[r0 : r0 + r, c0 : c0 + c] = b
+        r0, c0 = r0 + r, c0 + c
+    return out
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product, accumulated column by column (fast when b is sparse)."""
     a = as_intmat(a)

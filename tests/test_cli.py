@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from derham import cli
 from derham import intlinalg as la
 
@@ -222,6 +224,8 @@ BAD_ARGUMENTS = (
     ["derived-sp", "--i", "0", "--n", "3", "--p", "2", "--rank", "-1"],
     ["counterexample", "f18", "--rank", "0"],
     ["counterexample", "f18", "--rank", "7"],
+    # the builder accepts n = 0 (the unit complex), the CLI does not
+    ["homology", "--family", "C", "--n", "0", "--rank", "2"],
     ["verify", "lemma", "--p", "4"],
     # ranges without a cell would pass vacuously
     ["verify", "theorem", "--rank", "0"],
@@ -267,11 +271,12 @@ def test_warning_above_defaults(capsys):
     assert "warning" in err
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, _, _ = run_cli(
-        ["--seed", "7", "table", "--max-n", "2", "--rank", "1"], capsys
-    )
-    assert code == 0
+def test_seed_flag_is_refused(capsys):
+    # everything is deterministic, so there is no --seed option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "7", "table", "--max-n", "2", "--rank", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_jobs_flag(capsys):

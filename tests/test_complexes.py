@@ -19,6 +19,17 @@ def test_build_C_rank_zero_trivial():
     assert all(c.dim(i) == 0 for i in range(4))
 
 
+def test_build_C_weight_zero_is_unit_complex():
+    for r in range(4):
+        c = cx.build_C(0, r)
+        assert c.labels(0) == (((), (0,) * r),)
+        assert c.labels(-1) == c.labels(1) == ()
+        assert [c.dim(i) for i in (-1, 0, 1)] == [0, 1, 0]
+        h = cx.homology_of("C", 0, r)
+        assert h.invariants(0) == GroupInvariants(1, ())
+        assert all(h.invariants(i).is_trivial for i in (-1, 1, 2))
+
+
 def test_build_C_dimension_counts():
     c = cx.build_C(4, 2)
     assert c.d(1).shape == (5, 8)
@@ -132,6 +143,8 @@ def test_block_decomposition_small():
     assert cx.block_decomposition_matches(3, 1, 2)
     assert cx.block_decomposition_matches(4, 1, 2)
     assert cx.block_decomposition_matches(3, 2, 1)
+    assert cx.block_decomposition_matches(4, 2, 2)
+    assert cx.block_decomposition_matches(6, 1, 2)
 
 
 def test_kunneth_weight_two():
@@ -166,6 +179,7 @@ def test_cross_effect_weight_six():
     # H_0C^2 (x) H_0C^4 + H_0C^3 (x) H_0C^3 + H_0C^4 (x) H_0C^2
     assert got == GroupInvariants(0, (2, 2, 3))
     assert got == cx.cross_effect_h0_expected(6, 1, 1)
+    assert cx.cross_effect_h0(8, 2, 2) == cx.cross_effect_h0_expected(8, 2, 2)
 
 
 # -- divided powers of elementary groups as cokernels ---------------------------
