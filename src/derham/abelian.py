@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .bases import exponent_vectors
 from .intlinalg import TRIVIAL_GROUP, GroupInvariants
 from .numtheory import OutOfRangeError, gcd_stable, v_p
 
@@ -148,6 +149,33 @@ def expected_h0(n: int, rank: int) -> GroupInvariants:
     return direct_sum(
         gamma_group(n // p, elementary(p, rank)) for p in prime_divisors(n)
     )
+
+
+def closed_form_homology(family: str, n: int, i: int, rank: int) -> GroupInvariants:
+    """H_i of C^n(Z^rank) or D^n(Z^rank), n >= 1, without any matrix.
+
+    Every differential keeps the content vector c in N^rank (wedge
+    indicator plus divided or symmetric exponents) fixed, and the block of
+    c is the integral Koszul complex on (c_j : c_j > 0).  With s = |supp c|
+    its homology is (Z/gcd c)^C(s-1, k) in degree k, so
+
+        H_i(C^n(Z^r)) = sum over |c| = n of (Z/gcd c)^C(s-1, i),
+
+    and D, the dual Koszul complex, reflects the wedge degree n - i to
+    k = s - (n - i).
+    """
+    if family not in ("C", "D"):
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise OutOfRangeError("weight must be at least 1")
+    torsion: list[int] = []
+    for c in exponent_vectors(n, rank):
+        g = math.gcd(*c)
+        s = sum(1 for x in c if x)
+        k = i if family == "C" else s - (n - i)
+        if g > 1 and 0 <= k < s:
+            torsion.extend([g] * math.comb(s - 1, k))
+    return GroupInvariants(0, tuple(torsion))
 
 
 def _lie3_dimension(p: int, rank: int) -> int:

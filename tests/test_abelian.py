@@ -5,7 +5,9 @@ import math
 import pytest
 
 from derham import abelian as ab
+from derham.complexes import homology_of
 from derham.intlinalg import TRIVIAL_GROUP, GroupInvariants
+from derham.numtheory import OutOfRangeError
 
 
 Z = ab.Z
@@ -170,3 +172,27 @@ def test_rendering():
     assert str(group(0, 0, 2, 4)) == "Z^2 + Z/2 + Z/4"
     assert str(TRIVIAL_GROUP) == "0"
     assert group(2, 3).as_dict() == {"free_rank": 0, "torsion": [6]}
+
+
+
+CLOSED_FORM_CELLS = [
+    (family, n, r) for family in "CD" for n in range(1, 9) for r in range(1, 5)
+] + [("C", 6, 5)]
+
+
+@pytest.mark.parametrize("family,n,r", CLOSED_FORM_CELLS)
+def test_closed_form_matches_every_degree(family, n, r):
+    hom = homology_of(family, n, r)
+    for i in range(n + 1):
+        assert hom.invariants(i) == ab.closed_form_homology(family, n, i, r), i
+
+
+def test_closed_form_weight_eight():
+    # contents (2, 6), (4, 4), (6, 2) in H_1: the 4-torsion comes from (4, 4)
+    assert ab.closed_form_homology("C", 8, 1, 2) == group(2, 2, 4)
+    # D reflects the wedge degree: its degree n - 1 holds what C's H_0 holds
+    assert ab.closed_form_homology("D", 8, 7, 2) == ab.closed_form_homology("C", 8, 0, 2)
+    with pytest.raises(OutOfRangeError):
+        ab.closed_form_homology("C", 0, 0, 2)
+    with pytest.raises(ValueError):
+        ab.closed_form_homology("E", 4, 0, 2)

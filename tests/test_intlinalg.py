@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derham import intlinalg as la
-from derham.complexes import ChainComplexZ, ComplexHomology, PairBasis, _check_dd_zero, build_C
+from derham.complexes import (
+    ChainComplexZ,
+    ComplexHomology,
+    PairBasis,
+    _check_dd_zero,
+    build_C,
+    homology_of,
+)
 
 
 def small_matrices(max_dim=4, max_entry=6):
@@ -25,6 +32,30 @@ def small_matrices(max_dim=4, max_entry=6):
             )
         )
     ).map(la.intmat)
+
+
+# diagonal blocks whose sum needs the divisor-chain fix-up: 2 + 3 = 1 + 6
+CHAIN_FIXUP_BLOCKS = ([[2]], [[3]], [[4]], [[6]], [[2, 0], [0, 3]])
+
+
+def shuffled_block_sums(max_dim=3, max_zero=2):
+    """Block sums of 2-4 small blocks and some zero rows and columns, with
+    rows and columns shuffled, so the nonzero pattern has several
+    connected components."""
+    block = st.one_of(
+        st.sampled_from(CHAIN_FIXUP_BLOCKS).map(la.intmat), small_matrices(max_dim)
+    )
+
+    @st.composite
+    def draw_sum(draw):
+        blocks = draw(st.lists(block, min_size=2, max_size=4))
+        pad = la.zeros(draw(st.integers(0, max_zero)), draw(st.integers(0, max_zero)))
+        a = la.block_diag(blocks + [pad])
+        rows = draw(st.permutations(range(a.shape[0])))
+        cols = draw(st.permutations(range(a.shape[1])))
+        return a[np.ix_(rows, cols)]
+
+    return draw_sum()
 
 
 def minor_gcd_diagonal(a):
@@ -77,8 +108,13 @@ def test_snf_matches_minor_gcd_oracle(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices())
-def test_snf_recomposition_and_unimodularity(a):
+@given(shuffled_block_sums(max_dim=2, max_zero=1))
+def test_snf_of_block_sum_matches_minor_gcd_oracle(a):
+    assert la.smith_normal_form(a).diagonal == minor_gcd_diagonal(a)
+
+
+def assert_smith_form(a):
+    """U @ a @ V = D, U and V unimodular, D diagonal with a divisor chain."""
     u, d, v = la.smith_normal_form(a)
     assert la.is_zero(la.mat_mul(la.mat_mul(u, a), v) - d)
     assert abs(la.det_exact(u)) == 1
@@ -92,6 +128,32 @@ def test_snf_recomposition_and_unimodularity(a):
     for i in range(min(d.shape)):
         off[i, i] = 0
     assert la.is_zero(off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_snf_recomposition_and_unimodularity(a):
+    assert_smith_form(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_block_sums())
+def test_snf_of_block_sum_recomposition_and_unimodularity(a):
+    assert_smith_form(a)
+
+
+def test_snf_of_shuffled_differentials_matches_dense_reduction():
+    # the per-component reduction against one elimination of the whole matrix
+    rng = np.random.default_rng(5)
+    cx = build_C(5, 3)
+    for i in range(1, cx.n + 1):
+        d = cx.d(i)
+        d = d[np.ix_(rng.permutation(d.shape[0]), rng.permutation(d.shape[1]))]
+        whole = d.copy()
+        la._snf_dense(whole, la.identity(d.shape[0]), la.identity(d.shape[1]))
+        u, got, v = la.smith_normal_form(d)
+        assert la.is_zero(got - whole), i
+        assert la.is_zero(la.mat_mul(la.mat_mul(u, d), v) - got), i
 
 
 def test_snf_empty_shapes():
@@ -395,6 +457,19 @@ def test_fp_rank_multiple_of_p():
 def test_fp_rank_parity_example():
     assert la.fp_rank([[1, 1], [1, 1]], 2) == 1
     assert len(la.fp_cokernel_basis([[1, 1], [1, 1]], 2)) == 1
+
+
+def test_fp_rank_counts_smith_diagonal_units_mod_p():
+    # universal coefficients: rank over F_p = nonzero invariant factors prime to p
+    for family in "CD":
+        for n in range(1, 7):
+            for r in range(1, 4):
+                hom = homology_of(family, n, r)
+                for i in range(n + 2):
+                    diag = hom.solver(i).diag
+                    for p in (2, 3, 5):
+                        want = sum(1 for x in diag if x % p)
+                        assert la.fp_rank(hom.cx.d(i), p) == want, (family, n, r, i, p)
 
 
 def test_fp_rejects_composite_modulus():
