@@ -29,11 +29,15 @@ hom = homology_of("C", 2, 1)
 print("\nd_1 of C^2(Z):", hom.cx.d(1).tolist())
 print("H_0 of C^2(Z):", hom.invariants(0))
 
-# The same group, as generators (a cycle basis) and relations.
-pres, kernel = hom.presentation(0)
+# The same group as Z/m_1 + ... + Z/m_k, read off the Smith form of d_1:
+# the m_k are its invariant factors other than 1, and the matching rows of
+# U send each cycle to its class.
+pres, classes = hom.presentation(0)
 print("presentation: generators =", pres.gens, "invariants =", pres.invariants())
-print("kernel basis columns:")
-print(kernel)
+orders = [int(pres.relations[k, k]) for k in range(pres.gens)]
+for j in range(hom.cx.dim(0)):
+    cls = [int(x) % m for x, m in zip(classes[:, j], orders)]
+    print(f"class of basis vector {j} of C_0: {cls} mod {orders}")
 
 # Exact coordinates inside a sublattice, from one Smith decomposition.
 solver = la.LinearSolver(la.intmat([[2], [4]]))

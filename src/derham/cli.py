@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .abelian import expected_h0, expected_table_entry
+from .abelian import closed_form_homology, expected_h0, expected_table_entry
 from .bases import basis_size
 from .comparison import (
     f18_counterexample,
@@ -220,7 +220,15 @@ def cmd_homology(ns) -> int:
         lines = [f"{ns.family}^{ns.n}(Z^{ns.rank})"]
         lines.extend(f"  H_{i} = {groups[i]}" for i in degrees)
         _emit("\n".join(lines) + "\n", ns.output)
-    return 0
+    # the closed form is the independent second route; stdout stays as is
+    expected = {i: closed_form_homology(ns.family, ns.n, i, ns.rank) for i in degrees}
+    mismatched = [i for i in degrees if groups[i] != expected[i]]
+    for i in mismatched:
+        print(
+            f"mismatch: H_{i} = {groups[i]} but the closed form gives {expected[i]}",
+            file=sys.stderr,
+        )
+    return 1 if mismatched else 0
 
 
 def cmd_basis(ns) -> int:

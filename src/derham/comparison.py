@@ -59,10 +59,7 @@ class H0Target:
     rows: dict = field(repr=False, compare=False)  # (prime, monomial) -> row
 
     def presented_group(self) -> PresentedGroup:
-        rel = la.zeros(len(self.generators), len(self.generators))
-        for k, m in enumerate(self.orders):
-            rel[k, k] = m
-        return PresentedGroup(len(self.generators), rel)
+        return PresentedGroup.cyclic_sum(self.orders)
 
     def reduce(self, vec: np.ndarray) -> tuple[int, ...]:
         return tuple(int(x) % m for x, m in zip(vec, self.orders))
@@ -127,7 +124,9 @@ def q_kills_boundaries(q: QMap) -> bool:
 def verify_h0_iso(n: int, r: int) -> bool:
     """The induced map from H_0 to the expected sum is an isomorphism."""
     q = q_matrix(n, r)
-    source, _ = homology_of("C", n, r).presentation(0)
+    # d_0 = 0, so H_0 is the cokernel of d_1 on the basis of C_0
+    cx = homology_of("C", n, r).cx
+    source = PresentedGroup(cx.dim(0), cx.d(1))
     target = q.target.presented_group()
     return la.presented_map_is_iso(q.matrix, source, target)
 
@@ -347,21 +346,19 @@ class TheoremBlock:
 def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
     """Assemble the matrix of one prime's comparison map in degree i.
 
-    Each generator's cycle is solved into cycle-lattice coordinates; a
-    failure of the integral solve would mean the cycle is not a cycle and
-    is therefore raised, never silently repaired.
+    Each generator's cycle, checked to be a cycle by ``eta``, is sent to
+    its class in the homology presentation.
     """
     if n % p or not 1 <= i <= n // p - 1:
         raise DegreeMismatchError(f"no comparison for i={i}, n={n}, p={p}")
     pres = generator_presentation(i, n // p, p, r)
     hom = homology_of("C", n, r)
-    target_pres, _ = hom.presentation(i)
-    solver = hom.kernel_solver(i)
+    target_pres, classes = hom.presentation(i)
     mat = la.zeros(target_pres.gens, len(pres.generators))
     for col, label in enumerate(pres.generators):
         lifts = _generator_lifts(label, n // p, i)
         cycle = eta(i, p, n, lifts, r)
-        mat[:, col] = solver.solve(to_dense(cycle, hom.cx.dim(i)))
+        mat[:, col] = la.mat_vec(classes, to_dense(cycle, hom.cx.dim(i)))
     relations = la.hstack(
         [p * la.identity(len(pres.generators)), pres.relations]
     )

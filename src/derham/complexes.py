@@ -15,7 +15,9 @@ one builder that moves a generator from the left factor to the right one.
 All differentials are explicit integer matrices; d compose d = 0 is asserted
 at construction time.  Homology is read off Smith normal forms which are
 cached per complex, so repeated questions about the same (family, n, r) are
-cheap.
+cheap.  A finite H_i is also presented from the Smith form of d_(i+1)
+alone: its invariant factors give the cyclic summands, and the matching
+rows of its left transform U send each cycle to its class.
 """
 
 from __future__ import annotations
@@ -191,7 +193,6 @@ class ComplexHomology:
     def __init__(self, cx: ChainComplexZ):
         self.cx = cx
         self._solver: dict[int, la.LinearSolver] = {}
-        self._kernel_solver: dict[int, la.LinearSolver] = {}
         self._presentation: dict[int, tuple[PresentedGroup, np.ndarray]] = {}
 
     def solver(self, i: int) -> la.LinearSolver:
@@ -202,15 +203,6 @@ class ComplexHomology:
 
     def snf(self, i: int) -> la.SnfResult:
         return self.solver(i).snf
-
-    def kernel(self, i: int) -> np.ndarray:
-        """Basis of the cycle lattice in degree i (saturated by construction)."""
-        return self.solver(i).kernel()
-
-    def kernel_solver(self, i: int) -> la.LinearSolver:
-        if i not in self._kernel_solver:
-            self._kernel_solver[i] = la.LinearSolver(self.kernel(i))
-        return self._kernel_solver[i]
 
     def boundary_solver(self, i: int) -> la.LinearSolver:
         """Solver for membership in the image of d_{i+1} inside degree i."""
@@ -232,16 +224,26 @@ class ComplexHomology:
         return GroupInvariants(nullity - rank_in, torsion)
 
     def presentation(self, i: int) -> tuple[PresentedGroup, np.ndarray]:
-        """Cycles-as-generators presentation of the degree-i homology, and
-        the cycle basis (one column per generator) it is written in."""
+        """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and the
+        matrix that sends a cycle to its class.
+
+        With U d_{i+1} V = D, d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first
+        rank(d_{i+1}) columns of U^-1 span the saturation of the
+        boundaries.  When nullity(d_i) = rank(d_{i+1}) that saturation is
+        every cycle: a cycle z has class (U z)_k mod D_kk.  The m_k are the
+        diagonal entries other than 0 and 1, and the class matrix is the
+        matching rows of U.  A free part raises
+        InfiniteGroupUnsupportedError.
+        """
         if i not in self._presentation:
-            kernel = self.kernel(i)
-            solver = self.kernel_solver(i)
-            d_in = self.cx.d(i + 1)
-            rel = la.zeros(kernel.shape[1], d_in.shape[1])
-            for j in range(d_in.shape[1]):
-                rel[:, j] = solver.solve(d_in[:, j])
-            self._presentation[i] = (PresentedGroup(kernel.shape[1], rel), kernel)
+            boundaries = self.solver(i + 1)
+            if self.cx.dim(i) - self.solver(i).rank != boundaries.rank:
+                raise la.InfiniteGroupUnsupportedError(
+                    f"H_{i} has a free part; only finite homology is presented"
+                )
+            rows = [k for k, m in enumerate(boundaries.diag) if m > 1]
+            group = PresentedGroup.cyclic_sum([boundaries.diag[k] for k in rows])
+            self._presentation[i] = (group, boundaries.snf.U[rows, :])
         return self._presentation[i]
 
 

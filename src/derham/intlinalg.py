@@ -32,7 +32,7 @@ class NotWellDefinedError(ValueError):
 
 
 class InfiniteGroupUnsupportedError(ValueError):
-    """Isomorphism testing is only implemented for finite presented groups."""
+    """Isomorphism tests and homology presentations need finite groups."""
 
 
 class NotPrimeError(ValueError):
@@ -156,19 +156,6 @@ def det_exact(a: np.ndarray) -> int:
             w[i, k] = 0
         prev = w[k, k]
     return sign * int(w[n - 1, n - 1])
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 # ---------------------------------------------------------------------------
@@ -391,48 +378,6 @@ def snf_diagonal(m) -> list[int]:
     return smith_normal_form(m).diagonal
 
 
-def column_lattice_basis(m) -> np.ndarray:
-    """A column-echelon basis of the lattice spanned by the columns of m.
-
-    Only column operations are used, so the column span is preserved
-    exactly.  Useful to shrink very wide matrices before a Smith reduction.
-    """
-    a = as_intmat(m)
-    rows = a.shape[0]
-    basis: list[np.ndarray] = []  # echelon columns, increasing pivot row
-    pivot_of: dict[int, int] = {}  # pivot row -> index into basis
-    for j in range(a.shape[1]):
-        c = a[:, j].copy()
-        i = 0
-        while i < rows:
-            if c[i] == 0:
-                i += 1
-                continue
-            k = pivot_of.get(i)
-            if k is None:
-                basis.append(c)
-                pivot_of[i] = len(basis) - 1
-                break
-            b = basis[k]
-            d = b[i]
-            q, r = divmod(c[i], d)
-            if q:
-                c = c - q * b
-            if r:
-                g, x, y = xgcd(d, r)
-                nb = x * b + y * c
-                c = (d // g) * c - (r // g) * b
-                basis[k] = nb
-            i += 1
-    if not basis:
-        return zeros(rows, 0)
-    order = sorted(range(len(basis)), key=lambda k: int(np.argmax(basis[k] != 0)))
-    out = zeros(rows, len(basis))
-    for col, k in enumerate(order):
-        out[:, col] = basis[k]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian group invariants
 
@@ -492,7 +437,7 @@ TRIVIAL_GROUP = GroupInvariants(0, ())
 
 class LinearSolver:
     """One Smith decomposition U @ A @ V = D of a matrix A, and what is read
-    off it: the rank, the cokernel, a kernel basis and exact solves."""
+    off it: the rank, the cokernel and exact solves."""
 
     def __init__(self, a):
         a = as_intmat(a)
@@ -505,12 +450,6 @@ class LinearSolver:
         """Invariants of Z^rows / (column span of A)."""
         torsion = tuple(d for d in self.diag if d > 1)
         return GroupInvariants(self.a.shape[0] - self.rank, torsion)
-
-    def kernel(self) -> np.ndarray:
-        """A basis of the kernel lattice of A, one column per vector.
-
-        It is saturated: the trailing columns of the unimodular V."""
-        return self.snf.V[:, self.rank :]
 
     def solve(self, v) -> np.ndarray:
         """Return x with A @ x = v, or raise NotInLatticeError."""
@@ -551,18 +490,21 @@ class PresentedGroup:
             raise ValueError("relation matrix must have one row per generator")
         object.__setattr__(self, "relations", rel)
 
-    def solver(self) -> LinearSolver:
-        """A Smith decomposition of the relation lattice.
+    @classmethod
+    def cyclic_sum(cls, orders: Sequence[int]) -> PresentedGroup:
+        """Z/m_1 + ... + Z/m_k, with diag(m_1, ..., m_k) as relations."""
+        rel = zeros(len(orders), len(orders))
+        for k, m in enumerate(orders):
+            rel[k, k] = m
+        return cls(len(orders), rel)
 
-        Relations much wider than tall are first shrunk to a lattice basis,
-        which spans the same lattice.  The solver is built afresh on each
-        call: kept on the group, it would hold U and V for as long as the
-        group lives.
+    def solver(self) -> LinearSolver:
+        """A Smith decomposition of the relation matrix as it stands.
+
+        The solver is built afresh on each call: kept on the group, it
+        would hold U and V for as long as the group lives.
         """
-        rel = self.relations
-        if rel.shape[1] > self.gens + 8:
-            rel = column_lattice_basis(rel)
-        return LinearSolver(rel)
+        return LinearSolver(self.relations)
 
     def invariants(self) -> GroupInvariants:
         return self.solver().cokernel()

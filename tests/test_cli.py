@@ -79,6 +79,19 @@ def test_homology_family_d(capsys):
     assert "H_1" in out
 
 
+def test_homology_mismatch_with_closed_form_exits_1(monkeypatch, capsys):
+    args = ["homology", "--family", "C", "--n", "4", "--rank", "2", "--format", "json"]
+    code, expect, _ = run_cli(args, capsys)
+    assert code == 0
+    monkeypatch.setattr(
+        cli, "closed_form_homology", lambda family, n, i, rank: la.GroupInvariants(0, (3,))
+    )
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == expect
+    assert "mismatch: H_0 = Z/2 + Z/4 + Z/4 but the closed form gives Z/3" in err
+
+
 def test_homology_dump_matrices(tmp_path, capsys):
     dump = tmp_path / "mats"
     code, _, _ = run_cli(

@@ -91,9 +91,35 @@ def test_presentation_agrees_with_invariants():
             for r in (1, 2):
                 h = cx.homology_of(family, n, r)
                 for i in range(n + 1):
-                    pres, kernel = h.presentation(i)
-                    assert pres.gens == kernel.shape[1]
+                    pres, classes = h.presentation(i)
+                    assert classes.shape[0] == pres.gens
                     assert pres.invariants() == h.invariants(i)
+
+
+def _kernel_basis_presentation(cplx, i):
+    """H_i with a basis K of the cycles as generators and each column of
+    d_(i+1), solved in K, as a relation."""
+    snf = la.smith_normal_form(cplx.d(i))
+    kernel = snf.V[:, snf.rank :]
+    solver = la.LinearSolver(kernel)
+    d_in = cplx.d(i + 1)
+    rel = la.zeros(kernel.shape[1], d_in.shape[1])
+    for j in range(d_in.shape[1]):
+        rel[:, j] = solver.solve(d_in[:, j])
+    return la.PresentedGroup(kernel.shape[1], rel), kernel
+
+
+def test_classes_of_cycle_basis_are_an_isomorphism():
+    # the class matrix, applied to a basis of the cycles, induces an
+    # isomorphism from the kernel-basis presentation onto the new one
+    cells = [(f, n, r) for f in ("C", "D") for n in range(1, 6) for r in range(3)]
+    for family, n, r in cells + [("C", 6, 3)]:
+        h = cx.homology_of(family, n, r)
+        for i in range(n + 1):
+            old, kernel = _kernel_basis_presentation(h.cx, i)
+            new, classes = h.presentation(i)
+            f = la.mat_mul(classes, kernel)
+            assert la.presented_map_is_iso(f, old, new), (family, n, r, i)
 
 
 def test_c4_rank2_degree1_presentation():

@@ -230,15 +230,6 @@ def test_cokernel_invariant_under_unimodular_factors(a, rnd):
     assert la.invariants_of_cokernel(a) == la.invariants_of_cokernel(transformed)
 
 
-def test_column_lattice_basis_preserves_cokernel():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = la.intmat(rng.integers(-6, 6, size=(4, 9)).tolist())
-        b = la.column_lattice_basis(a)
-        assert b.shape[1] <= 4
-        assert la.invariants_of_cokernel(a) == la.invariants_of_cokernel(b)
-
-
 # -- homology of a composable pair --------------------------------------------
 
 
@@ -296,12 +287,19 @@ def _random_composable_pair(rng, dim=5):
 
 def test_presentation_agrees_with_direct_invariants():
     rng = np.random.default_rng(7)
+    finite = 0
     for _ in range(25):
         d_in, d_out = _random_composable_pair(rng)
         hom = _pair_homology(d_in, d_out)
-        pres, kernel = hom.presentation(1)
-        assert kernel.shape[0] == d_out.shape[1]
+        if hom.invariants(1).free_rank:
+            with pytest.raises(la.InfiniteGroupUnsupportedError):
+                hom.presentation(1)
+            continue
+        pres, classes = hom.presentation(1)
+        assert classes.shape == (pres.gens, d_out.shape[1])
         assert pres.invariants() == hom.invariants(1)
+        finite += 1
+    assert 0 < finite < 25
 
 
 def test_homology_invariants_stable_under_basis_permutation():
@@ -320,18 +318,16 @@ def test_homology_invariants_stable_under_basis_permutation():
 
 def test_presentation_trivial_d_out():
     d_in = la.intmat([[2, 0], [0, 3]])
-    pres, kernel = _pair_homology(d_in, la.zeros(0, 2)).presentation(1)
-    assert kernel.shape[1] == 2
-    assert la.is_zero(kernel - la.identity(2)) or pres.invariants() == la.GroupInvariants(0, (6,))
+    pres, _ = _pair_homology(d_in, la.zeros(0, 2)).presentation(1)
     assert pres.invariants() == la.GroupInvariants(0, (6,))
 
 
 def test_presentation_kernel_of_surjection():
-    pres, kernel = _pair_homology(la.zeros(2, 0), la.intmat([[1, 1]])).presentation(1)
-    assert kernel.shape[1] == 1
-    v = kernel[:, 0]
-    assert sorted([int(v[0]), int(v[1])]) == [-1, 1]
-    assert pres.invariants() == la.GroupInvariants(1, ())
+    # H = ker(1 1) = Z has a free part, so it has no finite presentation
+    hom = _pair_homology(la.zeros(2, 0), la.intmat([[1, 1]]))
+    assert hom.invariants(1) == la.GroupInvariants(1, ())
+    with pytest.raises(la.InfiniteGroupUnsupportedError):
+        hom.presentation(1)
 
 
 # -- lattice coordinates -------------------------------------------------------
@@ -431,7 +427,7 @@ def test_complex_homology_reduces_each_differential_once(monkeypatch):
     hom = ComplexHomology(build_C(4, 2))
     for i in range(hom.cx.n + 1):
         hom.snf(i)
-        hom.kernel(i)
+        hom.presentation(i)
         hom.invariants(i)
         hom.boundary_solver(i)
     # d_0, ..., d_{n+1}: boundary_solver(n) asks for d_{n+1}
