@@ -307,8 +307,8 @@ def eta(i: int, p: int, n: int, lifts, r: int) -> Vector:
     the dropped one and of every remaining argument.
     """
     vec = eta_vector(i, p, n, [_unit_vector(k, r) for k in lifts], r)
-    d = build_C(n, r).d(i)
-    if not la.is_zero(la.mat_vec(d, to_dense(vec, d.shape[1]))):
+    # the cycle lives in one content block, p times the sum of the lifts
+    if not build_C(n, r).is_cycle(i, vec):
         raise AssertionError(f"eta({i}, {p}, {n}, {tuple(lifts)}) is not a cycle")
     return vec
 

@@ -12,18 +12,29 @@ Two families are materialized for a free abelian group Z^r:
 Both, and the Koszul complex wedge^a (x) sym^(n-a) of ``koszul``, come from
 one builder that moves a generator from the left factor to the right one.
 
-All differentials are explicit integer matrices; d compose d = 0 is asserted
-at construction time.  Homology is read off Smith normal forms which are
-cached per complex, so repeated questions about the same (family, n, r) are
-cheap.  A finite H_i is also presented from the Smith form of d_(i+1)
-alone: its invariant factors give the cyclic summands, and the matching
-rows of its left transform U send each cycle to its class.
+The move keeps the content of a basis label fixed: the vector c in N^r that
+counts each generator once per wedge occurrence and with its exponent in a
+monomial.  So every complex is a direct sum of content blocks, one for each
+c with |c| = n, and the builder fills one small integer matrix per (degree,
+c) directly; the block of c is the Koszul complex on (c_j : c_j > 0), with
+at most C(r, r // 2) columns.  d compose d = 0 is asserted block by block at
+construction time.  The dense d_i is assembled from the blocks only when a
+caller asks for it.
+
+Homology is read off Smith normal forms of the blocks, cached per complex.
+Permuting the coordinates by sigma is a chain automorphism that maps the
+block of c onto the block of sigma c by a signed permutation, so the Smith
+diagonal of every block is read off its S_r-orbit representative, the block
+of sorted(c).  A finite H_i is also presented from the Smith forms of the
+blocks of d_(i+1): their invariant factors give the cyclic summands, and the
+matching rows of their left transforms U send each cycle to its class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -64,29 +75,51 @@ class PairBasis:
 
 
 @dataclass(frozen=True)
-class ChainComplexZ:
-    """Length-n complex of based free modules with integer differentials.
+class Block:
+    """The content block c of a complex: positions[i] lists, ascending, the
+    degree-i basis positions whose labels have content c (i = 0..n), and
+    diffs[i-1] is d_i restricted to them, rows positions[i-1] and columns
+    positions[i]."""
 
-    diffs[i-1] is the matrix of d_i: degree i -> degree i-1 for 1 <= i <= n;
-    outside 0..n every module is zero and d is an empty matrix.
+    content: tuple
+    positions: tuple[tuple[int, ...], ...]
+    diffs: tuple[np.ndarray, ...]
+
+    def at(self, i: int) -> tuple[int, ...]:
+        """Positions of degree i, () outside 0..n."""
+        return self.positions[i] if 0 <= i < len(self.positions) else ()
+
+    def d(self, i: int) -> np.ndarray:
+        """The block of d_i, with d_0 = d_{n+1} = 0."""
+        if 1 <= i <= len(self.diffs):
+            return self.diffs[i - 1]
+        return la.zeros(len(self.at(i - 1)), len(self.at(i)))
+
+
+def _orbit(content: tuple) -> tuple:
+    """The S_r-orbit representative of a content vector: its sorted entries."""
+    return tuple(sorted(content))
+
+
+@dataclass(frozen=True)
+class ChainComplexZ:
+    """Length-n complex of based free modules with integer differentials,
+    stored as content blocks: every d_i is the block sum of blocks[k].d(i)
+    over the positions of each block.  Outside 0..n every module is zero.
+    A complex without content is one block, with content ().
     """
 
     family: str
     n: int
     rank: int
     bases: tuple[PairBasis, ...]
-    diffs: tuple[np.ndarray, ...]
+    blocks: tuple[Block, ...]
+    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, i: int) -> int:
         if 0 <= i <= self.n:
             return self.bases[i].size
         return 0
-
-    def d(self, i: int) -> np.ndarray:
-        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0."""
-        if 1 <= i <= self.n:
-            return self.diffs[i - 1]
-        return la.zeros(self.dim(i - 1), self.dim(i))
 
     def labels(self, i: int) -> tuple:
         """Basis labels of degree i, ordered as the rows and columns of d."""
@@ -94,19 +127,69 @@ class ChainComplexZ:
             return self.bases[i].labels()
         return ()
 
+    def block(self, content: tuple) -> Block:
+        return self._by_content[content]
+
+    @cached_property
+    def _by_content(self) -> dict[tuple, Block]:
+        return {b.content: b for b in self.blocks}
+
+    @cached_property
+    def orbits(self) -> Counter:
+        """Number of blocks per S_r-orbit representative."""
+        return Counter(_orbit(b.content) for b in self.blocks)
+
+    @cached_property
+    def _owner(self) -> tuple[list[int], ...]:
+        """For each degree 0..n, the number of the block owning each position."""
+        owner = tuple([0] * self.dim(i) for i in range(self.n + 1))
+        for k, b in enumerate(self.blocks):
+            for i, positions in enumerate(b.positions):
+                for pos in positions:
+                    owner[i][pos] = k
+        return owner
+
+    def blocks_holding(self, i: int, positions) -> list[Block]:
+        """The blocks that hold the given degree-i positions, each once."""
+        owner = self._owner[i]
+        return [self.blocks[k] for k in sorted({owner[pos] for pos in positions})]
+
+    def d(self, i: int) -> np.ndarray:
+        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0,
+        assembled from the blocks on first use."""
+        if i not in self._dense:
+            mat = la.zeros(self.dim(i - 1), self.dim(i))
+            for b in self.blocks:
+                rows, cols = b.at(i - 1), b.at(i)
+                if rows and cols:
+                    mat[np.ix_(rows, cols)] = b.d(i)
+            self._dense[i] = mat
+        return self._dense[i]
+
+    def is_cycle(self, i: int, vec: dict[int, int]) -> bool:
+        """Whether d_i kills a degree-i vector (position -> coefficient),
+        applying only the blocks that hold its entries."""
+        for b in self.blocks_holding(i, vec):
+            coeffs = np.array([vec.get(pos, 0) for pos in b.at(i)], dtype=object)
+            if not la.is_zero(la.mat_vec(b.d(i), coeffs)):
+                return False
+        return True
+
 
 def _check_dd_zero(cx: ChainComplexZ) -> None:
-    for i in range(2, cx.n + 1):
-        if not la.is_zero(la.mat_mul(cx.d(i - 1), cx.d(i))):
-            raise AssertionError(
-                f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})"
-            )
+    for b in cx.blocks:
+        for i in range(2, cx.n + 1):
+            if not la.is_zero(b.d(i - 1).dot(b.d(i))):
+                raise AssertionError(
+                    f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})"
+                )
 
 
 # The differential moves one generator from the left factor to the right
 # one.  A take rule lists (coefficient, generator, remaining label) for a
 # left label; a put rule gives (coefficient, new label) for a right label,
-# with coefficient 0 when the product vanishes.
+# with coefficient 0 when the product vanishes.  A content rule gives a
+# label's content vector.
 
 
 def _take_wedge(w):
@@ -127,33 +210,75 @@ _PUT = {
     "gamma": gamma_module_action,
     "sym": lambda j, m: (1, sym_multiply(j, m)),
 }
+_CONTENT = {
+    "wedge": lambda w, r: tuple(1 if j in w else 0 for j in range(1, r + 1)),
+    "gamma": lambda m, r: m,
+    "sym": lambda m, r: m,
+}
+
+
+def _group_by_content(pair: PairBasis, left: str, right: str, r: int) -> dict:
+    """Positions of a tensor basis grouped by content, each list ascending."""
+    groups: dict[tuple, list[int]] = {}
+    right_contents = [_CONTENT[right](b, r) for b in pair.right]
+    pos = 0
+    for a in pair.left:
+        ca = _CONTENT[left](a, r)
+        for cb in right_contents:
+            groups.setdefault(tuple(x + y for x, y in zip(ca, cb)), []).append(pos)
+            pos += 1
+    return groups
 
 
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r)."""
+    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r),
+    one matrix per (degree, content) block."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     bases = tuple(
         PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
         for i in range(n + 1)
     )
+    groups = [_group_by_content(pair, left, right, r) for pair in bases]
+    local = []  # per degree: position -> row or column within its block
+    for pair, by_content in zip(bases, groups):
+        where = [0] * pair.size
+        for positions in by_content.values():
+            for k, pos in enumerate(positions):
+                where[pos] = k
+        local.append(where)
     take, put = _TAKE[left], _PUT[right]
-    diffs = []
+    cells: list[dict[tuple, list[list[int]]]] = [{}]
     for i in range(1, n + 1):
         src, dst = bases[i], bases[i - 1]
         left_idx = basis_index(left, i - 1, r)
         right_idx = basis_index(right, n - i + 1, r)
-        mat = la.zeros(dst.size, src.size)
-        for li, a in enumerate(src.left):
-            moves = [(c1, j, left_idx[a2]) for c1, j, a2 in take(a)]
-            for ri, b in enumerate(src.right):
-                col = src.index(li, ri)
-                for c1, j, li2 in moves:
+        moves = [[(c1, j, left_idx[a2]) for c1, j, a2 in take(a)] for a in src.left]
+        width, rows_at = len(src.right), local[i - 1]
+        blocks = {}
+        for c, positions in groups[i].items():
+            mat = [[0] * len(positions) for _ in groups[i - 1].get(c, ())]
+            for col, pos in enumerate(positions):
+                li, ri = divmod(pos, width)
+                b = src.right[ri]
+                for c1, j, li2 in moves[li]:
                     c2, b2 = put(j, b)
                     if c2:
-                        mat[dst.index(li2, right_idx[b2]), col] += c1 * c2
-        diffs.append(mat)
-    cx = ChainComplexZ(family, n, r, bases, tuple(diffs))
+                        mat[rows_at[dst.index(li2, right_idx[b2])]][col] += c1 * c2
+            blocks[c] = mat
+        cells.append(blocks)
+    contents = sorted(set().union(*groups), reverse=True)
+    blocks = []
+    for c in contents:
+        positions = tuple(tuple(by_content.get(c, ())) for by_content in groups)
+        diffs = tuple(
+            np.array(cells[i].get(c, ()), dtype=object).reshape(
+                len(positions[i - 1]), len(positions[i])
+            )
+            for i in range(1, n + 1)
+        )
+        blocks.append(Block(c, positions, diffs))
+    cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
     _check_dd_zero(cx)
     return cx
 
@@ -186,53 +311,110 @@ def build(family: str, n: int, r: int) -> ChainComplexZ:
 # homology with cached Smith decompositions
 
 
+class DifferentialSolver:
+    """The Smith decompositions of d_i, one LinearSolver per content block,
+    each computed on first use.
+
+    The rank and the cokernel read each block's Smith diagonal off its
+    S_r-orbit representative, so they reduce one block per orbit.  Solves
+    reduce the blocks the right-hand side touches.
+    """
+
+    def __init__(self, cx: ChainComplexZ, i: int):
+        self.cx = cx
+        self.i = i
+        self._blocks: dict[tuple, la.LinearSolver] = {}
+
+    def block(self, content: tuple) -> la.LinearSolver:
+        """The Smith decomposition of the block of d_i with this content."""
+        if content not in self._blocks:
+            self._blocks[content] = la.LinearSolver(self.cx.block(content).d(self.i))
+        return self._blocks[content]
+
+    def diagonal(self, content: tuple) -> list[int]:
+        """The Smith diagonal of a block, read off its orbit representative."""
+        return self.block(_orbit(content)).diag
+
+    @cached_property
+    def rank(self) -> int:
+        return sum(
+            count * self.block(rep).rank for rep, count in self.cx.orbits.items()
+        )
+
+    def cokernel(self) -> GroupInvariants:
+        """Invariants of Z^rows / (column span of d_i)."""
+        torsion = [
+            m
+            for rep, count in self.cx.orbits.items()
+            for m in self.block(rep).diag * count
+            if m > 1
+        ]
+        return GroupInvariants(self.cx.dim(self.i - 1) - self.rank, tuple(torsion))
+
+    def solve(self, v) -> np.ndarray:
+        """Return x with d_i @ x = v, block by block, or raise
+        NotInLatticeError."""
+        v = np.asarray(v, dtype=object)
+        if len(v) != self.cx.dim(self.i - 1):
+            raise ValueError("vector length does not match matrix rows")
+        x = np.zeros(self.cx.dim(self.i), dtype=object)
+        touched = np.nonzero(v != 0)[0].tolist()
+        for b in self.cx.blocks_holding(self.i - 1, touched):
+            solver = self.block(b.content)
+            x[list(b.at(self.i))] = solver.solve(v[list(b.at(self.i - 1))])
+        return x
+
+    def contains(self, v) -> bool:
+        try:
+            self.solve(v)
+            return True
+        except la.NotInLatticeError:
+            return False
+
+
 class ComplexHomology:
-    """All homology data of one complex, read off one cached Smith
-    decomposition per differential."""
+    """All homology data of one complex, read off one cached
+    DifferentialSolver per differential."""
 
     def __init__(self, cx: ChainComplexZ):
         self.cx = cx
-        self._solver: dict[int, la.LinearSolver] = {}
+        self._solver: dict[int, DifferentialSolver] = {}
         self._presentation: dict[int, tuple[PresentedGroup, np.ndarray]] = {}
 
-    def solver(self, i: int) -> la.LinearSolver:
-        """The Smith decomposition of d_i, computed once."""
+    def solver(self, i: int) -> DifferentialSolver:
+        """The block Smith decompositions of d_i, kept for reuse."""
         if i not in self._solver:
-            self._solver[i] = la.LinearSolver(self.cx.d(i))
+            self._solver[i] = DifferentialSolver(self.cx, i)
         return self._solver[i]
 
-    def snf(self, i: int) -> la.SnfResult:
-        return self.solver(i).snf
-
-    def boundary_solver(self, i: int) -> la.LinearSolver:
+    def boundary_solver(self, i: int) -> DifferentialSolver:
         """Solver for membership in the image of d_{i+1} inside degree i."""
         return self.solver(i + 1)
 
     def invariants(self, i: int) -> GroupInvariants:
         """Degree-i homology along the direct route (no presentation).
 
-        Free rank is nullity(d_i) - rank(d_{i+1}); the torsion is read off
-        the invariant factors of d_{i+1} because the cycle lattice is
-        saturated.
+        Free rank is nullity(d_i) - rank(d_{i+1}), that is the free rank of
+        the cokernel of d_{i+1} minus rank(d_i); the torsion is the
+        cokernel's, because the cycle lattice is saturated.
         """
         if not 0 <= i <= self.cx.n:
             return la.TRIVIAL_GROUP
-        nullity = self.cx.dim(i) - self.solver(i).rank
-        diag_in = self.solver(i + 1).diag if i + 1 <= self.cx.n else []
-        rank_in = sum(1 for d in diag_in if d != 0)
-        torsion = tuple(d for d in diag_in if d > 1)
-        return GroupInvariants(nullity - rank_in, torsion)
+        coker = self.solver(i + 1).cokernel()
+        return GroupInvariants(coker.free_rank - self.solver(i).rank, coker.torsion)
 
     def presentation(self, i: int) -> tuple[PresentedGroup, np.ndarray]:
         """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and the
         matrix that sends a cycle to its class.
 
-        With U d_{i+1} V = D, d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first
-        rank(d_{i+1}) columns of U^-1 span the saturation of the
-        boundaries.  When nullity(d_i) = rank(d_{i+1}) that saturation is
-        every cycle: a cycle z has class (U z)_k mod D_kk.  The m_k are the
-        diagonal entries other than 0 and 1, and the class matrix is the
-        matching rows of U.  A free part raises
+        H_i is the sum over content blocks.  In a block, with U d_{i+1} V = D,
+        d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first rank columns of U^-1
+        span the saturation of the block's boundaries.  When nullity(d_i) =
+        rank(d_{i+1}) (then also in every block) that saturation is every
+        cycle: a cycle z has class (U z_c)_k mod D_kk, where z_c is its
+        block-c part.  The m_k are the diagonal entries other than 0 and 1 of
+        the blocks, and the class matrix is the matching rows of their U,
+        scattered into rows of width dim(i).  A free part raises
         InfiniteGroupUnsupportedError.
         """
         if i not in self._presentation:
@@ -241,9 +423,20 @@ class ComplexHomology:
                 raise la.InfiniteGroupUnsupportedError(
                     f"H_{i} has a free part; only finite homology is presented"
                 )
-            rows = [k for k, m in enumerate(boundaries.diag) if m > 1]
-            group = PresentedGroup.cyclic_sum([boundaries.diag[k] for k in rows])
-            self._presentation[i] = (group, boundaries.snf.U[rows, :])
+            summands = []  # (order, positions of degree i, row of the block U)
+            for b in self.cx.blocks:
+                if any(m > 1 for m in boundaries.diagonal(b.content)):
+                    solver = boundaries.block(b.content)
+                    summands.extend(
+                        (m, b.at(i), solver.snf.U[k])
+                        for k, m in enumerate(solver.diag)
+                        if m > 1
+                    )
+            classes = la.zeros(len(summands), self.cx.dim(i))
+            for k, (_, cols, row) in enumerate(summands):
+                classes[k, list(cols)] = row
+            group = PresentedGroup.cyclic_sum([m for m, _, _ in summands])
+            self._presentation[i] = (group, classes)
         return self._presentation[i]
 
 

@@ -8,9 +8,14 @@ The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
 group presentations and the maps between them) reduces to it.  The
 reduction runs on each connected component of a matrix's nonzero pattern
-separately: a differential of C or D splits into blocks of at most
-C(r, r // 2) columns, one per content vector, so its elimination never
-sees the whole matrix.
+separately.  The complexes hand their differentials over as content blocks
+of at most C(r, r // 2) columns already; a whole differential read from a
+file, shuffled or not, splits into the same blocks here, so its
+elimination never sees the whole matrix either.
+
+The exchange format is plain text ("rows cols", then one line of entries
+per row) or JSON; both are read and written in bulk, one flat list of
+Python ints per matrix.
 """
 
 from __future__ import annotations
@@ -637,11 +642,16 @@ def fp_cokernel_basis(m, p: int) -> list[np.ndarray]:
 # matrix exchange format
 
 
+def _from_flat(values: list[int], rows: int, cols: int) -> np.ndarray:
+    a = np.empty(rows * cols, dtype=object)
+    a[:] = values
+    return a.reshape(rows, cols)
+
+
 def mat_to_text(m) -> str:
     a = as_intmat(m)
     lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for i in range(a.shape[0]):
-        lines.append(" ".join(str(int(x)) for x in a[i, :]))
+    lines.extend(" ".join(map(str, row)) for row in a.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -653,10 +663,7 @@ def mat_from_text(text: str) -> np.ndarray:
     data = tokens[2:]
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(data)}")
-    a = zeros(rows, cols)
-    for k, tok in enumerate(data):
-        a[k // cols, k % cols] = int(tok)
-    return a
+    return _from_flat(list(map(int, data)), rows, cols)
 
 
 def mat_to_json(m) -> str:
@@ -664,7 +671,7 @@ def mat_to_json(m) -> str:
     payload = {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [int(x) for x in a.reshape(-1)],
+        "data": list(map(int, a.reshape(-1).tolist())),
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -675,10 +682,7 @@ def mat_from_json(text: str) -> np.ndarray:
     data = payload["data"]
     if len(data) != rows * cols:
         raise ValueError("data length does not match rows*cols")
-    a = zeros(rows, cols)
-    for k, x in enumerate(data):
-        a[k // cols, k % cols] = int(x)
-    return a
+    return _from_flat(list(map(int, data)), rows, cols)
 
 
 def mat_parse(text: str) -> np.ndarray:

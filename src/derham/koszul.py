@@ -32,7 +32,8 @@ def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     cx = _build_complex("K", "wedge", "sym", n, r)
-    return replace(cx, diffs=tuple(d % p for d in cx.diffs))
+    blocks = tuple(replace(b, diffs=tuple(d % p for d in b.diffs)) for b in cx.blocks)
+    return replace(cx, blocks=blocks)
 
 
 @dataclass(frozen=True)

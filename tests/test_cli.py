@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from derham import cli
 from derham import intlinalg as la
+from derham.abelian import closed_form_homology
 
 
 def run_cli(args, capsys):
@@ -319,6 +321,29 @@ def test_verify_all_deterministic(tmp_path):
     payload = json.loads(outs[0])
     assert payload["pass"] is True
     assert set(payload["reports"]) == {"lemma", "h0", "theorem", "relations", "kunneth"}
+
+
+def test_homology_c7_rank6_in_bounded_memory(tmp_path):
+    # the largest C^7 the cost guard accepts: built and reduced block by
+    # block, it must match the closed form without the dense differentials
+    out = tmp_path / "out.json"
+    with open(out, "w") as fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "derham.cli", "homology", "--family", "C",
+             "--n", "7", "--rank", "6", "--format", "json"],
+            stdout=fh,
+            stderr=subprocess.DEVNULL,
+        )
+        # the rusage of this one child: RUSAGE_CHILDREN of a process that
+        # waited for nothing else
+        _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    records = json.loads(out.read_text())["records"]
+    assert [rec["cell"]["i"] for rec in records] == list(range(8))
+    for rec in records:
+        expected = closed_form_homology("C", 7, rec["cell"]["i"], 6)
+        assert rec["computed"] == expected.as_dict()
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes
 
 
 def test_console_entry_point():

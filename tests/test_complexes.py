@@ -1,5 +1,7 @@
 """Complex construction, homology, decomposition and Kunneth checks."""
 
+import numpy as np
+
 from derham import abelian as ab
 from derham import complexes as cx
 from derham import intlinalg as la
@@ -154,10 +156,85 @@ def test_homology_stable_under_generator_permutation():
             ]
             # transform every differential consistently: P_{i-1} d_i P_i^T
             # (signed permutation matrices are orthogonal); the homology is
-            # read off the Smith diagonals, so those must not move
+            # read off the rank and the cokernel invariants, which together
+            # determine the Smith diagonal, so those must not move
             for i in range(1, n + 1):
-                moved = la.mat_mul(la.mat_mul(mats[i - 1], c.d(i)), mats[i].T)
-                assert la.snf_diagonal(moved) == h.snf(i).diagonal
+                moved = la.LinearSolver(
+                    la.mat_mul(la.mat_mul(mats[i - 1], c.d(i)), mats[i].T)
+                )
+                assert moved.rank == h.solver(i).rank
+                assert moved.cokernel() == h.solver(i).cokernel()
+
+
+def test_blocks_share_the_smith_diagonal_of_their_orbit():
+    # a coordinate permutation maps the block of c onto the block of sorted(c)
+    # by a signed permutation, so the homology reads one block per orbit
+    from derham.koszul import build_koszul
+
+    diagonals = {}
+    for n in range(1, 7):
+        for r in range(5):
+            for c in (
+                cx.build_C(n, r),
+                cx.build_D(n, r),
+                cx._build_complex("K", "wedge", "sym", n, r),
+            ):
+                assert c.blocks or c.dim(0) == 0
+                for b in c.blocks:
+                    assert sum(b.content) == n
+                    rep = c.block(tuple(sorted(b.content)))
+                    for i in range(1, n + 1):
+                        key = (c.family, n, r, rep.content, i)
+                        if key not in diagonals:
+                            diagonals[key] = la.snf_diagonal(rep.d(i))
+                        assert la.snf_diagonal(b.d(i)) == diagonals[key], (key, b.content)
+    # over F_2 and F_3 the Koszul blocks agree with their orbit in rank
+    for p in (2, 3):
+        k = build_koszul(5, 3, p)
+        for b in k.blocks:
+            rep = k.block(tuple(sorted(b.content)))
+            for i in range(1, 6):
+                assert la.fp_rank(b.d(i), p) == la.fp_rank(rep.d(i), p)
+
+
+def test_dense_differential_is_the_block_sum():
+    for c in (cx.build_C(5, 3), cx.build_D(5, 3)):
+        assert sum(len(b.at(2)) for b in c.blocks) == c.dim(2)
+        for i in range(0, c.n + 2):
+            d = c.d(i)
+            assert d.shape == (c.dim(i - 1), c.dim(i))
+            rebuilt = la.zeros(*d.shape)
+            for b in c.blocks:
+                if b.at(i - 1) and b.at(i):
+                    rebuilt[np.ix_(b.at(i - 1), b.at(i))] = b.d(i)
+            assert (d == rebuilt).all()
+            assert c.d(i) is d
+            # is_cycle applies the blocks; a column of d_i is a cycle of
+            # d_(i-1), a basis vector usually is not
+            for k in range(d.shape[1]):
+                assert c.is_cycle(i, {k: 1}) == la.is_zero(d[:, k])
+                column = {pos: x for pos, x in enumerate(d[:, k]) if x}
+                assert c.is_cycle(i - 1, column)
+
+
+def test_block_solves_agree_with_the_dense_solver():
+    rng = np.random.default_rng(3)
+    h = cx.homology_of("C", 6, 3)
+    for i in range(1, 7):
+        d = h.cx.d(i)
+        dense, blocks = la.LinearSolver(d), h.solver(i)
+        assert blocks.rank == dense.rank
+        assert blocks.cokernel() == dense.cokernel()
+        for _ in range(5):
+            v = la.mat_vec(d, np.array(rng.integers(-3, 4, d.shape[1]).tolist(), dtype=object))
+            assert la.is_zero(la.mat_vec(d, blocks.solve(v)) - v)
+        # multiples of basis vectors: boundaries, torsion classes and
+        # vectors outside the rational span
+        for k in range(d.shape[0]):
+            for m in (1, 2, 3):
+                e = la.zeros(d.shape[0], 1)[:, 0]
+                e[k] = m
+                assert blocks.contains(e) == dense.contains(e), (i, k, m)
 
 
 # -- block decomposition and Kunneth ------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from derham import intlinalg as la
 from derham.complexes import (
+    Block,
     ChainComplexZ,
     ComplexHomology,
     PairBasis,
@@ -239,7 +240,9 @@ def _pair_complex(d_in, d_out) -> ChainComplexZ:
     d_in, d_out = la.as_intmat(d_in), la.as_intmat(d_out)
     dims = (d_out.shape[0], d_out.shape[1], d_in.shape[1])
     bases = tuple(PairBasis(tuple(range(k)), ((),)) for k in dims)
-    return ChainComplexZ("pair", 2, 0, bases, (d_out, d_in))
+    # no content vector: the whole complex is one block
+    block = Block((), tuple(tuple(range(k)) for k in dims), (d_out, d_in))
+    return ChainComplexZ("pair", 2, 0, bases, (block,))
 
 
 def _pair_homology(d_in, d_out) -> ComplexHomology:
@@ -426,12 +429,31 @@ def test_complex_homology_reduces_each_differential_once(monkeypatch):
     calls = _count_reductions(monkeypatch)
     hom = ComplexHomology(build_C(4, 2))
     for i in range(hom.cx.n + 1):
-        hom.snf(i)
-        hom.presentation(i)
         hom.invariants(i)
-        hom.boundary_solver(i)
-    # d_0, ..., d_{n+1}: boundary_solver(n) asks for d_{n+1}
-    assert len(calls) == hom.cx.n + 2
+    # d_0, ..., d_{n+1}: invariants(n) asks for d_{n+1}; the groups read one
+    # block per S_r orbit of content vectors
+    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits)
+
+    def one_round():
+        for i in range(hom.cx.n + 1):
+            hom.presentation(i)
+            hom.invariants(i)
+            assert hom.boundary_solver(i).rank == hom.solver(i + 1).rank
+
+    # the presentations add the blocks with torsion that are not orbit
+    # representatives, and nothing is reduced twice
+    one_round()
+    with_torsion = [
+        (i, b.content)
+        for i in range(1, hom.cx.n + 2)
+        for b in hom.cx.blocks
+        if b.content != tuple(sorted(b.content))
+        and any(m > 1 for m in hom.solver(i).diagonal(b.content))
+    ]
+    assert with_torsion
+    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits) + len(with_torsion)
+    one_round()
+    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits) + len(with_torsion)
     assert all(hom.boundary_solver(i) is hom.solver(i + 1) for i in range(hom.cx.n + 1))
 
 
@@ -462,7 +484,10 @@ def test_fp_rank_counts_smith_diagonal_units_mod_p():
             for r in range(1, 4):
                 hom = homology_of(family, n, r)
                 for i in range(n + 2):
-                    diag = hom.solver(i).diag
+                    # the Smith diagonal of d_i, block by block, each read
+                    # off its orbit representative
+                    solver = hom.solver(i)
+                    diag = [x for b in hom.cx.blocks for x in solver.diagonal(b.content)]
                     for p in (2, 3, 5):
                         want = sum(1 for x in diag if x % p)
                         assert la.fp_rank(hom.cx.d(i), p) == want, (family, n, r, i, p)
@@ -486,6 +511,35 @@ def test_json_round_trip():
     a = la.intmat([[10**30, -1], [0, 2]])
     b = la.mat_parse(la.mat_to_json(a))
     assert la.is_zero(a - b)
+
+
+def test_round_trip_big_negative_and_empty_shapes():
+    big = la.intmat([[2**64 + 1, -(2**70)], [-3, 0], [2**63, -(2**63) - 1]])
+    for a in (big, la.zeros(0, 3), la.zeros(3, 0), la.zeros(0, 0)):
+        for text in (la.mat_to_text(a), la.mat_to_json(a)):
+            b = la.mat_parse(text)
+            assert b.dtype == object and b.shape == a.shape
+            assert b.tolist() == a.tolist()
+            assert all(type(x) is int for x in b.reshape(-1))
+    # the exact text: one line per row, entries separated by single spaces
+    assert la.mat_to_text(big) == (
+        "3 2\n18446744073709551617 -1180591620717411303424\n-3 0\n"
+        "9223372036854775808 -9223372036854775809\n"
+    )
+    # against the cell-by-cell writer on a matrix of mixed signs and sizes
+    rng = np.random.default_rng(11)
+    a = np.array(
+        [[int(x) * 7 ** int(e) for x, e in zip(row, exps)]
+         for row, exps in zip(rng.integers(-9, 10, (6, 5)), rng.integers(0, 40, (6, 5)))],
+        dtype=object,
+    )
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    lines += [" ".join(str(int(x)) for x in a[i, :]) for i in range(a.shape[0])]
+    assert la.mat_to_text(a) == "\n".join(lines) + "\n"
+    assert la.mat_parse(la.mat_to_text(a)).tolist() == a.tolist()
+    assert la.mat_to_text(la.zeros(0, 3)) == "0 3\n"
+    assert la.mat_to_text(la.zeros(2, 0)) == "2 0\n\n\n"
+    assert la.mat_to_json(la.zeros(0, 2)) == '{"cols": 2, "data": [], "rows": 0}'
 
 
 def test_text_format_shape():
