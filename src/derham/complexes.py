@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from operator import add
 
 import numpy as np
 
@@ -158,11 +159,17 @@ class ChainComplexZ:
         """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0,
         assembled from the blocks on first use."""
         if i not in self._dense:
-            mat = la.zeros(self.dim(i - 1), self.dim(i))
+            rows, cols, values = [], [], []
             for b in self.blocks:
-                rows, cols = b.at(i - 1), b.at(i)
-                if rows and cols:
-                    mat[np.ix_(rows, cols)] = b.d(i)
+                row_at, col_at = b.at(i - 1), b.at(i)
+                for k, entries in enumerate(b.d(i).tolist()):
+                    for l, x in enumerate(entries):
+                        if x:
+                            rows.append(row_at[k])
+                            cols.append(col_at[l])
+                            values.append(x)
+            mat = la.zeros(self.dim(i - 1), self.dim(i))
+            mat[rows, cols] = np.array(values, dtype=object)
             self._dense[i] = mat
         return self._dense[i]
 
@@ -179,7 +186,11 @@ class ChainComplexZ:
 def _check_dd_zero(cx: ChainComplexZ) -> None:
     for b in cx.blocks:
         for i in range(2, cx.n + 1):
-            if not la.is_zero(b.d(i - 1).dot(b.d(i))):
+            left, right = b.d(i - 1), b.d(i)
+            if left.shape[1] != right.shape[0]:
+                raise ValueError(f"d_{i-1} and d_{i} do not compose")
+            # most blocks are empty in most degrees: only multiply the others
+            if left.size and right.size and left.dot(right).any():
                 raise AssertionError(
                     f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})"
                 )
@@ -225,7 +236,7 @@ def _group_by_content(pair: PairBasis, left: str, right: str, r: int) -> dict:
     for a in pair.left:
         ca = _CONTENT[left](a, r)
         for cb in right_contents:
-            groups.setdefault(tuple(x + y for x, y in zip(ca, cb)), []).append(pos)
+            groups.setdefault(tuple(map(add, ca, cb)), []).append(pos)
             pos += 1
     return groups
 
@@ -341,15 +352,19 @@ class DifferentialSolver:
             count * self.block(rep).rank for rep, count in self.cx.orbits.items()
         )
 
-    def cokernel(self) -> GroupInvariants:
-        """Invariants of Z^rows / (column span of d_i)."""
-        torsion = [
+    @cached_property
+    def torsion(self) -> tuple[int, ...]:
+        """The Smith diagonal entries above 1, over all blocks."""
+        return tuple(
             m
             for rep, count in self.cx.orbits.items()
             for m in self.block(rep).diag * count
             if m > 1
-        ]
-        return GroupInvariants(self.cx.dim(self.i - 1) - self.rank, tuple(torsion))
+        )
+
+    def cokernel(self) -> GroupInvariants:
+        """Invariants of Z^rows / (column span of d_i)."""
+        return GroupInvariants(self.cx.dim(self.i - 1) - self.rank, self.torsion)
 
     def solve(self, v) -> np.ndarray:
         """Return x with d_i @ x = v, block by block, or raise
@@ -394,14 +409,15 @@ class ComplexHomology:
     def invariants(self, i: int) -> GroupInvariants:
         """Degree-i homology along the direct route (no presentation).
 
-        Free rank is nullity(d_i) - rank(d_{i+1}), that is the free rank of
-        the cokernel of d_{i+1} minus rank(d_i); the torsion is the
-        cokernel's, because the cycle lattice is saturated.
+        Free rank is nullity(d_i) - rank(d_{i+1}); the torsion is read off
+        the invariant factors of the blocks of d_{i+1} because the cycle
+        lattice is saturated.
         """
         if not 0 <= i <= self.cx.n:
             return la.TRIVIAL_GROUP
-        coker = self.solver(i + 1).cokernel()
-        return GroupInvariants(coker.free_rank - self.solver(i).rank, coker.torsion)
+        nullity = self.cx.dim(i) - self.solver(i).rank
+        boundaries = self.solver(i + 1)
+        return GroupInvariants(nullity - boundaries.rank, boundaries.torsion)
 
     def presentation(self, i: int) -> tuple[PresentedGroup, np.ndarray]:
         """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and the
@@ -423,9 +439,12 @@ class ComplexHomology:
                 raise la.InfiniteGroupUnsupportedError(
                     f"H_{i} has a free part; only finite homology is presented"
                 )
+            with_torsion = {
+                rep for rep in self.cx.orbits if any(m > 1 for m in boundaries.block(rep).diag)
+            }
             summands = []  # (order, positions of degree i, row of the block U)
             for b in self.cx.blocks:
-                if any(m > 1 for m in boundaries.diagonal(b.content)):
+                if _orbit(b.content) in with_torsion:
                     solver = boundaries.block(b.content)
                     summands.extend(
                         (m, b.at(i), solver.snf.U[k])
