@@ -90,16 +90,16 @@ class Block:
         """Positions of degree i, () outside 0..n."""
         return self.positions[i] if 0 <= i < len(self.positions) else ()
 
+    @cached_property
+    def orbit(self) -> tuple:
+        """The content of the S_r-orbit representative: the sorted entries."""
+        return tuple(sorted(self.content))
+
     def d(self, i: int) -> np.ndarray:
         """The block of d_i, with d_0 = d_{n+1} = 0."""
         if 1 <= i <= len(self.diffs):
             return self.diffs[i - 1]
         return la.zeros(len(self.at(i - 1)), len(self.at(i)))
-
-
-def _orbit(content: tuple) -> tuple:
-    """The S_r-orbit representative of a content vector: its sorted entries."""
-    return tuple(sorted(content))
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class ChainComplexZ:
     @cached_property
     def orbits(self) -> Counter:
         """Number of blocks per S_r-orbit representative."""
-        return Counter(_orbit(b.content) for b in self.blocks)
+        return Counter(b.orbit for b in self.blocks)
 
     @cached_property
     def _owner(self) -> tuple[list[int], ...]:
@@ -344,7 +344,7 @@ class DifferentialSolver:
 
     def diagonal(self, content: tuple) -> list[int]:
         """The Smith diagonal of a block, read off its orbit representative."""
-        return self.block(_orbit(content)).diag
+        return self.block(self.cx.block(content).orbit).diag
 
     @cached_property
     def rank(self) -> int:
@@ -444,7 +444,7 @@ class ComplexHomology:
             }
             summands = []  # (order, positions of degree i, row of the block U)
             for b in self.cx.blocks:
-                if _orbit(b.content) in with_torsion:
+                if b.orbit in with_torsion:
                     solver = boundaries.block(b.content)
                     summands.extend(
                         (m, b.at(i), solver.snf.U[k])
