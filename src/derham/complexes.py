@@ -259,14 +259,14 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
                 where[pos] = k
         local.append(where)
     take, put = _TAKE[left], _PUT[right]
-    cells: list[dict[tuple, list[list[int]]]] = [{}]
+    cells: list[dict[tuple, list[list[int]]]] = [{}]  # cells[i][c]: rows of d_i's block c
     for i in range(1, n + 1):
         src, dst = bases[i], bases[i - 1]
         left_idx = basis_index(left, i - 1, r)
         right_idx = basis_index(right, n - i + 1, r)
         moves = [[(c1, j, left_idx[a2]) for c1, j, a2 in take(a)] for a in src.left]
         width, rows_at = len(src.right), local[i - 1]
-        blocks = {}
+        mats = {}
         for c, positions in groups[i].items():
             mat = [[0] * len(positions) for _ in groups[i - 1].get(c, ())]
             for col, pos in enumerate(positions):
@@ -276,8 +276,8 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
                     c2, b2 = put(j, b)
                     if c2:
                         mat[rows_at[dst.index(li2, right_idx[b2])]][col] += c1 * c2
-            blocks[c] = mat
-        cells.append(blocks)
+            mats[c] = mat
+        cells.append(mats)
     contents = sorted(set().union(*groups), reverse=True)
     blocks = []
     for c in contents:
