@@ -36,7 +36,8 @@ DEFAULT_MAX_N = 7
 DEFAULT_RANK = 2
 DEFAULT_PRIMES = (2, 3, 5, 7)
 # Entries of the largest dense differential a command may build: C^7(Z^6)
-# has 1.05e7, while C^12(Z^5) would have 7.2e7 object pointers.
+# has 1.05e7, while C^12(Z^5) would have 7.2e7 object pointers.  `snf`
+# holds its matrix with both transforms, rows^2 + rows*cols + cols^2.
 MAX_DIFFERENTIAL_CELLS = 2 * 10**7
 # `basis --degree 10 --rank 10` lists 9.2e4 labels (2 MB of JSON); degree
 # and rank 20 would list 6.9e10.
@@ -213,7 +214,7 @@ def cmd_homology(ns) -> int:
         for i in range(1, ns.n + 1):
             path = os.path.join(ns.dump_matrices, f"d_{i}.txt")
             with open(path, "w") as fh:
-                fh.write(la.mat_to_text(cx.d(i)))
+                la.write_text(fh, (cx.dim(i - 1), cx.dim(i)), *cx.entries(i))
     if ns.format == "json":
         _emit(_json_dumps({"command": "homology", "records": records}), ns.output)
     else:
@@ -459,6 +460,14 @@ def cmd_snf(ns) -> int:
         matrix = la.mat_parse(text)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read matrix: {exc}")
+    # U is rows x rows and V is cols x cols, however sparse the input
+    rows, cols = matrix.shape
+    cells = rows * rows + rows * cols + cols * cols
+    if cells > MAX_DIFFERENTIAL_CELLS:
+        raise UsageError(
+            f"a {rows} x {cols} matrix needs {cells:.2e} entries with its transforms; "
+            f"the limit is {MAX_DIFFERENTIAL_CELLS:.0e}"
+        )
     res = la.smith_normal_form(matrix)
     if ns.output_dir:
         os.makedirs(ns.output_dir, exist_ok=True)

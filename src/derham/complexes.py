@@ -19,7 +19,8 @@ c with |c| = n, and the builder fills one small integer matrix per (degree,
 c) directly; the block of c is the Koszul complex on (c_j : c_j > 0), with
 at most C(r, r // 2) columns.  d compose d = 0 is asserted block by block at
 construction time.  The dense d_i is assembled from the blocks only when a
-caller asks for it.
+caller asks for it; its nonzero entries alone, in row order, are read off
+the blocks by ``entries``.
 
 Homology is read off Smith normal forms of the blocks, cached per complex.
 Permuting the coordinates by sigma is a chain automorphism that maps the
@@ -155,19 +156,26 @@ class ChainComplexZ:
         owner = self._owner[i]
         return [self.blocks[k] for k in sorted({owner[pos] for pos in positions})]
 
+    def entries(self, i: int) -> tuple[list[int], list[int], list[int]]:
+        """The nonzero entries of d_i as (rows, cols, values), read off the
+        blocks, in row-major order."""
+        triples = []
+        for b in self.blocks:
+            row_at, col_at = b.at(i - 1), b.at(i)
+            for k, row in enumerate(b.d(i).tolist()):
+                for l, x in enumerate(row):
+                    if x:
+                        triples.append((row_at[k], col_at[l], x))
+        triples.sort()  # positions are distinct, so values are never compared
+        return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
+
     def d(self, i: int) -> np.ndarray:
         """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0,
-        assembled from the blocks on first use."""
+        assembled from the blocks on first use and kept, for the callers
+        that read a dense d_i: the H_0 map, the Kunneth and cross-effect
+        checks, derived symmetric powers and tests."""
         if i not in self._dense:
-            rows, cols, values = [], [], []
-            for b in self.blocks:
-                row_at, col_at = b.at(i - 1), b.at(i)
-                for k, entries in enumerate(b.d(i).tolist()):
-                    for l, x in enumerate(entries):
-                        if x:
-                            rows.append(row_at[k])
-                            cols.append(col_at[l])
-                            values.append(x)
+            rows, cols, values = self.entries(i)
             mat = la.zeros(self.dim(i - 1), self.dim(i))
             mat[rows, cols] = np.array(values, dtype=object)
             self._dense[i] = mat

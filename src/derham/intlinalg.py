@@ -14,16 +14,21 @@ file, shuffled or not, splits into the same blocks here, so its
 elimination never sees the whole matrix either.
 
 The exchange format is plain text ("rows cols", then one line of entries
-per row) or JSON; both are read and written in bulk, one flat list of
-Python ints per matrix.
+per row) or JSON.  Text rows are written from the nonzero entries, spliced
+into one line of "0" tokens, and text is parsed through one ``int()`` per
+distinct token, so both directions pay per nonzero rather than per cell.
+JSON accepts only integers.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -642,17 +647,42 @@ def fp_cokernel_basis(m, p: int) -> list[np.ndarray]:
 # matrix exchange format
 
 
-def _from_flat(values: list[int], rows: int, cols: int) -> np.ndarray:
-    a = np.empty(rows * cols, dtype=object)
-    a[:] = values
-    return a.reshape(rows, cols)
+def _from_flat(values: Iterable[int], rows: int, cols: int) -> np.ndarray:
+    return np.fromiter(values, dtype=object, count=rows * cols).reshape(rows, cols)
+
+
+def write_text(
+    fh: IO[str], shape: tuple[int, int], rows: Sequence[int], cols: Sequence[int], values: Sequence
+) -> None:
+    """Write a matrix in the text exchange format to fh, given its shape and
+    its nonzero entries values[k] at (rows[k], cols[k]) in row-major order.
+
+    Every line is cut from one line of "0" tokens, in which the token of
+    column c starts at offset 2c: a row's entries are spliced in between the
+    cuts, and every empty row is that line itself.
+    """
+    height, width = shape
+    fh.write(f"{height} {width}\n")
+    blank = " ".join(["0"] * width) + "\n"
+    done = 0
+    for r, group in itertools.groupby(zip(rows, cols, values), key=itemgetter(0)):
+        fh.writelines(itertools.repeat(blank, r - done))
+        pieces, start = [], 0
+        for _, c, x in group:
+            pieces += (blank[start : 2 * c], str(x))
+            start = 2 * c + 1
+        pieces.append(blank[start:])
+        fh.write("".join(pieces))
+        done = r + 1
+    fh.writelines(itertools.repeat(blank, height - done))
 
 
 def mat_to_text(m) -> str:
     a = as_intmat(m)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    lines.extend(" ".join(map(str, row)) for row in a.tolist())
-    return "\n".join(lines) + "\n"
+    rows, cols = np.nonzero(a)
+    buf = io.StringIO()
+    write_text(buf, a.shape, rows.tolist(), cols.tolist(), a[rows, cols].tolist())
+    return buf.getvalue()
 
 
 def mat_from_text(text: str) -> np.ndarray:
@@ -663,7 +693,12 @@ def mat_from_text(text: str) -> np.ndarray:
     data = tokens[2:]
     if len(data) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(data)}")
-    return _from_flat(list(map(int, data)), rows, cols)
+    try:
+        value = {t: int(t) for t in set(data)}
+    except ValueError:
+        list(map(int, data))  # name the first bad token, as in reading order
+        raise
+    return _from_flat(map(value.__getitem__, data), rows, cols)
 
 
 def mat_to_json(m) -> str:
@@ -676,13 +711,25 @@ def mat_to_json(m) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _json_int(x, what: str) -> int:
+    """x itself, when JSON read it as an integer (not a float, not a bool)."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {json.dumps(x)}")
+    return x
+
+
 def mat_from_json(text: str) -> np.ndarray:
     payload = json.loads(text)
-    rows, cols = int(payload["rows"]), int(payload["cols"])
+    rows = _json_int(payload["rows"], "rows")
+    cols = _json_int(payload["cols"], "cols")
     data = payload["data"]
+    if type(data) is not list:
+        raise ValueError("data must be a JSON list")
     if len(data) != rows * cols:
         raise ValueError("data length does not match rows*cols")
-    return _from_flat(list(map(int, data)), rows, cols)
+    for x in data:
+        _json_int(x, "every entry")
+    return _from_flat(data, rows, cols)
 
 
 def mat_parse(text: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from derham import cli
 from derham import intlinalg as la
 from derham.abelian import closed_form_homology
+from derham.complexes import build
 
 
 def run_cli(args, capsys):
@@ -108,6 +110,18 @@ def test_homology_dump_matrices(tmp_path, capsys):
     assert stored.tolist() == [[-2]]
 
 
+def test_dump_matrices_equal_the_dense_differentials(tmp_path, capsys):
+    # the dump streams each d_i from the blocks; it must read as the dense d_i
+    for family in ("C", "D"):
+        dump = tmp_path / family
+        argv = ["homology", "--family", family, "--n", "4", "--rank", "3",
+                "--dump-matrices", str(dump)]
+        assert run_cli(argv, capsys)[0] == 0
+        cx = build(family, 4, 3)
+        for i in range(1, 5):
+            assert (dump / f"d_{i}.txt").read_text() == la.mat_to_text(cx.d(i))
+
+
 def test_snf_round_trip(tmp_path, capsys):
     src = tmp_path / "m.txt"
     src.write_text("1 1\n6\n")
@@ -147,6 +161,36 @@ def test_snf_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["snf", str(src)], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"rows": 1, "cols": 2, "data": [2.7, true]}',
+        '{"rows": 1, "cols": 2, "data": [1, true]}',
+        '{"rows": 1, "cols": 1, "data": [1e300]}',
+        '{"rows": 2.5, "cols": 1, "data": [1, 2]}',
+    ],
+    ids=["float", "bool", "big-float", "float-rows"],
+)
+def test_snf_json_refuses_non_integers(tmp_path, capsys, payload):
+    # int() would truncate or round each of these into a matrix
+    src = tmp_path / "m.json"
+    src.write_text(payload)
+    code, out, err = run_cli(["snf", str(src)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read matrix: ")
+    assert "JSON integer" in err
+
+
+def test_snf_refuses_transforms_quadratic_in_the_input(tmp_path, capsys):
+    # a 10 KB column of 5000 rows asks for a 5000 x 5000 U
+    src = tmp_path / "column.txt"
+    src.write_text("5000 1\n" + "1\n" * 5000)
+    assert len(src.read_bytes()) < 11_000
+    code, out, err = run_cli(["snf", str(src)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a 5000 x 1 matrix needs 2.50e+07 entries")
 
 
 def test_basis_dump(capsys):
@@ -344,6 +388,28 @@ def test_homology_c7_rank6_in_bounded_memory(tmp_path):
         expected = closed_form_homology("C", 7, rec["cell"]["i"], 6)
         assert rec["computed"] == expected.as_dict()
     assert usage.ru_maxrss < 200 * 1024  # kilobytes
+
+
+def test_dump_matrices_c7_rank6_streamed_in_bounded_memory(tmp_path):
+    # each d_i is written from the blocks' entries, so no dense d_i of up
+    # to 1.05e7 cells is built or kept; the files are the ones the dense
+    # writer produced (digest recorded from the dense route)
+    dump = tmp_path / "mats"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "derham.cli", "homology", "--family", "C",
+         "--n", "7", "--rank", "6", "--format", "json", "--dump-matrices", str(dump)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    digest = hashlib.sha256()
+    for i in range(1, 8):
+        digest.update((dump / f"d_{i}.txt").read_bytes())
+    assert digest.hexdigest() == (
+        "ef70c4d5f098a165685ae03ca3ab671ae09f3e74e940954d005fbf7f41293b53"
+    )
+    assert usage.ru_maxrss < 100 * 1024  # kilobytes
 
 
 def test_console_entry_point():

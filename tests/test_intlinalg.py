@@ -4,6 +4,7 @@ Homology of a composable pair goes through ComplexHomology, the package's
 one homology route, on a two-step complex.
 """
 
+import io
 import itertools
 
 import numpy as np
@@ -540,6 +541,53 @@ def test_round_trip_big_negative_and_empty_shapes():
     assert la.mat_to_text(la.zeros(0, 3)) == "0 3\n"
     assert la.mat_to_text(la.zeros(2, 0)) == "2 0\n\n\n"
     assert la.mat_to_json(la.zeros(0, 2)) == '{"cols": 2, "data": [], "rows": 0}'
+
+
+def _reference_text(a) -> str:
+    """The cell-by-cell writer the exchange format was defined by."""
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    lines.extend(" ".join(map(str, row)) for row in a.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_equals_the_cell_by_cell_reference():
+    rng = np.random.default_rng(7)
+    mats = [la.zeros(0, 3), la.zeros(2, 0), la.zeros(0, 0), la.zeros(4, 5)]
+    for rows, cols, density in [(1, 1, 1.0), (7, 9, 0.1), (12, 5, 0.5), (6, 11, 1.0), (30, 40, 0.02)]:
+        a = la.zeros(rows, cols)
+        for i, j in zip(*np.nonzero(rng.random((rows, cols)) < density)):
+            # signs, small and multi-digit entries, and entries beyond 2**64
+            a[i, j] = int(rng.choice([-1, 1])) * int(rng.integers(1, 10)) ** int(rng.integers(1, 30))
+        a[rng.integers(rows), :] = 0  # at least one all-zero row
+        mats.append(a)
+    mats.append(la.intmat([[0, 2**64 + 1, 0], [0, 0, 0], [-(2**70), 0, -3]]))
+    assert any(abs(x) > 2**64 for a in mats for x in a.reshape(-1))
+    for a in mats:
+        text = la.mat_to_text(a)
+        assert text == _reference_text(a)
+        assert la.mat_parse(text).tolist() == a.tolist()
+        buf = io.StringIO()
+        rows, cols = np.nonzero(a)
+        la.write_text(buf, a.shape, rows.tolist(), cols.tolist(), a[rows, cols].tolist())
+        assert buf.getvalue() == text
+    assert la.mat_to_text(la.zeros(0, 3)) == "0 3\n"
+    assert la.mat_to_text(la.zeros(2, 0)) == "2 0\n\n\n"
+
+
+def test_parser_reads_tokens_as_int_does():
+    tokens = ["-0", "+3", "007", "1_000", "-12", "0", "+3", "12345678901234567890123"]
+    a = la.mat_from_text(f"2 4\n{' '.join(tokens)}\n")
+    assert a.reshape(-1).tolist() == [int(t) for t in tokens]
+    assert a.reshape(-1).tolist()[:4] == [0, 3, 7, 1000]
+    assert all(type(x) is int for x in a.reshape(-1))
+    with pytest.raises(ValueError, match="'2.7'"):
+        la.mat_from_text("1 2\n1 2.7\n")
+    # with several bad tokens, the error names the first one read
+    for text in ("1 3 x 1 y", "1 3 1 y x", "1 3 y y x"):
+        bad = text.split()[2:]
+        first = next(t for t in bad if not t.lstrip("+-").isdigit())
+        with pytest.raises(ValueError, match=f"'{first}'"):
+            la.mat_from_text(text)
 
 
 def test_text_format_shape():
