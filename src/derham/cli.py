@@ -560,7 +560,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # a path that cannot be read or written is bad usage, not a mismatch
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,13 @@ The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
 group presentations and the maps between them) reduces to it.  The
 reduction runs on each connected component of a matrix's nonzero pattern
-separately.  The complexes hand their differentials over as content blocks
-of at most C(r, r // 2) columns already; a whole differential read from a
-file, shuffled or not, splits into the same blocks here, so its
-elimination never sees the whole matrix either.
+separately, by elimination on sparse {column: value} rows with V kept
+transposed, step for step as the dense elimination the tests keep as the
+reference, so U, D and V match it entry for entry.  The complexes hand their
+differentials over as content blocks of at most C(r, r // 2) columns
+already; a whole differential read from a file, shuffled or not, splits
+into the same blocks here, so its elimination never sees the whole matrix
+either.
 
 The exchange format is plain text ("rows cols", then one line of entries
 per row) or JSON.  Text rows are written from the nonzero entries, spliced
@@ -26,7 +29,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -187,105 +190,111 @@ class SnfResult(NamedTuple):
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
-    a[[i, j], :] = a[[j, i], :]
+def _axpy(y: dict, q: int, x: dict) -> None:
+    """y -= q * x on sparse rows, dropping the zeros this makes."""
+    for k, xk in x.items():
+        if w := y.get(k, 0) - q * xk:
+            y[k] = w
+        else:
+            del y[k]
 
 
-def _swap_cols(a: np.ndarray, i: int, j: int) -> None:
-    a[:, [i, j]] = a[:, [j, i]]
+def _eliminate(a: list[dict], width: int) -> tuple[list[dict], list[dict]]:
+    """Drive the sparse rows a ({column: value}, no zero stored) of a matrix
+    of the given width to Smith form in place, and return the rows of U and
+    of V transposed: U @ original @ V == final a.  The pivot is the first +-1
+    of a[t:, t:] in row-major order, else its first entry of least |value|."""
+    height = len(a)
+    u, vt = [{i: 1} for i in range(height)], [{j: 1} for j in range(width)]
 
+    def swap_cols(j: int) -> None:
+        vt[t], vt[j] = vt[j], vt[t]
+        for row in a[t:]:  # rows above t hold their pivot only
+            x, y = row.pop(t, 0), row.pop(j, 0)
+            if y:
+                row[t] = y
+            if x:
+                row[j] = x
 
-def _find_pivot(a: np.ndarray, t: int) -> tuple[int, int] | None:
-    """Position of a nonzero of minimal absolute value in a[t:, t:]."""
-    block = a[t:, t:]
-    if block.size == 0:
-        return None
-    unit = np.argwhere((block == 1) | (block == -1))
-    if unit.size:
-        i, j = unit[0]
-        return t + int(i), t + int(j)
-    nz = np.argwhere(block != 0)
-    if not nz.size:
-        return None
-    best = min(nz, key=lambda ij: abs(block[ij[0], ij[1]]))
-    return t + int(best[0]), t + int(best[1])
-
-
-def _snf_dense(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Drive a to Smith form by unimodular row/column operations on the
-    whole matrix.
-
-    u and v accumulate the operations so that u @ original @ v == final a.
-    """
-    rows, cols = a.shape
     t = 0
-    while t < min(rows, cols):
-        piv = _find_pivot(a, t)
-        if piv is None:
+    while t < min(height, width):
+        best = (inf, 0, 0)
+        for i in range(t, height):
+            for k, x in a[i].items():
+                if (abs(x), i, k) < best:
+                    best = (abs(x), i, k)
+            if best[0] == 1:
+                break
+        if best[0] == inf:
             break
-        pi, pj = piv
-        if pi != t:
-            _swap_rows(a, t, pi)
-            _swap_rows(u, t, pi)
+        _, pi, pj = best
+        a[t], a[pi], u[t], u[pi] = a[pi], a[t], u[pi], u[t]
         if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(v, t, pj)
+            swap_cols(pj)
         while True:
             # clear column t below the pivot
-            i = t + 1
-            while i < rows:
-                x = a[i, t]
-                if x != 0:
-                    q = x // a[t, t]
+            for i in range(t + 1, height):
+                while t in a[i]:
+                    q = a[i][t] // a[t][t]
                     if q:
-                        a[i, t:] -= q * a[t, t:]
-                        u[i, :] -= q * u[t, :]
-                    if a[i, t] != 0:
+                        _axpy(a[i], q, a[t])
+                        _axpy(u[i], q, u[t])
+                    if t in a[i]:
                         # remainder beats the pivot; promote it and restart
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-                        continue
-                i += 1
+                        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
             # clear row t; column swaps may dirty column t again
             dirtied = False
-            j = t + 1
-            while j < cols:
-                x = a[t, j]
-                if x != 0:
-                    q = x // a[t, t]
+            col = [(t, a[t][t])]
+            for j in sorted(k for k in a[t] if k > t):
+                while j in a[t]:
+                    q = a[t][j] // a[t][t]
                     if q:
-                        a[t:, j] -= q * a[t:, t]
-                        v[:, j] -= q * v[:, t]
-                    if a[t, j] != 0:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
+                        for r, y in col:
+                            if w := a[r].get(j, 0) - q * y:
+                                a[r][j] = w
+                            else:
+                                del a[r][j]
+                        _axpy(vt[j], q, vt[t])
+                    if j in a[t]:
+                        swap_cols(j)
+                        col = [(r, a[r][t]) for r in range(t, height) if t in a[r]]
                         dirtied = True
-                        continue
-                j += 1
             if not dirtied:
                 break
         # make the pivot divide everything that remains
-        if a[t, t] != 1 and a[t, t] != -1:
-            rem = a[t + 1 :, t + 1 :] % a[t, t]
-            bad = np.argwhere(rem != 0)
-            if bad.size:
-                i = t + 1 + int(bad[0][0])
-                a[t, t:] += a[i, t:]
-                u[t, :] += u[i, :]
-                continue  # re-run elimination at the same t
-        if a[t, t] < 0:
-            a[t, t:] = -a[t, t:]
-            u[t, :] = -u[t, :]
+        p = a[t][t]
+        rest = range(t + 1, height) if abs(p) > 1 else ()
+        bad = next((i for i in rest if any(x % p for x in a[i].values())), None)
+        if bad is not None:
+            _axpy(a[t], -1, a[bad])
+            _axpy(u[t], -1, u[bad])
+            continue  # re-run elimination at the same t
+        if p < 0:
+            a[t][t] = -p
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
+    return u, vt
 
 
-def _components(a: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Rows and columns of each connected component of a's nonzero pattern,
-    read as a bipartite graph with an edge (i, j) for every a[i, j] != 0.
+def _scatter(m: np.ndarray, rows: Iterable[dict]) -> None:
+    """Zero m, then write the t-th sparse row of rows as row t of m."""
+    m[...] = 0
+    for t, row in enumerate(rows):
+        for k, x in row.items():
+            m[t, k] = x
 
-    Zero rows and columns belong to no component.  Components come in the
-    order of their first row, with rows and columns ascending.
-    """
+
+def _snf_whole(a: np.ndarray, u: np.ndarray, v: np.ndarray, rows: list[dict]) -> None:
+    """Reduce a, with sparse rows rows, as one matrix into a, u and v."""
+    urows, vcols = _eliminate(rows, a.shape[1])
+    for m, lines in ((a, rows), (u, urows), (v.T, vcols)):
+        _scatter(m, lines)
+
+
+def _components(a: np.ndarray) -> tuple[list[tuple[list[int], list[int]]], list[dict]]:
+    """The rows and columns, ascending, of each connected component of a's
+    nonzero pattern (a bipartite graph, edge (i, j) where a[i, j] != 0) in
+    the order of their first row, and a's sparse rows, from one scan."""
     rows = a.shape[0]
     parent = list(range(rows + a.shape[1]))
 
@@ -295,72 +304,64 @@ def _components(a: np.ndarray) -> list[tuple[list[int], list[int]]]:
             x = parent[x]
         return x
 
-    nz_rows, nz_cols = np.nonzero(a)
-    for i, j in zip(nz_rows.tolist(), nz_cols.tolist()):
+    nz = np.nonzero(a)
+    sparse: list[dict] = [{} for _ in range(rows)]
+    for i, j, x in zip(nz[0].tolist(), nz[1].tolist(), a[nz].tolist()):
+        sparse[i][j] = x
         ri, rj = find(i), find(rows + j)
         if ri != rj:
             parent[rj] = ri
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in sorted(set(nz_rows.tolist())):
-        groups.setdefault(find(i), ([], []))[0].append(i)
-    for j in sorted(set(nz_cols.tolist())):
+    for i, row in enumerate(sparse):
+        if row:
+            groups.setdefault(find(i), ([], []))[0].append(i)
+    for j in sorted(set(nz[1].tolist())):
         groups[find(rows + j)][1].append(j)
-    return list(groups.values())
+    return list(groups.values()), sparse
 
 
 def _snf_inplace(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Drive a to Smith form, one connected component of its nonzero
-    pattern at a time.
+    """Drive a to Smith form one connected component of its nonzero pattern
+    at a time, by elimination on sparse rows (V transposed, the dense pivots).
 
     u and v must arrive as identities; on return u @ original @ v == final a.
     A matrix with at most one component is reduced whole.  Otherwise each
-    component's submatrix is reduced on its own and its transforms are
-    written into the component's rows of u and columns of v.  The diagonal
-    then holds the units, the other nonzero entries and the zeros, in that
-    order (so the kernel is spanned by v's trailing columns), and one more
-    reduction of the small diagonal of non-units restores the divisor chain
-    (2 + 3 becomes 1 + 6).
+    component is reduced on its own and its transforms are written into
+    the component's rows of u and columns of v.  The diagonal then holds
+    the units, the other nonzero entries and the zeros, in that order (so
+    the kernel is spanned by v's trailing columns), and one more reduction
+    of the small diagonal of non-units restores the divisor chain (2 + 3
+    becomes 1 + 6).
     """
-    comps = _components(a)
+    comps, sparse = _components(a)
     if len(comps) <= 1:
-        _snf_dense(a, u, v)
+        _snf_whole(a, u, v, sparse)
         return
-    rows, cols = a.shape
     units, others, zero_rows, zero_cols = [], [], [], []
     for rs, cs in comps:
-        sub = a[np.ix_(rs, cs)]
-        su, sv = identity(len(rs)), identity(len(cs))
-        _snf_dense(sub, su, sv)
-        k = 0
-        while k < min(sub.shape) and sub[k, k] != 0:
-            (units if sub[k, k] == 1 else others).append((sub[k, k], rs, su[k], cs, sv[:, k]))
-            k += 1
-        zero_rows.extend((rs, su[l]) for l in range(k, len(rs)))
-        zero_cols.extend((cs, sv[:, l]) for l in range(k, len(cs)))
-    in_comp_rows = {i for rs, _ in comps for i in rs}
-    in_comp_cols = {j for _, cs in comps for j in cs}
-    zero_rows.extend(([i], [1]) for i in range(rows) if i not in in_comp_rows)
-    zero_cols.extend(([j], [1]) for j in range(cols) if j not in in_comp_cols)
-    others.sort(key=lambda entry: entry[0])
+        at = {j: k for k, j in enumerate(cs)}
+        block = [{at[j]: x for j, x in sparse[i].items()} for i in rs]
+        urows, vcols = _eliminate(block, len(cs))
+        urows = [{rs[k]: x for k, x in row.items()} for row in urows]
+        vcols = [{cs[k]: x for k, x in col.items()} for col in vcols]
+        rank = sum(map(bool, block))  # the pivots lead the diagonal
+        for k in range(rank):
+            d = block[k][k]
+            (units if d == 1 else others).append((d, urows[k], vcols[k]))
+        zero_rows += urows[rank:]
+        zero_cols += vcols[rank:]
+    zero_rows += ({i: 1} for i, row in enumerate(sparse) if not row)
+    zero_cols += ({j: 1} for j in sorted(set(range(a.shape[1])).difference(*sparse)))
+    others.sort(key=itemgetter(0))
     pivots = units + others
-    a[...] = 0
-    u[...] = 0
-    v[...] = 0
-    for t, (d, rs, urow, cs, vcol) in enumerate(pivots):
-        a[t, t] = d
-        u[t, rs] = urow
-        v[cs, t] = vcol
-    for t, (rs, urow) in enumerate(zero_rows, len(pivots)):
-        u[t, rs] = urow
-    for t, (cs, vcol) in enumerate(zero_cols, len(pivots)):
-        v[cs, t] = vcol
-    chain = [d for d, *_ in others]
+    _scatter(a, [{t: d} for t, (d, _, _) in enumerate(pivots)])
+    _scatter(u, [urow for _, urow, _ in pivots] + zero_rows)
+    _scatter(v.T, [vcol for _, _, vcol in pivots] + zero_cols)
+    chain = [d for d, _, _ in others]
     if any(y % x for x, y in zip(chain, chain[1:])):
         lo, hi = len(units), len(pivots)
-        diag = a[lo:hi, lo:hi].copy()
         du, dv = identity(hi - lo), identity(hi - lo)
-        _snf_dense(diag, du, dv)
-        a[lo:hi, lo:hi] = diag
+        _snf_whole(a[lo:hi, lo:hi], du, dv, [{k: d} for k, d in enumerate(chain)])
         u[lo:hi, :] = mat_mul(du, u[lo:hi, :])
         v[:, lo:hi] = mat_mul(v[:, lo:hi], dv)
 
@@ -372,8 +373,7 @@ def smith_normal_form(m) -> SnfResult:
     nonzero one; D is uniquely determined by m.
     """
     a = as_intmat(m).copy()
-    u = identity(a.shape[0])
-    v = identity(a.shape[1])
+    u, v = identity(a.shape[0]), identity(a.shape[1])
     _snf_inplace(a, u, v)
     return SnfResult(u, a, v)
 
@@ -381,9 +381,9 @@ def smith_normal_form(m) -> SnfResult:
 def snf_diagonal(m) -> list[int]:
     """The invariant factors of m: the diagonal of smith_normal_form(m).
 
-    There is one elimination, per connected component of m's nonzero
-    pattern, and it always accumulates U and V; skipping them was measured
-    to save about 3%, well inside run-to-run noise.
+    There is one elimination on sparse rows, per connected component of m's
+    nonzero pattern, and it always accumulates U and V; skipping them was
+    measured to save about 3%, well inside run-to-run noise.
     """
     return smith_normal_form(m).diagonal
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from derham import cli
@@ -191,6 +192,29 @@ def test_snf_refuses_transforms_quadratic_in_the_input(tmp_path, capsys):
     code, out, err = run_cli(["snf", str(src)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: a 5000 x 1 matrix needs 2.50e+07 entries")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--family", "C", "--n", "2", "--rank", "1", "--output", "{missing}/x.json"],
+        ["homology", "--family", "C", "--n", "2", "--rank", "1", "--dump-matrices", "{file}/x"],
+        ["snf", "--output-dir", "{file}", "{matrix}"],
+        ["verify", "h0", "--output", "{missing}/y.json"],
+    ],
+    ids=["output-in-missing-dir", "dump-under-a-file", "snf-output-dir-is-a-file", "verify-output"],
+)
+def test_unwritable_path_exits_2(tmp_path, capsys, argv):
+    # a path that cannot be written is bad usage (exit 2), not a mismatch (1)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1\n6\n")
+    paths = {"missing": tmp_path / "missing", "file": plain, "matrix": matrix}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: [Errno ")
+    assert "Traceback" not in err
 
 
 def test_basis_dump(capsys):
@@ -418,3 +442,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+def test_snf_transforms_of_shuffled_differential_pinned(tmp_path, capsys):
+    # D, U and V of a matrix with many components, byte for byte: the
+    # digest was recorded before the elimination moved to sparse rows.  It
+    # runs after the subprocess RSS tests above: a child spawned by this
+    # process reports this process's peak RSS as its own ru_maxrss.
+    d = build("C", 8, 4).d(2)
+    rng = np.random.default_rng(11)
+    d = d[rng.permutation(d.shape[0])]
+    d = d[:, rng.permutation(d.shape[1])]
+    assert d.shape == (480, 504)
+    src = tmp_path / "d2.txt"
+    src.write_text(la.mat_to_text(d))
+    code, out, _ = run_cli(["snf", str(src), "--transforms"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "98c84826d2f299adb48508a08b819f83271f7e44b0a107dd99f557f1dbbaaf2c"
+    )

@@ -6,6 +6,7 @@ one homology route, on a two-step complex.
 
 import io
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -83,6 +84,146 @@ def minor_gcd_diagonal(a):
 # -- Smith normal form -------------------------------------------------------
 
 
+# The textbook elimination on dense object arrays, as intlinalg ran it before
+# it moved to sparse rows: the reference the sparse elimination must match
+# operation for operation, so U, D and V agree entry for entry.
+
+
+def _swap_rows(a, i, j):
+    a[[i, j], :] = a[[j, i], :]
+
+
+def _swap_cols(a, i, j):
+    a[:, [i, j]] = a[:, [j, i]]
+
+
+def _find_pivot(a, t):
+    """Position of a nonzero of minimal absolute value in a[t:, t:]."""
+    block = a[t:, t:]
+    if block.size == 0:
+        return None
+    unit = np.argwhere((block == 1) | (block == -1))
+    if unit.size:
+        i, j = unit[0]
+        return t + int(i), t + int(j)
+    nz = np.argwhere(block != 0)
+    if not nz.size:
+        return None
+    best = min(nz, key=lambda ij: abs(block[ij[0], ij[1]]))
+    return t + int(best[0]), t + int(best[1])
+
+
+def _snf_dense(a, u, v):
+    """Drive a to Smith form by unimodular row/column operations on the
+    whole matrix; u and v accumulate them so that u @ original @ v == a."""
+    rows, cols = a.shape
+    t = 0
+    while t < min(rows, cols):
+        piv = _find_pivot(a, t)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            _swap_rows(a, t, pi)
+            _swap_rows(u, t, pi)
+        if pj != t:
+            _swap_cols(a, t, pj)
+            _swap_cols(v, t, pj)
+        while True:
+            # clear column t below the pivot
+            i = t + 1
+            while i < rows:
+                x = a[i, t]
+                if x != 0:
+                    q = x // a[t, t]
+                    if q:
+                        a[i, t:] -= q * a[t, t:]
+                        u[i, :] -= q * u[t, :]
+                    if a[i, t] != 0:
+                        # remainder beats the pivot; promote it and restart
+                        _swap_rows(a, t, i)
+                        _swap_rows(u, t, i)
+                        continue
+                i += 1
+            # clear row t; column swaps may dirty column t again
+            dirtied = False
+            j = t + 1
+            while j < cols:
+                x = a[t, j]
+                if x != 0:
+                    q = x // a[t, t]
+                    if q:
+                        a[t:, j] -= q * a[t:, t]
+                        v[:, j] -= q * v[:, t]
+                    if a[t, j] != 0:
+                        _swap_cols(a, t, j)
+                        _swap_cols(v, t, j)
+                        dirtied = True
+                        continue
+                j += 1
+            if not dirtied:
+                break
+        # make the pivot divide everything that remains
+        if a[t, t] != 1 and a[t, t] != -1:
+            rem = a[t + 1 :, t + 1 :] % a[t, t]
+            bad = np.argwhere(rem != 0)
+            if bad.size:
+                i = t + 1 + int(bad[0][0])
+                a[t, t:] += a[i, t:]
+                u[t, :] += u[i, :]
+                continue  # re-run elimination at the same t
+        if a[t, t] < 0:
+            a[t, t:] = -a[t, t:]
+            u[t, :] = -u[t, :]
+        t += 1
+
+
+def assert_sparse_elimination_matches_dense(m):
+    """Reduce m as one matrix both ways: U, D and V must agree entry for
+    entry, and every entry of the sparse result must be a Python int."""
+    want = (m.copy(), la.identity(m.shape[0]), la.identity(m.shape[1]))
+    _snf_dense(*want)
+    got = (m.copy(), la.identity(m.shape[0]), la.identity(m.shape[1]))
+    la._snf_whole(*got, la._components(m)[1])
+    for name, w, g in zip("DUV", want, got):
+        assert g.shape == w.shape, name
+        assert all(type(x) is int for x in g.flat), name
+        assert g.tolist() == w.tolist(), name
+
+
+def koszul_block(n, i):
+    """d_i of the Koszul complex on n coordinates with every c_j = 1: the
+    content block of (1^n), rows the (i - 1)-subsets, columns the i-subsets."""
+    rows = {s: k for k, s in enumerate(itertools.combinations(range(n), i - 1))}
+    cols = list(itertools.combinations(range(n), i))
+    d = la.zeros(len(rows), len(cols))
+    for c, subset in enumerate(cols):
+        for pos in range(i):
+            d[rows[subset[:pos] + subset[pos + 1 :]], c] = (-1) ** pos
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_sparse_elimination_matches_dense_on_small_matrices(a):
+    assert_sparse_elimination_matches_dense(a)
+
+
+def test_sparse_elimination_matches_dense_on_wide_tall_diagonal_empty_and_koszul():
+    rnd = random.Random(12)
+    big = 10**20
+    for shape in [(3, 40), (40, 3)] * 5:
+        m = [[rnd.randint(-big, big) if rnd.random() < 0.3 else 0 for _ in range(shape[1])]
+             for _ in range(shape[0])]
+        assert_sparse_elimination_matches_dense(la.intmat(m))
+    for diag in ([2, 3], [4, 6, 10]):
+        assert_sparse_elimination_matches_dense(la.intmat(np.diag(diag).tolist()))
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert_sparse_elimination_matches_dense(la.zeros(*shape))
+    for i in range(1, 9):
+        assert_sparse_elimination_matches_dense(koszul_block(8, i))
+
+
 def test_snf_1x1():
     res = la.smith_normal_form([[7]])
     assert res.diagonal == [7]
@@ -152,7 +293,7 @@ def test_snf_of_shuffled_differentials_matches_dense_reduction():
         d = cx.d(i)
         d = d[np.ix_(rng.permutation(d.shape[0]), rng.permutation(d.shape[1]))]
         whole = d.copy()
-        la._snf_dense(whole, la.identity(d.shape[0]), la.identity(d.shape[1]))
+        _snf_dense(whole, la.identity(d.shape[0]), la.identity(d.shape[1]))
         u, got, v = la.smith_normal_form(d)
         assert la.is_zero(got - whole), i
         assert la.is_zero(la.mat_mul(la.mat_mul(u, d), v) - got), i
