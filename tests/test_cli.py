@@ -202,7 +202,9 @@ def test_snf_refuses_transforms_quadratic_in_the_input(tmp_path, capsys):
         ["snf", "--output-dir", "{file}", "{matrix}"],
         ["verify", "h0", "--output", "{missing}/y.json"],
     ],
-    ids=["output-in-missing-dir", "dump-under-a-file", "snf-output-dir-is-a-file", "verify-output"],
+    ids=[
+        "output-in-missing-dir", "dump-under-a-file", "snf-output-dir-is-a-file", "verify-output",
+    ],
 )
 def test_unwritable_path_exits_2(tmp_path, capsys, argv):
     # a path that cannot be written is bad usage (exit 2), not a mismatch (1)
