@@ -591,19 +591,19 @@ def kunneth_check(n: int, rank_a: int, rank_b: int, k: int) -> bool:
 def cross_effect_h0(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
     """H_0 of the blocks of C^n(Z^(a+b)) with both weights positive.
 
-    Computed at matrix level by restricting d_1 to the mixed-support basis
-    vectors; the two pure blocks are exactly the summand complexes, so this
-    is H_0 of the big complex minus the pure summands.
+    These are the content blocks c with c[:a] and c[a:] both nonzero, and
+    H_0 of a block is the cokernel of its d_1; the two pure parts are
+    exactly the summand complexes, so this is H_0 of the big complex minus
+    the pure summands.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    big = build_C(n, rank_a + rank_b)
-    weights = [
-        [_split_label(label, rank_a)[0] for label in big.labels(k)]
-        for k in (0, 1)
-    ]
-    mixed = [[pos for pos, w in enumerate(ws) if 0 < w < n] for ws in weights]
-    return la.invariants_of_cokernel(big.d(1)[np.ix_(*mixed)])
+    hom = homology_of("C", n, rank_a + rank_b)
+    return direct_sum(
+        hom.solver(1).block(b.content).cokernel()
+        for b in hom.cx.blocks
+        if any(b.content[:rank_a]) and any(b.content[rank_a:])
+    )
 
 
 def cross_effect_h0_expected(n: int, rank_a: int, rank_b: int) -> GroupInvariants:

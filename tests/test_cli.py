@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -393,27 +392,48 @@ def test_verify_all_deterministic(tmp_path):
     assert set(payload["reports"]) == {"lemma", "h0", "theorem", "relations", "kunneth"}
 
 
+# Runs derham.cli.main with the arguments that follow and writes the child's
+# own peak RSS (VmHWM, in kB) as the last line of stderr.  On Linux the
+# ru_maxrss of a child includes the high-water mark of the process that
+# spawned it, here pytest's.
+_PEAK_RSS_CHILD = """
+import sys
+from derham.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line for line in fh if line.startswith("VmHWM:"))
+sys.stderr.write(peak.split()[1] + "\\n")
+sys.exit(code)
+"""
+
+
+def _run_with_peak_rss(args, stdout):
+    """Run one CLI command in a child: its exit code and its peak RSS in kB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    return proc.returncode, int(proc.stderr.split()[-1])
+
+
 def test_homology_c7_rank6_in_bounded_memory(tmp_path):
     # the largest C^7 the cost guard accepts: built and reduced block by
     # block, it must match the closed form without the dense differentials
     out = tmp_path / "out.json"
     with open(out, "w") as fh:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "derham.cli", "homology", "--family", "C",
-             "--n", "7", "--rank", "6", "--format", "json"],
-            stdout=fh,
-            stderr=subprocess.DEVNULL,
+        code, peak_kb = _run_with_peak_rss(
+            ["homology", "--family", "C", "--n", "7", "--rank", "6", "--format", "json"],
+            fh,
         )
-        # the rusage of this one child: RUSAGE_CHILDREN of a process that
-        # waited for nothing else
-        _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    assert code == 0
     records = json.loads(out.read_text())["records"]
     assert [rec["cell"]["i"] for rec in records] == list(range(8))
     for rec in records:
         expected = closed_form_homology("C", 7, rec["cell"]["i"], 6)
         assert rec["computed"] == expected.as_dict()
-    assert usage.ru_maxrss < 200 * 1024  # kilobytes
+    assert peak_kb < 200 * 1024
 
 
 def test_dump_matrices_c7_rank6_streamed_in_bounded_memory(tmp_path):
@@ -421,21 +441,29 @@ def test_dump_matrices_c7_rank6_streamed_in_bounded_memory(tmp_path):
     # to 1.05e7 cells is built or kept; the files are the ones the dense
     # writer produced (digest recorded from the dense route)
     dump = tmp_path / "mats"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "derham.cli", "homology", "--family", "C",
-         "--n", "7", "--rank", "6", "--format", "json", "--dump-matrices", str(dump)],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+    code, peak_kb = _run_with_peak_rss(
+        ["homology", "--family", "C", "--n", "7", "--rank", "6", "--format", "json",
+         "--dump-matrices", str(dump)],
+        subprocess.DEVNULL,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    assert code == 0
     digest = hashlib.sha256()
     for i in range(1, 8):
         digest.update((dump / f"d_{i}.txt").read_bytes())
     assert digest.hexdigest() == (
         "ef70c4d5f098a165685ae03ca3ab671ae09f3e74e940954d005fbf7f41293b53"
     )
-    assert usage.ru_maxrss < 100 * 1024  # kilobytes
+    assert peak_kb < 100 * 1024
+
+
+def test_verify_h0_rank4_weight12_in_bounded_memory():
+    # H_0 is read off the content blocks of d_1; the dense d_1 and one
+    # integral solve per column peaked at 84 MB
+    code, peak_kb = _run_with_peak_rss(
+        ["verify", "h0", "--max-n", "12", "--rank", "4"], subprocess.PIPE
+    )
+    assert code == 0
+    assert peak_kb < 70 * 1024
 
 
 def test_console_entry_point():
@@ -448,9 +476,7 @@ def test_console_entry_point():
 
 def test_snf_transforms_of_shuffled_differential_pinned(tmp_path, capsys):
     # D, U and V of a matrix with many components, byte for byte: the
-    # digest was recorded before the elimination moved to sparse rows.  It
-    # runs after the subprocess RSS tests above: a child spawned by this
-    # process reports this process's peak RSS as its own ru_maxrss.
+    # digest was recorded before the elimination moved to sparse rows.
     d = build("C", 8, 4).d(2)
     rng = np.random.default_rng(11)
     d = d[rng.permutation(d.shape[0])]

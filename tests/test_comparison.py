@@ -1,7 +1,10 @@
 """The comparison maps: degree-0 structure, higher cycles, counterexample."""
 
+import dataclasses
+
 import pytest
 
+from derham import cli
 from derham import comparison as cmp
 from derham import complexes as cx
 from derham import intlinalg as la
@@ -54,6 +57,87 @@ def test_q_kills_boundaries_range():
     for n in range(2, 9):
         for r in (1, 2):
             assert cmp.q_kills_boundaries(cmp.q_matrix(n, r))
+
+
+def _dense_q_kills_boundaries(q):
+    """The reference: q applied to every column of the assembled dense d_1,
+    one matrix-vector product per column."""
+    d1 = cx.build_C(q.n, q.r).d(1)
+    for j in range(d1.shape[1]):
+        image = la.mat_vec(q.matrix, d1[:, j])
+        if any(int(x) % m for x, m in zip(image, q.target.orders)):
+            return False
+    return True
+
+
+def _with_entry(q, row, col, value):
+    """q with one entry changed."""
+    mat = q.matrix.copy()
+    mat[row, col] = value
+    return dataclasses.replace(q, matrix=mat)
+
+
+def _with_orders(q, orders):
+    """q onto the same generators with other cyclic orders."""
+    return dataclasses.replace(q, target=dataclasses.replace(q.target, orders=orders))
+
+
+def test_q_kills_boundaries_matches_dense_reference():
+    for n in range(2, 13):
+        for r in range(4):
+            q = cmp.q_matrix(n, r)
+            assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
+
+
+def test_q_kills_boundaries_rejects_a_moved_entry():
+    # the monomial x1^[2] x2^[2] goes to the generator of x1 x2 (order 2)
+    # mod 2; moved to that of x2^[2] (order 4), d_1 of x1 (x) x1 x2^[2],
+    # twice x1^[2] x2^[2], maps to 2, not 0 mod 4
+    q = cmp.q_matrix(4, 2)
+    assert q.target.orders == (4, 2, 4)
+    assert q.matrix[:, 2].tolist() == [0, 1, 0]
+    moved = _with_entry(_with_entry(q, 1, 2, 0), 2, 2, 1)
+    assert cmp.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
+    q8 = cmp.q_matrix(8, 2)
+    moved = _with_entry(_with_entry(q8, 3, 6, 0), 4, 6, 1)
+    assert cmp.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
+
+
+def test_h0_iso_rejects_a_doubled_entry():
+    # a multiple of a well-defined map is well defined, but twice the
+    # generator of order 2 misses it: not surjective
+    q = cmp.q_matrix(4, 2)
+    hom = cx.homology_of("C", 4, 2)
+    assert cmp.h0_map_is_iso(q, hom)
+    doubled = _with_entry(q, 1, 2, 2)
+    assert cmp.q_kills_boundaries(doubled) is _dense_q_kills_boundaries(doubled) is True
+    assert not cmp.h0_map_is_iso(doubled, hom)
+
+
+def test_h0_iso_rejects_a_wrong_target_order():
+    q = cmp.q_matrix(4, 2)
+    hom = cx.homology_of("C", 4, 2)
+    # too large: x1^[4] maps to its generator, and d_1 of x1 (x) x1^[3] is
+    # 4 x1^[4], not 0 mod 8
+    larger = _with_orders(q, (8, 2, 4))
+    assert not cmp.q_kills_boundaries(larger)
+    assert not cmp.h0_map_is_iso(larger, hom)
+    # too small: still well defined and onto, but onto a smaller group
+    smaller = _with_orders(q, (4, 1, 4))
+    assert cmp.q_kills_boundaries(smaller)
+    assert not cmp.h0_map_is_iso(smaller, hom)
+
+
+def test_verify_h0_never_assembles_a_dense_differential(monkeypatch, capsys):
+    def refuse(self, i):
+        raise AssertionError(f"dense d_{i} assembled")
+
+    monkeypatch.setattr(cx.ChainComplexZ, "d", refuse)
+    # start from fresh complexes and maps, as a new process would
+    for cache in (cx.build_C, cx.homology_of, cmp.q_matrix):
+        cache.cache_clear()
+    assert cli.main(["verify", "h0"]) == 0
+    assert '"pass":true' in capsys.readouterr().out.replace(" ", "")
 
 
 def test_q_value_merge_instance():

@@ -285,6 +285,24 @@ def test_cross_effect_weight_six():
     assert cx.cross_effect_h0(8, 2, 2) == cx.cross_effect_h0_expected(8, 2, 2)
 
 
+def _dense_cross_effect_h0(n, rank_a, rank_b):
+    """The reference: the cokernel of the dense d_1 restricted to the basis
+    vectors of both weights positive."""
+    big = cx.build_C(n, rank_a + rank_b)
+    weights = [
+        [cx._split_label(label, rank_a)[0] for label in big.labels(k)]
+        for k in (0, 1)
+    ]
+    mixed = [[pos for pos, w in enumerate(ws) if 0 < w < n] for ws in weights]
+    return la.invariants_of_cokernel(big.d(1)[np.ix_(*mixed)])
+
+
+def test_cross_effect_blocks_match_dense_slice():
+    for n in range(2, 7):
+        for a, b in ((1, 1), (1, 2), (2, 2)):
+            assert cx.cross_effect_h0(n, a, b) == _dense_cross_effect_h0(n, a, b)
+
+
 # -- divided powers of elementary groups as cokernels ---------------------------
 
 

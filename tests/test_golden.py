@@ -1,7 +1,8 @@
 """Pinned outputs: the SHA-256 of every d_i in the matrix text format, and
 of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4`, the
-rank-2 table in every format, the JSON homology of C^4(Z^2) and D^4(Z^2)
-and `counterexample f18 --rank 2`.
+rank-2 table in every format, the JSON homology of C^4(Z^2) and D^4(Z^2),
+`counterexample f18 --rank 2`, `verify h0`, `verify relations` and the
+rank-4 JSON table.
 
 The digests in differentials_sha256.json were recorded from the separate
 hand-written loops that built C, D and the Koszul complexes before they
@@ -55,8 +56,10 @@ def test_differentials_match_pinned_digests():
 
 # SHA-256 of stdout.  The first five were recorded while the closed forms
 # were still evaluated on a separate summand-multiset type (the "expected"
-# columns come from them), the last three while the Smith form was still
-# reached through separate transform-free and cached routes.
+# columns come from them), the next three while the Smith form was still
+# reached through separate transform-free and cached routes, and the last
+# three while H_0 was still decided on the dense d_1, one integral solve per
+# column.
 CLI_STDOUT_SHA256 = {
     "verify --all": "40d71ff10d02d4d442c90e12769023523c2bed5e9155f1934f0d55097c4044b1",
     "table --rank 2 --format md": "de77e65d7deaaf42bea5316df590aef53846e27a908bf43a1d0e8f9210ee489d",
@@ -66,6 +69,9 @@ CLI_STDOUT_SHA256 = {
     "homology --family C --n 4 --rank 2 --format json": "2f40cd1570c79fc4407d58e38265f6b82ff07076bb1be6711e0c48502bb52ea0",
     "homology --family D --n 4 --rank 2 --format json": "9b8838f4e95d0d484091203074cd5ed7dac0941f2cc4305b358ceb1700ff6056",
     "counterexample f18 --rank 2": "2e31e9d57a65dcc21d9735f717a4d518d352b725b24bc46d8bf8f8bb4fd4c139",
+    "verify h0": "d9198cb1c6f8467ea72d8f170a3c76f58db1ae4c1b12370c454fcb7240deddb1",
+    "verify relations": "e383f5a7874d47d247c8023f9fb41fb3da3049c3a1c86e507265c3d79eab88e7",
+    "table --rank 4 --format json": "01419e690fa79562d5781b37a13109a1b1e1a7e517666194ebc99967e6307161",
 }
 
 
