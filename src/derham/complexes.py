@@ -18,9 +18,9 @@ monomial.  So every complex is a direct sum of content blocks, one for each
 c with |c| = n, and the builder fills one small integer matrix per (degree,
 c) directly; the block of c is the Koszul complex on (c_j : c_j > 0), with
 at most C(r, r // 2) columns.  d compose d = 0 is asserted block by block at
-construction time.  The dense d_i is assembled from the blocks only when a
-caller asks for it; its nonzero entries alone, in row order, are read off
-the blocks by ``entries``.
+construction time.  Library code reads only the blocks, and the nonzero
+entries of a d_i, in row order, through ``entries``; the dense d_i is
+assembled from them on each call, for tests and demos.
 
 Homology is read off Smith normal forms of the blocks, cached per complex.
 Permuting the coordinates by sigma is a chain automorphism that maps the
@@ -34,7 +34,7 @@ matching rows of their left transforms U send each cycle to its class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from operator import add
@@ -116,7 +116,6 @@ class ChainComplexZ:
     rank: int
     bases: tuple[PairBasis, ...]
     blocks: tuple[Block, ...]
-    _dense: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim(self, i: int) -> int:
         if 0 <= i <= self.n:
@@ -171,15 +170,12 @@ class ChainComplexZ:
 
     def d(self, i: int) -> np.ndarray:
         """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0,
-        assembled from the blocks on first use and kept, for the callers
-        that read a dense d_i: the H_0 map, the Kunneth and cross-effect
-        checks, derived symmetric powers and tests."""
-        if i not in self._dense:
-            rows, cols, values = self.entries(i)
-            mat = la.zeros(self.dim(i - 1), self.dim(i))
-            mat[rows, cols] = np.array(values, dtype=object)
-            self._dense[i] = mat
-        return self._dense[i]
+        assembled from the blocks on every call.  Only tests and demos read
+        a dense d_i; the library reads the blocks and ``entries``."""
+        rows, cols, values = self.entries(i)
+        mat = la.zeros(self.dim(i - 1), self.dim(i))
+        mat[rows, cols] = np.array(values, dtype=object)
+        return mat
 
     def is_cycle(self, i: int, vec: dict[int, int]) -> bool:
         """Whether d_i kills a degree-i vector (position -> coefficient),
@@ -481,35 +477,6 @@ def homology(cx: ChainComplexZ, i: int) -> GroupInvariants:
 # direct sum decomposition of C^n(Z^(a+b)) into tensor products
 
 
-def tensor_complex_labels(a: ChainComplexZ, b: ChainComplexZ, k: int) -> list:
-    """Basis labels of (a (x) b) in degree k, ordered by (k1, left, right)."""
-    return [
-        (k1, l1, l2)
-        for k1 in range(k + 1)
-        for l1 in a.labels(k1)
-        for l2 in b.labels(k - k1)
-    ]
-
-
-def tensor_complex_diff(a: ChainComplexZ, b: ChainComplexZ, k: int) -> np.ndarray:
-    """Differential of (a (x) b): d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
-
-    Column block k1 holds a_k1 (x) b_(k-k1); dx (x) y lands in row block
-    k1 - 1 and x (x) dy in row block k1, so each part is a block sum of
-    Kronecker products (the zero-row d_0 blocks keep the offsets aligned).
-    """
-    along_a = la.block_diag(
-        [np.kron(a.d(k1), la.identity(b.dim(k - k1))) for k1 in range(k + 1)]
-    )
-    along_b = la.block_diag(
-        [
-            (-1) ** k1 * np.kron(la.identity(a.dim(k1)), b.d(k - k1))
-            for k1 in range(k + 1)
-        ]
-    )
-    return along_a + along_b
-
-
 def _split_label(label, rank_a: int):
     """Split a C^n(Z^(a+b)) basis label into first/second block labels."""
     wedge, exps = label
@@ -522,32 +489,56 @@ def _split_label(label, rank_a: int):
     return weight_a, (k1, (w_a, e_a), (w_b, e_b))
 
 
+def _tensor_entries(a: ChainComplexZ, b: ChainComplexZ, k: int) -> dict:
+    """The nonzero entries of the degree-k differential of a (x) b,
+    d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, keyed by (row, column)
+    labels (k1, left, right).  dx (x) y lowers k1 and x (x) dy keeps it, so
+    the two parts never share an entry."""
+    out = {}
+    for k1 in range(k + 1):
+        k2 = k - k1
+        rows_a, cols_a, left = a.labels(k1 - 1), a.labels(k1), b.labels(k2)
+        for r, c, x in zip(*a.entries(k1)):
+            for y in left:
+                out[(k1 - 1, rows_a[r], y), (k1, cols_a[c], y)] = x
+        rows_b, cols_b, sign = b.labels(k2 - 1), b.labels(k2), (-1) ** k1
+        for r, c, x in zip(*b.entries(k2)):
+            for y in cols_a:
+                out[(k1, y, rows_b[r]), (k1, y, cols_b[c])] = sign * x
+    return out
+
+
 def block_decomposition_matches(n: int, rank_a: int, rank_b: int) -> bool:
     """Entry-for-entry check of C^n(Z^(a+b)) against its weight blocks.
 
-    Ordering each degree's basis by the weight i carried on the first
-    rank_a generators, then by the tensor labels, must turn every d_k into
-    the block sum over i of the differentials of C^i(Z^a) (x) C^(n-i)(Z^b).
+    Splitting each basis label by the generators among the first rank_a
+    must map the degree-k labels one-to-one onto those of the sum over i of
+    C^i(Z^a) (x) C^(n-i)(Z^b), and carry the nonzero entries of every d_k
+    onto those of the tensor differentials.
     """
     big = build_C(n, rank_a + rank_b)
     pairs = [(build_C(i, rank_a), build_C(n - i, rank_b)) for i in range(n + 1)]
-    order = []
+    position = []  # per degree: split label -> position in big
     for k in range(n + 1):
-        position = {
-            _split_label(label, rank_a): pos
-            for pos, label in enumerate(big.labels(k))
-        }
-        perm = [
-            position.get((i, label), -1)
+        split = {_split_label(label, rank_a): pos for pos, label in enumerate(big.labels(k))}
+        tensor_labels = {
+            (i, (k1, l1, l2))
             for i, (a, b) in enumerate(pairs)
-            for label in tensor_complex_labels(a, b, k)
-        ]
-        if sorted(perm) != list(range(big.dim(k))):
+            for k1 in range(k + 1)
+            for l1 in a.labels(k1)
+            for l2 in b.labels(k - k1)
+        }
+        if len(split) != big.dim(k) or split.keys() != tensor_labels:
             return False
-        order.append(perm)
+        position.append(split)
     for k in range(1, n + 1):
-        expect = la.block_diag([tensor_complex_diff(a, b, k) for a, b in pairs])
-        if not la.is_zero(big.d(k)[np.ix_(order[k - 1], order[k])] - expect):
+        expect = {
+            (position[k - 1][i, row], position[k][i, col]): x
+            for i, (a, b) in enumerate(pairs)
+            for (row, col), x in _tensor_entries(a, b, k).items()
+        }
+        rows, cols, values = big.entries(k)
+        if dict(zip(zip(rows, cols), values)) != expect:
             return False
     return True
 

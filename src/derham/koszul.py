@@ -60,17 +60,23 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
     For i = n - 1 the incoming term is zero (negative symmetric degree), so
     the group is the whole wedge^n - the top derived functor is a plain
     wedge power.
+
+    The representatives are the positions outside the pivot rows of every
+    content block's echelon form, sorted: a row is a pivot of the whole
+    map's column echelon form exactly when it is one of its block's.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if not 0 <= i <= n - 1:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
     cpx = build_koszul(n, r, p)
-    kappa = cpx.d(i + 2)
-    labels = cpx.bases[i + 1].labels()
-    reps = la.fp_cokernel_basis(kappa, p)
-    rep_labels = tuple(labels[int(np.nonzero(v)[0][0])] for v in reps)
-    return DerivedSpGroup(i, n, p, r, len(reps), rep_labels)
+    reps = sorted(
+        b.at(i + 1)[int(np.nonzero(v)[0][0])]
+        for b in cpx.blocks
+        for v in la.fp_cokernel_basis(b.d(i + 2), p)
+    )
+    labels = cpx.labels(i + 1)
+    return DerivedSpGroup(i, n, p, r, len(reps), tuple(labels[pos] for pos in reps))
 
 
 def derived_sp_dimension(i: int, n: int, p: int, r: int) -> int:

@@ -8,6 +8,7 @@ from derham import cli
 from derham import comparison as cmp
 from derham import complexes as cx
 from derham import intlinalg as la
+from derham import koszul as kz
 from derham.bases import enumerate_basis, to_dense
 from derham.intlinalg import GroupInvariants
 
@@ -128,16 +129,30 @@ def test_h0_iso_rejects_a_wrong_target_order():
     assert not cmp.h0_map_is_iso(smaller, hom)
 
 
-def test_verify_h0_never_assembles_a_dense_differential(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --all",
+        "verify h0",
+        "verify theorem --rank 4",
+        "table --rank 4",
+        "derived-sp --i 1 --n 6 --p 2 --rank 4",
+        "counterexample f18 --rank 2",
+        "homology --family C --n 5 --rank 3 --dump-matrices DIR",
+    ],
+)
+def test_no_command_assembles_a_dense_differential(monkeypatch, capsys, tmp_path, command):
     def refuse(self, i):
         raise AssertionError(f"dense d_{i} assembled")
 
     monkeypatch.setattr(cx.ChainComplexZ, "d", refuse)
     # start from fresh complexes and maps, as a new process would
-    for cache in (cx.build_C, cx.homology_of, cmp.q_matrix):
+    caches = (cx.build_C, cx.build_D, cx.homology_of, cmp.q_matrix, cmp.theorem_block)
+    for cache in caches + (kz.build_koszul, kz.derived_sp):
         cache.cache_clear()
-    assert cli.main(["verify", "h0"]) == 0
-    assert '"pass":true' in capsys.readouterr().out.replace(" ", "")
+    argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_q_value_merge_instance():

@@ -1,6 +1,9 @@
 """Complex construction, homology, decomposition and Kunneth checks."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from derham import abelian as ab
 from derham import complexes as cx
@@ -208,7 +211,6 @@ def test_dense_differential_is_the_block_sum():
                 if b.at(i - 1) and b.at(i):
                     rebuilt[np.ix_(b.at(i - 1), b.at(i))] = b.d(i)
             assert (d == rebuilt).all()
-            assert c.d(i) is d
             # is_cycle applies the blocks; a column of d_i is a cycle of
             # d_(i-1), a basis vector usually is not
             for k in range(d.shape[1]):
@@ -248,6 +250,79 @@ def test_block_decomposition_small():
     assert cx.block_decomposition_matches(3, 2, 1)
     assert cx.block_decomposition_matches(4, 2, 2)
     assert cx.block_decomposition_matches(6, 1, 2)
+
+
+def _tensor_labels(a, b, k):
+    return [(k1, l1, l2) for k1 in range(k + 1) for l1 in a.labels(k1) for l2 in b.labels(k - k1)]
+
+
+def _tensor_diff(a, b, k):
+    """d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy as Kronecker block sums:
+    column block k1 holds a_k1 (x) b_(k-k1); dx (x) y lands in row block
+    k1 - 1 and x (x) dy in row block k1 (the zero-row d_0 blocks keep the
+    offsets aligned)."""
+    along_a = la.block_diag(
+        [np.kron(a.d(k1), la.identity(b.dim(k - k1))) for k1 in range(k + 1)]
+    )
+    along_b = la.block_diag(
+        [(-1) ** k1 * np.kron(la.identity(a.dim(k1)), b.d(k - k1)) for k1 in range(k + 1)]
+    )
+    return along_a + along_b
+
+
+def _dense_block_decomposition_matches(n, rank_a, rank_b):
+    """The reference: permute each dense d_k of C^n(Z^(a+b)) into the
+    weight order and compare it with the block sum of the dense tensor
+    differentials."""
+    big = cx.build_C(n, rank_a + rank_b)
+    pairs = [(cx.build_C(i, rank_a), cx.build_C(n - i, rank_b)) for i in range(n + 1)]
+    order = []
+    for k in range(n + 1):
+        position = {cx._split_label(label, rank_a): pos for pos, label in enumerate(big.labels(k))}
+        perm = [
+            position.get((i, label), -1)
+            for i, (a, b) in enumerate(pairs)
+            for label in _tensor_labels(a, b, k)
+        ]
+        if sorted(perm) != list(range(big.dim(k))):
+            return False
+        order.append(perm)
+    for k in range(1, n + 1):
+        expect = la.block_diag([_tensor_diff(a, b, k) for a, b in pairs])
+        if not la.is_zero(big.d(k)[np.ix_(order[k - 1], order[k])] - expect):
+            return False
+    return True
+
+
+def test_block_decomposition_matches_the_dense_kronecker_route():
+    cells = [(2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1), (3, 1, 2), (4, 1, 2), (3, 2, 1)]
+    cells += [(4, 2, 2), (6, 1, 2), (6, 2, 2), (7, 2, 3)]
+    for cell in cells:
+        assert cx.block_decomposition_matches(*cell) is True, cell
+        assert _dense_block_decomposition_matches(*cell) is True, cell
+
+
+def _with_one_entry(c, change):
+    """C with the first nonzero entry of d_1, in the first block that has
+    one, replaced by change(entry)."""
+    for k, b in enumerate(c.blocks):
+        d = b.d(1)
+        if d.any():
+            d = d.copy()
+            row, col = (int(x[0]) for x in np.nonzero(d))
+            d[row, col] = change(d[row, col])
+            block = dataclasses.replace(b, diffs=(d,) + b.diffs[1:])
+            return dataclasses.replace(c, blocks=c.blocks[:k] + (block,) + c.blocks[k + 1 :])
+    raise AssertionError("no nonzero entry")
+
+
+@pytest.mark.parametrize("change", [lambda x: -x, lambda x: 2 * x], ids=["sign", "doubled"])
+def test_block_decomposition_refuses_a_changed_entry(monkeypatch, change):
+    build_C = cx.build_C
+    broken = _with_one_entry(build_C(4, 3), change)
+    monkeypatch.setattr(cx, "build_C", lambda n, r: broken if (n, r) == (4, 3) else build_C(n, r))
+    assert cx.block_decomposition_matches(4, 1, 2) is False
+    assert _dense_block_decomposition_matches(4, 1, 2) is False
 
 
 def test_kunneth_weight_two():

@@ -1,8 +1,8 @@
 """Pinned outputs: the SHA-256 of every d_i in the matrix text format, and
 of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4`, the
 rank-2 table in every format, the JSON homology of C^4(Z^2) and D^4(Z^2),
-`counterexample f18 --rank 2`, `verify h0`, `verify relations` and the
-rank-4 JSON table.
+`counterexample f18 --rank 2`, `verify h0`, `verify relations`, the
+rank-4 JSON table, three `derived-sp` cells and `verify theorem --rank 4`.
 
 The digests in differentials_sha256.json were recorded from the separate
 hand-written loops that built C, D and the Koszul complexes before they
@@ -57,9 +57,10 @@ def test_differentials_match_pinned_digests():
 # SHA-256 of stdout.  The first five were recorded while the closed forms
 # were still evaluated on a separate summand-multiset type (the "expected"
 # columns come from them), the next three while the Smith form was still
-# reached through separate transform-free and cached routes, and the last
-# three while H_0 was still decided on the dense d_1, one integral solve per
-# column.
+# reached through separate transform-free and cached routes, the next three
+# while H_0 was still decided on the dense d_1, one integral solve per
+# column, and the last four while derived_sp still read the cokernel basis
+# of the whole dense d_(i+2) mod p.
 CLI_STDOUT_SHA256 = {
     "verify --all": "40d71ff10d02d4d442c90e12769023523c2bed5e9155f1934f0d55097c4044b1",
     "table --rank 2 --format md": "de77e65d7deaaf42bea5316df590aef53846e27a908bf43a1d0e8f9210ee489d",
@@ -72,6 +73,10 @@ CLI_STDOUT_SHA256 = {
     "verify h0": "d9198cb1c6f8467ea72d8f170a3c76f58db1ae4c1b12370c454fcb7240deddb1",
     "verify relations": "e383f5a7874d47d247c8023f9fb41fb3da3049c3a1c86e507265c3d79eab88e7",
     "table --rank 4 --format json": "01419e690fa79562d5781b37a13109a1b1e1a7e517666194ebc99967e6307161",
+    "derived-sp --i 1 --n 3 --p 2 --rank 2": "7af785f0ec712ac84e186b3a979c191ee87d3f908497a5eb4d32a2435e817fab",
+    "derived-sp --i 1 --n 6 --p 2 --rank 4": "4944f7086385f1565a5308c5ae6ba2a12cfb7156e1154a23b3f1d61eb0030799",
+    "derived-sp --i 2 --n 5 --p 3 --rank 3": "25f33480abcbb0228463b2ad37959690d82a8cdbe850555f00f65612ab4162ae",
+    "verify theorem --rank 4": "4ce1ac9592ceba5c142ce7931d5db967c7ca069a11385cd658e08384c30b982e",
 }
 
 

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from derham import koszul as kz
@@ -52,6 +53,21 @@ def test_derived_sp_top_dimension_is_wedge():
         for n in range(1, 5):
             for r in range(5):
                 assert kz.derived_sp(n - 1, n, p, r).dimension == comb(r, n)
+
+
+def test_derived_sp_representatives_match_the_dense_cokernel_basis():
+    # the reference: the cokernel basis of the whole d_(i+2) mod p
+    for p in (2, 3, 5):
+        for n in range(1, 7):
+            for r in range(5):
+                cpx = kz.build_koszul(n, r, p)
+                for i in range(n):
+                    labels = cpx.labels(i + 1)
+                    dense = la.fp_cokernel_basis(cpx.d(i + 2), p)
+                    want = tuple(labels[int(np.nonzero(v)[0][0])] for v in dense)
+                    got = kz.derived_sp(i, n, p, r)
+                    assert got.representatives == want, (i, n, p, r)
+                    assert got.dimension == len(want)
 
 
 def test_derived_sp_degree_out_of_range():
