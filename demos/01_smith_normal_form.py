@@ -31,22 +31,22 @@ print("H_0 of C^2(Z):", hom.invariants(0))
 
 # The same group as Z/m_1 + ... + Z/m_k, read off the Smith form of d_1:
 # the m_k are its invariant factors other than 1, and the matching rows of
-# U send each cycle to its class.
-pres, classes = hom.presentation(0)
-print("presentation: generators =", pres.gens, "invariants =", pres.invariants())
-orders = [int(pres.relations[k, k]) for k in range(pres.gens)]
+# U, each on the positions of its content block, send each cycle to its
+# class.
+orders, classes = hom.presentation(0)
+print("presentation: orders =", list(orders), "invariants =", la.GroupInvariants(0, orders))
 for j in range(hom.cx.dim(0)):
-    cls = [int(x) % m for x, m in zip(classes[:, j], orders)]
-    print(f"class of basis vector {j} of C_0: {cls} mod {orders}")
+    cls = [int(dict(zip(pos, row)).get(j, 0)) % m for (pos, row), m in zip(classes, orders)]
+    print(f"class of basis vector {j} of C_0: {cls} mod {list(orders)}")
 
 # Exact coordinates inside a sublattice, from one Smith decomposition.
 solver = la.LinearSolver(la.intmat([[2], [4]]))
 print("\n(6,12) in the lattice spanned by (2,4):", list(solver.solve([6, 12])))
 print("cokernel of (2,4):", solver.cokernel())
 
-# Finite presented groups can be compared through explicit maps.
+# A map from a finite presented group onto a sum of cyclic groups, given
+# by their orders, is decided from the relations and one Smith reduction.
 z6 = la.PresentedGroup(1, la.intmat([[6]]))
-z2_z3 = la.PresentedGroup(2, la.intmat([[2, 0], [0, 3]]))
 f = la.intmat([[1], [1]])
 print("Z/6 -> Z/2 + Z/3 by g -> (1,1) is an isomorphism:",
-      la.presented_map_is_iso(f, z6, z2_z3))
+      la.presented_map_is_iso(f, z6, [2, 3]))

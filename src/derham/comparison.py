@@ -11,11 +11,13 @@ Three verification layers:
 * the weight-8 map in degree 1, where the identification breaks because the
   homology acquires 4-torsion while the source has exponent 2.
 
-Everything is checked with exact integer linear algebra: cycles are literal
-kernel vectors, and for the higher maps boundary membership is an integral
-solve and isomorphism is decided on finite presentations.  The degree-0
-map is checked on the content blocks: every column of d_1 is sent to 0
-modulo the target orders, and H_0 is the sum of the blocks' cokernels.
+Everything is checked with exact integer linear algebra.  Every map lands
+in a finite sum of cyclic groups, given by its orders (those of H_i, or of
+``h0_target``), and is decided against them.  Cycles stay sparse vectors:
+a class is read off the rows of U of the content block that holds the
+cycle, and boundary membership is an integral solve on that block.  For
+the degree-0 map every column of d_1 is sent to 0 modulo the orders, and
+H_0 is read off one block per S_r orbit of content vectors.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from operator import add, mod
 import numpy as np
 
 from . import intlinalg as la
-from .abelian import direct_sum, monomial_order_mod_p, prime_divisors
+from .abelian import monomial_order_mod_p, prime_divisors
 from .bases import (
     DegreeMismatchError,
     Vector,
     basis_index,
     divided_product,
     enumerate_basis,
-    to_dense,
     unit_terms,
     vec_add,
     wedge_normalize,
@@ -60,9 +61,6 @@ class H0Target:
     generators: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, monomial)
     orders: tuple[int, ...]
     rows: dict = field(repr=False, compare=False)  # (prime, monomial) -> row
-
-    def presented_group(self) -> PresentedGroup:
-        return PresentedGroup.cyclic_sum(self.orders)
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
         return tuple(map(mod, vec, self.orders))
@@ -131,16 +129,16 @@ def q_kills_boundaries(q: QMap) -> bool:
 
 def h0_map_is_iso(q: QMap, hom: ComplexHomology) -> bool:
     """Whether q induces an isomorphism from H_0 of hom's complex onto the
-    target: a well-defined surjection between isomorphic finite groups.
+    target, the sum of cyclic groups of the target orders: a well-defined
+    surjection between isomorphic finite groups.
 
-    d_0 = 0, so H_0 is the cokernel of d_1, the sum of the cokernels of
-    every content block of d_1; surjectivity is one Smith reduction of
-    [q | diag(orders)]."""
-    source = direct_sum(hom.solver(1).block(b.content).cokernel() for b in hom.cx.blocks)
-    relations = q.target.presented_group().relations
-    surjective = la.invariants_of_cokernel(la.hstack([q.matrix, relations])).is_trivial
-    target = GroupInvariants(0, q.target.orders)
-    return la.MapFacts(q_kills_boundaries(q), surjective, target).iso(source)
+    The source is ``hom.invariants(0)``, read off one block of d_0 and d_1
+    per S_r orbit of content vectors; surjectivity is one Smith reduction
+    of [q | diag(orders)]."""
+    orders = q.target.orders
+    surjective = la.onto_cyclic_sum(q.matrix, orders)
+    target = GroupInvariants(0, orders)
+    return la.MapFacts(q_kills_boundaries(q), surjective, target).iso(hom.invariants(0))
 
 
 def verify_h0_iso(n: int, r: int) -> bool:
@@ -364,18 +362,24 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
     """Assemble the matrix of one prime's comparison map in degree i.
 
     Each generator's cycle, checked to be a cycle by ``eta``, is sent to
-    its class in the homology presentation.
+    its class in the homology presentation: class k is the row of U in
+    classes[k] applied to the cycle's entries at that block's positions.
     """
     if n % p or not 1 <= i <= n // p - 1:
         raise DegreeMismatchError(f"no comparison for i={i}, n={n}, p={p}")
     pres = generator_presentation(i, n // p, p, r)
-    hom = homology_of("C", n, r)
-    target_pres, classes = hom.presentation(i)
-    mat = la.zeros(target_pres.gens, len(pres.generators))
+    orders, classes = homology_of("C", n, r).presentation(i)
+    hits: dict[int, list[tuple[int, int]]] = {}  # position -> (class, U entry)
+    for k, (positions, row) in enumerate(classes):
+        for pos, u in zip(positions, row.tolist()):
+            if u:
+                hits.setdefault(pos, []).append((k, u))
+    mat = la.zeros(len(orders), len(pres.generators))
     for col, label in enumerate(pres.generators):
         lifts = _generator_lifts(label, n // p, i)
-        cycle = eta(i, p, n, lifts, r)
-        mat[:, col] = la.mat_vec(classes, to_dense(cycle, hom.cx.dim(i)))
+        for pos, c in eta(i, p, n, lifts, r).items():
+            for k, u in hits.get(pos, ()):
+                mat[k, col] += c * u
     relations = la.hstack(
         [p * la.identity(len(pres.generators)), pres.relations]
     )
@@ -384,12 +388,11 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
 
 
 def f_matrix(i: int, n: int, p: int, r: int) -> np.ndarray:
-    """Matrix of the degree-i comparison for one prime, with its source
-    relations checked to land in the homology relations."""
+    """Matrix of the degree-i comparison for one prime, with every source
+    relation checked to go to 0 modulo the cyclic orders of H_i."""
     block = theorem_block(i, n, p, r)
-    hom = homology_of("C", n, r)
-    target_pres, _ = hom.presentation(i)
-    facts = la.presented_map_facts(block.matrix, block.source, target_pres)
+    orders, _ = homology_of("C", n, r).presentation(i)
+    facts = la.presented_map_facts(block.matrix, block.source, orders)
     if not facts.well_defined:
         raise la.NotWellDefinedError(
             f"comparison relations not boundaries at i={i}, n={n}, p={p}"
@@ -402,14 +405,14 @@ def assemble_comparison(i: int, n: int, r: int) -> tuple[np.ndarray, PresentedGr
 
     Primes p with no degree-i source (i > n/p - 1) contribute no block.
     """
-    target_pres, _ = homology_of("C", n, r).presentation(i)
+    orders, _ = homology_of("C", n, r).presentation(i)
     blocks = [
         theorem_block(i, n, p, r)
         for p in prime_divisors(n)
         if 1 <= i <= n // p - 1
     ]
     relations = la.block_diag([b.source.relations for b in blocks])
-    mat = la.hstack([la.zeros(target_pres.gens, 0)] + [b.matrix for b in blocks])
+    mat = la.hstack([la.zeros(len(orders), 0)] + [b.matrix for b in blocks])
     return mat, PresentedGroup(relations.shape[0], relations)
 
 
@@ -417,10 +420,9 @@ def verify_theorem(i: int, n: int, r: int) -> bool:
     """The assembled comparison is an isomorphism onto the degree-i homology."""
     if not (1 <= i and 2 <= n):
         raise ValueError("need i >= 1 and n >= 2")
-    hom = homology_of("C", n, r)
-    target_pres, _ = hom.presentation(i)
+    orders, _ = homology_of("C", n, r).presentation(i)
     mat, source = assemble_comparison(i, n, r)
-    return la.presented_map_is_iso(mat, source, target_pres)
+    return la.presented_map_is_iso(mat, source, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +460,7 @@ def verify_f_welldefined(i: int, n: int, p: int, r: int) -> dict:
     boundary-membership fallback that is never expected to trigger).
     """
     block = theorem_block(i, n, p, r)
-    hom = homology_of("C", n, r)
-    boundaries = hom.boundary_solver(i)
+    boundaries = homology_of("C", n, r).solver(i + 1)
     m = n // p
     report = {
         "cell": {"i": i, "n": n, "p": p, "rank": r},
@@ -474,7 +475,7 @@ def verify_f_welldefined(i: int, n: int, p: int, r: int) -> dict:
             vectors[slot] = tuple(p * c for c in vectors[slot])
             scaled = eta_vector(i, p, n, vectors, r)
             report["scalings"]["checked"] += 1
-            if boundaries.contains(to_dense(scaled, hom.cx.dim(i))):
+            if boundaries.contains(scaled):
                 report["scalings"]["boundary"] += 1
             else:
                 report["scalings"]["failures"].append((label, slot))
@@ -486,7 +487,7 @@ def verify_f_welldefined(i: int, n: int, p: int, r: int) -> dict:
             report["jacobi"]["checked"] += 1
             if not image:
                 report["jacobi"]["zero"] += 1
-            elif boundaries.contains(to_dense(image, hom.cx.dim(i))):
+            elif boundaries.contains(image):
                 report["jacobi"]["boundary"] += 1
             else:
                 report["jacobi"]["failures"].append((xs, tail))
@@ -499,8 +500,7 @@ def verify_f_welldefined(i: int, n: int, p: int, r: int) -> dict:
 def lift_change_in_boundaries(i: int, n: int, p: int, r: int) -> bool:
     """Replacing a lift x_k by x_k + p*x_m moves the cycle by a boundary."""
     block = theorem_block(i, n, p, r)
-    hom = homology_of("C", n, r)
-    boundaries = hom.boundary_solver(i)
+    boundaries = homology_of("C", n, r).solver(i + 1)
     m = n // p
     for label in block.generator_labels:
         lifts = _generator_lifts(label, m, i)
@@ -516,7 +516,7 @@ def lift_change_in_boundaries(i: int, n: int, p: int, r: int) -> bool:
                 diff = dict(shifted)
                 for pos, c in base.items():
                     vec_add(diff, pos, -c)
-                if not boundaries.contains(to_dense(diff, hom.cx.dim(i))):
+                if not boundaries.contains(diff):
                     return False
     return True
 
@@ -533,8 +533,8 @@ def f18_counterexample(r: int) -> dict:
     hom = homology_of("C", 8, r)
     target_inv = hom.invariants(1)
     block = theorem_block(1, 8, 2, r)
-    target_pres, _ = hom.presentation(1)
-    facts = la.presented_map_facts(block.matrix, block.source, target_pres)
+    orders, _ = hom.presentation(1)
+    facts = la.presented_map_facts(block.matrix, block.source, orders)
     source_inv = block.source.invariants()
     exponent = 1 if source_inv.is_trivial else max(source_inv.torsion)
     return {

@@ -55,7 +55,7 @@ from .bases import (
     wedge_delete,
     wedge_insert,
 )
-from .intlinalg import GroupInvariants, PresentedGroup
+from .intlinalg import GroupInvariants
 
 
 @dataclass(frozen=True)
@@ -370,20 +370,19 @@ class DifferentialSolver:
         """Invariants of Z^rows / (column span of d_i)."""
         return GroupInvariants(self.cx.dim(self.i - 1) - self.rank, self.torsion)
 
-    def solve(self, v) -> np.ndarray:
-        """Return x with d_i @ x = v, block by block, or raise
+    def solve(self, v: dict[int, int]) -> dict[int, int]:
+        """Return x with d_i x = v, both {position: coefficient}, solving
+        only on the blocks that hold v's positions, or raise
         NotInLatticeError."""
-        v = np.asarray(v, dtype=object)
-        if len(v) != self.cx.dim(self.i - 1):
-            raise ValueError("vector length does not match matrix rows")
-        x = np.zeros(self.cx.dim(self.i), dtype=object)
-        touched = np.nonzero(v != 0)[0].tolist()
-        for b in self.cx.blocks_holding(self.i - 1, touched):
-            solver = self.block(b.content)
-            x[list(b.at(self.i))] = solver.solve(v[list(b.at(self.i - 1))])
+        if not all(0 <= pos < self.cx.dim(self.i - 1) for pos in v):
+            raise ValueError("vector position outside the rows of d_i")
+        x = {}
+        for b in self.cx.blocks_holding(self.i - 1, v):
+            coeffs = self.block(b.content).solve([v.get(pos, 0) for pos in b.at(self.i - 1)])
+            x.update((pos, c) for pos, c in zip(b.at(self.i), coeffs.tolist()) if c)
         return x
 
-    def contains(self, v) -> bool:
+    def contains(self, v: dict[int, int]) -> bool:
         try:
             self.solve(v)
             return True
@@ -398,17 +397,13 @@ class ComplexHomology:
     def __init__(self, cx: ChainComplexZ):
         self.cx = cx
         self._solver: dict[int, DifferentialSolver] = {}
-        self._presentation: dict[int, tuple[PresentedGroup, np.ndarray]] = {}
+        self._presentation: dict[int, tuple] = {}
 
     def solver(self, i: int) -> DifferentialSolver:
         """The block Smith decompositions of d_i, kept for reuse."""
         if i not in self._solver:
             self._solver[i] = DifferentialSolver(self.cx, i)
         return self._solver[i]
-
-    def boundary_solver(self, i: int) -> DifferentialSolver:
-        """Solver for membership in the image of d_{i+1} inside degree i."""
-        return self.solver(i + 1)
 
     def invariants(self, i: int) -> GroupInvariants:
         """Degree-i homology along the direct route (no presentation).
@@ -423,9 +418,10 @@ class ComplexHomology:
         boundaries = self.solver(i + 1)
         return GroupInvariants(nullity - boundaries.rank, boundaries.torsion)
 
-    def presentation(self, i: int) -> tuple[PresentedGroup, np.ndarray]:
-        """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and the
-        matrix that sends a cycle to its class.
+    def presentation(self, i: int) -> tuple[tuple[int, ...], tuple]:
+        """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and how a
+        cycle is sent to its class: the orders m_k, and classes[k], the
+        degree-i positions of a block with a row of that block's U.
 
         H_i is the sum over content blocks.  In a block, with U d_{i+1} V = D,
         d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first rank columns of U^-1
@@ -433,8 +429,8 @@ class ComplexHomology:
         rank(d_{i+1}) (then also in every block) that saturation is every
         cycle: a cycle z has class (U z_c)_k mod D_kk, where z_c is its
         block-c part.  The m_k are the diagonal entries other than 0 and 1 of
-        the blocks, and the class matrix is the matching rows of their U,
-        scattered into rows of width dim(i).  A free part raises
+        the blocks, and classes[k] pairs the block's positions with the
+        matching row of its U.  A free part raises
         InfiniteGroupUnsupportedError.
         """
         if i not in self._presentation:
@@ -446,20 +442,15 @@ class ComplexHomology:
             with_torsion = {
                 rep for rep in self.cx.orbits if any(m > 1 for m in boundaries.block(rep).diag)
             }
-            summands = []  # (order, positions of degree i, row of the block U)
+            orders, classes = [], []
             for b in self.cx.blocks:
                 if b.orbit in with_torsion:
                     solver = boundaries.block(b.content)
-                    summands.extend(
-                        (m, b.at(i), solver.snf.U[k])
-                        for k, m in enumerate(solver.diag)
-                        if m > 1
-                    )
-            classes = la.zeros(len(summands), self.cx.dim(i))
-            for k, (_, cols, row) in enumerate(summands):
-                classes[k, list(cols)] = row
-            group = PresentedGroup.cyclic_sum([m for m, _, _ in summands])
-            self._presentation[i] = (group, classes)
+                    for k, m in enumerate(solver.diag):
+                        if m > 1:
+                            orders.append(m)
+                            classes.append((b.at(i), solver.snf.U[k]))
+            self._presentation[i] = (tuple(orders), tuple(classes))
         return self._presentation[i]
 
 

@@ -6,7 +6,11 @@ bound.  No floating point is used anywhere.
 
 The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
-group presentations and the maps between them) reduces to it.  The
+group presentations) reduces to it.  A map from a presented group into a
+finite sum of cyclic groups takes the target as its list of orders: it is
+well defined when row k of f times the source relations is divisible by
+m_k, onto when one Smith reduction of [f | diag(orders)] has a trivial
+cokernel, and the target's invariants are the orders themselves.  The
 reduction runs on each connected component of a matrix's nonzero pattern
 separately, by elimination on sparse {column: value} rows with V kept
 transposed, step for step as the dense elimination the tests keep as the
@@ -500,24 +504,8 @@ class PresentedGroup:
             raise ValueError("relation matrix must have one row per generator")
         object.__setattr__(self, "relations", rel)
 
-    @classmethod
-    def cyclic_sum(cls, orders: Sequence[int]) -> PresentedGroup:
-        """Z/m_1 + ... + Z/m_k, with diag(m_1, ..., m_k) as relations."""
-        rel = zeros(len(orders), len(orders))
-        for k, m in enumerate(orders):
-            rel[k, k] = m
-        return cls(len(orders), rel)
-
-    def solver(self) -> LinearSolver:
-        """A Smith decomposition of the relation matrix as it stands.
-
-        The solver is built afresh on each call: kept on the group, it
-        would hold U and V for as long as the group lives.
-        """
-        return LinearSolver(self.relations)
-
     def invariants(self) -> GroupInvariants:
-        return self.solver().cokernel()
+        return LinearSolver(self.relations).cokernel()
 
 
 def invariants_of_cokernel(m) -> GroupInvariants:
@@ -526,8 +514,16 @@ def invariants_of_cokernel(m) -> GroupInvariants:
     return PresentedGroup(a.shape[0], a).invariants()
 
 
+def onto_cyclic_sum(f, orders: Sequence[int]) -> bool:
+    """Whether f (columns in Z^k) hits every generator of Z/m_1 + ... + Z/m_k:
+    one Smith reduction of [f | diag(m_1, ..., m_k)]."""
+    relations = np.diag(np.array(orders, dtype=object))
+    return invariants_of_cokernel(hstack([f, relations])).is_trivial
+
+
 class MapFacts(NamedTuple):
-    """What a generator matrix induces between two presented groups."""
+    """What a generator matrix induces from a presented group to a finite
+    sum of cyclic groups."""
 
     well_defined: bool
     surjective: bool
@@ -539,32 +535,39 @@ class MapFacts(NamedTuple):
         return self.well_defined and self.surjective and source == self.target
 
 
-def presented_map_facts(f, source: PresentedGroup, target: PresentedGroup) -> MapFacts:
-    """Whether f (source generators to target generators) sends every
-    source relation into the target relation span, whether it hits every
-    target generator modulo the target relations, and the target's
-    invariants, all from one reduction of the target relations."""
+def presented_map_facts(f, source: PresentedGroup, orders: Sequence[int]) -> MapFacts:
+    """What f (source generators to the generators of Z/m_1 + ... + Z/m_k,
+    m_k = orders[k]) induces: whether it sends every source relation to 0,
+    that is, whether row k of f times the relations is divisible by m_k;
+    whether it is onto; and the target's invariants.
+
+    An order of 0 (Z) raises InfiniteGroupUnsupportedError and a negative
+    one ValueError, before anything is reduced."""
+    orders = [int(m) for m in orders]
+    if any(m < 0 for m in orders):
+        raise ValueError(f"cyclic orders must be nonnegative: {orders}")
+    if 0 in orders:
+        raise InfiniteGroupUnsupportedError("both groups must be finite")
     f = as_intmat(f)
-    if f.shape != (target.gens, source.gens):
-        raise ValueError("map shape does not match the presentations")
-    solver = target.solver()
-    mapped = mat_mul(f, source.relations)
-    well_defined = all(solver.contains(mapped[:, j]) for j in range(mapped.shape[1]))
-    surjective = invariants_of_cokernel(hstack([f, target.relations])).is_trivial
-    return MapFacts(well_defined, surjective, solver.cokernel())
+    if f.shape != (len(orders), source.gens):
+        raise ValueError("map shape does not match the source and the orders")
+    mapped = mat_mul(f, source.relations).tolist()
+    well_defined = all(x % m == 0 for row, m in zip(mapped, orders) for x in row)
+    return MapFacts(well_defined, onto_cyclic_sum(f, orders), GroupInvariants(0, orders))
 
 
-def presented_map_is_iso(f, source: PresentedGroup, target: PresentedGroup) -> bool:
-    """Decide whether f induces an isomorphism of finite presented groups.
+def presented_map_is_iso(f, source: PresentedGroup, orders: Sequence[int]) -> bool:
+    """Decide whether f induces an isomorphism from a finite presented group
+    onto Z/m_1 + ... + Z/m_k, given as its orders.
 
     f maps source generators to target generators.  Both groups must be
-    finite, which is checked first.  Well-definedness (every source
-    relation lands in the target relation span) is a precondition and
-    raises NotWellDefinedError when violated.
+    finite, which raises InfiniteGroupUnsupportedError.  Well-definedness
+    (every source relation sent to 0) is a precondition and raises
+    NotWellDefinedError when violated.
     """
+    facts = presented_map_facts(f, source, orders)
     src_inv = source.invariants()
-    facts = presented_map_facts(f, source, target)
-    if src_inv.free_rank or facts.target.free_rank:
+    if src_inv.free_rank:
         raise InfiniteGroupUnsupportedError("both groups must be finite")
     if not facts.well_defined:
         raise NotWellDefinedError("a source relation is not sent to zero")

@@ -9,6 +9,7 @@ from derham import comparison as cmp
 from derham import complexes as cx
 from derham import intlinalg as la
 from derham import koszul as kz
+from derham.abelian import direct_sum, prime_divisors
 from derham.bases import enumerate_basis, to_dense
 from derham.intlinalg import GroupInvariants
 
@@ -172,6 +173,17 @@ def test_verify_q_relations_zero_failures():
             assert report.total_checked > 0
 
 
+def test_h0_source_read_per_orbit_matches_every_block():
+    # the reference: the sum of the d_1 cokernels of every content block
+    for n in range(2, 13):
+        for r in range(5):
+            hom = cx.homology_of("C", n, r)
+            every_block = direct_sum(
+                hom.solver(1).block(b.content).cokernel() for b in hom.cx.blocks
+            )
+            assert hom.invariants(0) == every_block, (n, r)
+
+
 def test_verify_h0_iso_examples():
     assert cmp.verify_h0_iso(4, 2)
     assert cmp.verify_h0_iso(6, 2)
@@ -319,19 +331,83 @@ def test_f_matrix_weight_six_prime_three_part():
     assert cmp.verify_theorem(1, 6, 2)
 
 
+def _reference_map_facts(f, source, orders):
+    """The decision against a presented target Z^k / diag(orders): one Smith
+    reduction of the target relations, an integral solve per mapped source
+    relation, and one reduction of [f | target relations]."""
+    k = len(orders)
+    relations = la.zeros(k, k)
+    for t, m in enumerate(orders):
+        relations[t, t] = m
+    solver = la.LinearSolver(relations)
+    mapped = la.mat_mul(f, source.relations)
+    well_defined = all(solver.contains(mapped[:, j]) for j in range(mapped.shape[1]))
+    surjective = la.invariants_of_cokernel(la.hstack([f, relations])).is_trivial
+    return la.MapFacts(well_defined, surjective, solver.cokernel())
+
+
+def _reference_theorem_matrix(i, n, p, r):
+    """The comparison matrix from the dense class matrix: the class rows
+    scattered into rows of width dim C_i, times each dense cycle."""
+    hom = cx.homology_of("C", n, r)
+    orders, classes = hom.presentation(i)
+    dense = la.zeros(len(orders), hom.cx.dim(i))
+    for k, (positions, row) in enumerate(classes):
+        dense[k, list(positions)] = row
+    labels = kz.generator_presentation(i, n // p, p, r).generators
+    mat = la.zeros(len(orders), len(labels))
+    for col, label in enumerate(labels):
+        cycle = cmp.eta(i, p, n, cmp._generator_lifts(label, n // p, i), r)
+        mat[:, col] = la.mat_vec(dense, to_dense(cycle, hom.cx.dim(i)))
+    return mat
+
+
+def _assert_matches_reference(i, n, r):
+    """theorem_block's matrices and the map facts equal the references."""
+    for p in prime_divisors(n):
+        if 1 <= i <= n // p - 1:
+            got = cmp.theorem_block(i, n, p, r).matrix
+            assert (got == _reference_theorem_matrix(i, n, p, r)).all(), (i, n, p, r)
+    orders, _ = cx.homology_of("C", n, r).presentation(i)
+    mat, source = cmp.assemble_comparison(i, n, r)
+    facts = la.presented_map_facts(mat, source, orders)
+    assert facts == _reference_map_facts(mat, source, orders), (i, n, r)
+    if mat.size:
+        # maps that may fail to be onto or well defined
+        bumped = mat.copy()
+        bumped[0, 0] += 1
+        squared = [m * m for m in orders]
+        for other, target in ((2 * mat, orders), (bumped, orders), (mat, squared)):
+            want = _reference_map_facts(other, source, target)
+            assert la.presented_map_facts(other, source, target) == want, (i, n, r)
+    return facts
+
+
+def test_comparison_matches_dense_reference_on_theorem_cells():
+    # every cell of `verify theorem --rank 4`
+    for n in range(2, 8):
+        for i in (1, 2, 3):
+            for r in range(1, 5):
+                _assert_matches_reference(i, n, r)
+
+
+def test_f18_matches_dense_reference():
+    for r in (1, 2, 3):
+        facts = _assert_matches_reference(1, 8, r)
+        report = cmp.f18_counterexample(r)
+        assert (report["map_well_defined"], report["map_surjective"]) == facts[:2]
+
+
 def test_c4iso_elementwise_on_sums():
     # the explicit degree-1 identification evaluated at a + b keeps the
     # class: eta(a+b, b) - eta(a, b) must be a boundary
-    hom = cx.homology_of("C", 4, 2)
-    boundaries = hom.boundary_solver(1)
+    boundaries = cx.homology_of("C", 4, 2).solver(2)
     base = cmp.eta_vector(1, 2, 4, [(1, 0), (0, 1)], 2)
     shifted = cmp.eta_vector(1, 2, 4, [(1, 1), (0, 1)], 2)
     diff = dict(shifted)
     for pos, c in base.items():
         cmp.vec_add(diff, pos, -c)
-    from derham.bases import to_dense
-
-    assert boundaries.contains(to_dense(diff, hom.cx.dim(1)))
+    assert boundaries.contains(diff)
 
 
 # -- the weight-8 counterexample ---------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from derham import abelian as ab
 from derham import complexes as cx
 from derham import intlinalg as la
-from derham.bases import wedge_normalize
+from derham.bases import to_dense, wedge_normalize
 from derham.intlinalg import GroupInvariants
 
 
@@ -96,9 +96,9 @@ def test_presentation_agrees_with_invariants():
             for r in (1, 2):
                 h = cx.homology_of(family, n, r)
                 for i in range(n + 1):
-                    pres, classes = h.presentation(i)
-                    assert classes.shape[0] == pres.gens
-                    assert pres.invariants() == h.invariants(i)
+                    orders, classes = h.presentation(i)
+                    assert len(classes) == len(orders)
+                    assert GroupInvariants(0, orders) == h.invariants(i)
 
 
 def _kernel_basis_presentation(cplx, i):
@@ -115,21 +115,24 @@ def _kernel_basis_presentation(cplx, i):
 
 
 def test_classes_of_cycle_basis_are_an_isomorphism():
-    # the class matrix, applied to a basis of the cycles, induces an
-    # isomorphism from the kernel-basis presentation onto the new one
+    # the class rows, applied to a basis of the cycles, induce an
+    # isomorphism from the kernel-basis presentation onto the cyclic orders
     cells = [(f, n, r) for f in ("C", "D") for n in range(1, 6) for r in range(3)]
     for family, n, r in cells + [("C", 6, 3)]:
         h = cx.homology_of(family, n, r)
         for i in range(n + 1):
             old, kernel = _kernel_basis_presentation(h.cx, i)
-            new, classes = h.presentation(i)
-            f = la.mat_mul(classes, kernel)
-            assert la.presented_map_is_iso(f, old, new), (family, n, r, i)
+            orders, classes = h.presentation(i)
+            f = la.intmat(
+                [la.mat_vec(kernel[list(pos)].T, row).tolist() for pos, row in classes],
+                kernel.shape[1],
+            )
+            assert la.presented_map_is_iso(f, old, orders), (family, n, r, i)
 
 
 def test_c4_rank2_degree1_presentation():
-    pres, _ = cx.homology_of("C", 4, 2).presentation(1)
-    assert pres.invariants() == GroupInvariants(0, (2,))
+    orders, _ = cx.homology_of("C", 4, 2).presentation(1)
+    assert GroupInvariants(0, orders) == GroupInvariants(0, (2,))
 
 
 def _generator_permutation_matrix(c, degree, perm):
@@ -229,14 +232,18 @@ def test_block_solves_agree_with_the_dense_solver():
         assert blocks.cokernel() == dense.cokernel()
         for _ in range(5):
             v = la.mat_vec(d, np.array(rng.integers(-3, 4, d.shape[1]).tolist(), dtype=object))
-            assert la.is_zero(la.mat_vec(d, blocks.solve(v)) - v)
+            x = blocks.solve({k: c for k, c in enumerate(v.tolist()) if c})
+            assert la.is_zero(la.mat_vec(d, to_dense(x, d.shape[1])) - v)
         # multiples of basis vectors: boundaries, torsion classes and
         # vectors outside the rational span
         for k in range(d.shape[0]):
             for m in (1, 2, 3):
                 e = la.zeros(d.shape[0], 1)[:, 0]
                 e[k] = m
-                assert blocks.contains(e) == dense.contains(e), (i, k, m)
+                assert blocks.contains({k: m}) == dense.contains(e), (i, k, m)
+        for outside in (-1, d.shape[0]):
+            with pytest.raises(ValueError):
+                blocks.solve({outside: 1})
 
 
 # -- block decomposition and Kunneth ------------------------------------------

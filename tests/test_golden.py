@@ -1,8 +1,9 @@
 """Pinned outputs: the SHA-256 of every d_i in the matrix text format, and
 of the CLI's stdout for `verify --all`, `verify kunneth --max-n 4`, the
 rank-2 table in every format, the JSON homology of C^4(Z^2) and D^4(Z^2),
-`counterexample f18 --rank 2`, `verify h0`, `verify relations`, the
-rank-4 JSON table, three `derived-sp` cells and `verify theorem --rank 4`.
+`counterexample f18 --rank 2` and `--rank 5`, `verify h0` and `verify h0
+--max-n 12 --rank 4`, `verify relations`, the rank-4 JSON table, three
+`derived-sp` cells and `verify theorem --rank 4` and `--rank 5`.
 
 The digests in differentials_sha256.json were recorded from the separate
 hand-written loops that built C, D and the Koszul complexes before they
@@ -59,8 +60,10 @@ def test_differentials_match_pinned_digests():
 # columns come from them), the next three while the Smith form was still
 # reached through separate transform-free and cached routes, the next three
 # while H_0 was still decided on the dense d_1, one integral solve per
-# column, and the last four while derived_sp still read the cokernel basis
-# of the whole dense d_(i+2) mod p.
+# column, the next four while derived_sp still read the cokernel basis
+# of the whole dense d_(i+2) mod p, and the last three while the comparison
+# maps were still decided against a presented target, with a dense class
+# matrix and dense cycles.
 CLI_STDOUT_SHA256 = {
     "verify --all": "40d71ff10d02d4d442c90e12769023523c2bed5e9155f1934f0d55097c4044b1",
     "table --rank 2 --format md": "de77e65d7deaaf42bea5316df590aef53846e27a908bf43a1d0e8f9210ee489d",
@@ -77,6 +80,9 @@ CLI_STDOUT_SHA256 = {
     "derived-sp --i 1 --n 6 --p 2 --rank 4": "4944f7086385f1565a5308c5ae6ba2a12cfb7156e1154a23b3f1d61eb0030799",
     "derived-sp --i 2 --n 5 --p 3 --rank 3": "25f33480abcbb0228463b2ad37959690d82a8cdbe850555f00f65612ab4162ae",
     "verify theorem --rank 4": "4ce1ac9592ceba5c142ce7931d5db967c7ca069a11385cd658e08384c30b982e",
+    "verify theorem --rank 5": "807d658fb1ad453accf5c491b380cff66eefa76e7ec7e5462e2bcf05bae5c615",
+    "counterexample f18 --rank 5": "028b777a88c03d6d9c6b904c9b9cd63ee31df9e2b7f3b1292da8ecc1ef406ea7",
+    "verify h0 --max-n 12 --rank 4": "05bb5afc49e2bb3011f1b8bdc0c64c5a770d07ee3f928129ff433193132aea00",
 }
 
 
