@@ -537,6 +537,9 @@ def test_iso_rejects_infinite_groups():
     # Z/2 -> Z is not well defined either, but infiniteness is checked first
     with pytest.raises(la.InfiniteGroupUnsupportedError):
         la.presented_map_is_iso(la.intmat([[1]]), _cyclic(2), [0])
+    # a free source onto a finite target
+    with pytest.raises(la.InfiniteGroupUnsupportedError):
+        la.presented_map_is_iso(la.identity(1), free, [2])
 
 
 def test_iso_rejects_a_negative_order_before_reducing(monkeypatch):
