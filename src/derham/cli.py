@@ -24,7 +24,7 @@ from .comparison import (
     verify_q_relations,
     verify_theorem,
 )
-from .complexes import build, homology_of, kunneth_check
+from .complexes import homology_of, kunneth_check
 from .koszul import derived_sp, generator_presentation, presentation_dimension
 from .numtheory import sweep_binomial_lemma
 
@@ -198,7 +198,6 @@ def _render_table_md(records, config: RunConfig) -> str:
 def cmd_homology(ns) -> int:
     config = RunConfig(max_n=ns.n, rank=ns.rank)
     config.validate()
-    cx = build(ns.family, ns.n, ns.rank)
     hom = homology_of(ns.family, ns.n, ns.rank)
     degrees = [ns.degree] if ns.degree is not None else list(range(ns.n + 1))
     groups = {i: hom.invariants(i) for i in degrees}
@@ -214,7 +213,7 @@ def cmd_homology(ns) -> int:
         for i in range(1, ns.n + 1):
             path = os.path.join(ns.dump_matrices, f"d_{i}.txt")
             with open(path, "w") as fh:
-                la.write_text(fh, (cx.dim(i - 1), cx.dim(i)), *cx.entries(i))
+                la.write_text(fh, (hom.cx.dim(i - 1), hom.cx.dim(i)), *hom.cx.entries(i))
     if ns.format == "json":
         _emit(_json_dumps({"command": "homology", "records": records}), ns.output)
     else:

@@ -10,17 +10,17 @@ Two families are materialized for a free abelian group Z^r:
   and inserts it into the wedge.
 
 Both, and the Koszul complex wedge^a (x) sym^(n-a) of ``koszul``, come from
-one builder that moves a generator from the left factor to the right one.
-
-The move keeps the content of a basis label fixed: the vector c in N^r that
-counts each generator once per wedge occurrence and with its exponent in a
-monomial.  So every complex is a direct sum of content blocks, one for each
-c with |c| = n, and the builder fills one small integer matrix per (degree,
-c) directly; the block of c is the Koszul complex on (c_j : c_j > 0), with
-at most C(r, r // 2) columns.  d compose d = 0 is asserted block by block at
-construction time.  Library code reads only the blocks, and the nonzero
-entries of a d_i, in row order, through ``entries``; the dense d_i is
-assembled from them on each call, for tests and demos.
+one builder.  The differential moves one generator between the factors and
+so keeps a label's content: the vector c in N^r that counts each generator
+once per wedge occurrence and with its exponent in a monomial.  So every
+complex is a direct sum of content blocks, one for each c with |c| = n, and
+the builder writes each block from c alone: the integral Koszul complex on
+(c_j : c_j > 0), with its degrees reflected in D and at most C(r, r // 2)
+columns.  At construction the blocks are checked to hold every position of
+every degree, and d compose d = 0 block by block.  Library code reads only
+the blocks, and the nonzero entries of a d_i, in row order, through
+``entries``; the dense d_i is assembled from them on each call, for tests
+and demos.
 
 Homology is read off Smith normal forms of the blocks, cached per complex.
 Permuting the coordinates by sigma is a chain automorphism that maps the
@@ -36,8 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from itertools import product as iproduct
-from operator import add
 
 import numpy as np
 
@@ -48,12 +48,10 @@ from .bases import (
     basis_size,
     divided_product,
     enumerate_basis,
-    gamma_module_action,
-    sym_multiply,
+    exponent_vectors,
     to_dense,
     unit_terms,
     wedge_delete,
-    wedge_insert,
 )
 from .intlinalg import GroupInvariants
 
@@ -189,8 +187,7 @@ class ChainComplexZ:
 
 def _check_dd_zero(cx: ChainComplexZ) -> None:
     for b in cx.blocks:
-        for i in range(2, cx.n + 1):
-            left, right = b.d(i - 1), b.d(i)
+        for i, (left, right) in enumerate(zip(b.diffs, b.diffs[1:]), start=2):
             if left.shape[1] != right.shape[0]:
                 raise ValueError(f"d_{i-1} and d_{i} do not compose")
             # most blocks are empty in most degrees: only multiply the others
@@ -200,100 +197,83 @@ def _check_dd_zero(cx: ChainComplexZ) -> None:
                 )
 
 
-# The differential moves one generator from the left factor to the right
-# one.  A take rule lists (coefficient, generator, remaining label) for a
-# left label; a put rule gives (coefficient, new label) for a right label,
-# with coefficient 0 when the product vanishes.  A content rule gives a
-# label's content vector.
-
-
-def _take_wedge(w):
-    for pos, j in enumerate(w, start=1):
-        sign, rest = wedge_delete(w, pos)
-        yield sign, j, rest
-
-
-def _take_sym(m):
-    for j, mult in enumerate(m, start=1):
-        if mult:
-            yield mult, j, m[: j - 1] + (mult - 1,) + m[j:]
-
-
-_TAKE = {"wedge": _take_wedge, "sym": _take_sym}
-_PUT = {
-    "wedge": wedge_insert,
-    "gamma": gamma_module_action,
-    "sym": lambda j, m: (1, sym_multiply(j, m)),
-}
-_CONTENT = {
-    "wedge": lambda w, r: tuple(1 if j in w else 0 for j in range(1, r + 1)),
-    "gamma": lambda m, r: m,
-    "sym": lambda m, r: m,
-}
-
-
-def _group_by_content(pair: PairBasis, left: str, right: str, r: int) -> dict:
-    """Positions of a tensor basis grouped by content, each list ascending."""
-    groups: dict[tuple, list[int]] = {}
-    right_contents = [_CONTENT[right](b, r) for b in pair.right]
-    pos = 0
-    for a in pair.left:
-        ca = _CONTENT[left](a, r)
-        for cb in right_contents:
-            groups.setdefault(tuple(map(add, ca, cb)), []).append(pos)
-            pos += 1
-    return groups
+def _check_partition(cx: ChainComplexZ) -> None:
+    """The blocks hold every position of every degree.  Positions come from
+    the contents, not from the labels, so a missed label would otherwise
+    drop out silently."""
+    held = [0] * (cx.n + 1)
+    for i, degree in enumerate(zip(*(b.positions for b in cx.blocks))):
+        held[i] = sum(map(len, degree))
+    if held != [cx.dim(i) for i in range(cx.n + 1)]:
+        raise ValueError(
+            f"the blocks of {cx.family}^{cx.n}(Z^{cx.rank}) do not hold every position"
+        )
 
 
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r),
-    one matrix per (degree, content) block."""
+    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r), one
+    of the two the wedge, built block by block from the contents.
+
+    In the block of content c with support S, each subset W of S is one
+    label, the wedge W with the other factor c - 1_W, in degree |W| (n - |W|
+    for a right wedge).  d takes a factor j out of a left wedge with
+    wedge_delete's sign and coefficient c_j (1 into sym), or puts j of S - W
+    into a right wedge with wedge_insert's sign and multiplicity c_j.
+    """
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     bases = tuple(
         PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
         for i in range(n + 1)
     )
-    groups = [_group_by_content(pair, left, right, r) for pair in bases]
-    local = []  # per degree: position -> row or column within its block
-    for pair, by_content in zip(bases, groups):
-        where = [0] * pair.size
-        for positions in by_content.values():
-            for k, pos in enumerate(positions):
-                where[pos] = k
-        local.append(where)
-    take, put = _TAKE[left], _PUT[right]
-    cells: list[dict[tuple, list[list[int]]]] = [{}]  # cells[i][c]: rows of d_i's block c
-    for i in range(1, n + 1):
-        src, dst = bases[i], bases[i - 1]
-        left_idx = basis_index(left, i - 1, r)
-        right_idx = basis_index(right, n - i + 1, r)
-        moves = [[(c1, j, left_idx[a2]) for c1, j, a2 in take(a)] for a in src.left]
-        width, rows_at = len(src.right), local[i - 1]
-        mats = {}
-        for c, positions in groups[i].items():
-            mat = [[0] * len(positions) for _ in groups[i - 1].get(c, ())]
-            for col, pos in enumerate(positions):
-                li, ri = divmod(pos, width)
-                b = src.right[ri]
-                for c1, j, li2 in moves[li]:
-                    c2, b2 = put(j, b)
-                    if c2:
-                        mat[rows_at[dst.index(li2, right_idx[b2])]][col] += c1 * c2
-            mats[c] = mat
-        cells.append(mats)
-    contents = sorted(set().union(*groups), reverse=True)
+    wedge_left = left == "wedge"
+    other = right if wedge_left else left
+    unit = right == "sym"  # a symmetric product has coefficient 1
+    sizes = range(min(n, r) + 1)  # of a wedge
+    degree = [w if wedge_left else n - w for w in sizes]
+    width = [len(bases[i].right) for i in degree]
+    wedge_at = [basis_index("wedge", w, r) for w in sizes]
+    other_at = [basis_index(other, n - w, r) for w in sizes]
+    faces = {  # W -> (sign, W minus j, j) for each factor j
+        W: [(*wedge_delete(W, p), j) for p, j in enumerate(W, start=1)]
+        for w in sizes
+        for W in wedge_at[w]
+    }
+    zeros = lru_cache(maxsize=None)(la.zeros)  # one per empty shape, shared
     blocks = []
-    for c in contents:
-        positions = tuple(tuple(by_content.get(c, ())) for by_content in groups)
+    for c in exponent_vectors(n, r):
+        support = [j for j, cj in enumerate(c, start=1) if cj]
+        positions = [()] * (n + 1)
+        labels = []  # labels[w]: the W with |W| = w, by ascending position
+        for w in range(len(support) + 1):
+            found = []
+            for W in combinations(support, w):
+                m = list(c)
+                for j in W:
+                    m[j - 1] -= 1
+                a, b = wedge_at[w][W], other_at[w][tuple(m)]
+                found.append((a * width[w] + b, W) if wedge_left else (b * width[w] + a, W))
+            positions[degree[w]], at = zip(*sorted(found))
+            labels.append(at)
+        index = {W: k for at in labels for k, W in enumerate(at)}
+        mats = {}
+        for w in range(1, len(labels)):
+            # column W, rows W minus a factor
+            mat = [[0] * len(labels[w]) for _ in labels[w - 1]]
+            for col, W in enumerate(labels[w]):
+                for sign, rest, j in faces[W]:
+                    mat[index[rest]][col] = sign if unit else sign * c[j - 1]
+            mat = np.array(mat, dtype=object)
+            # a right wedge gains j instead: the transpose, and
+            # wedge_insert(j, rest) has the sign opposite to wedge_delete's
+            mats[max(degree[w - 1], degree[w])] = mat if wedge_left else -mat.T
         diffs = tuple(
-            np.array(cells[i].get(c, ()), dtype=object).reshape(
-                len(positions[i - 1]), len(positions[i])
-            )
+            mats[i] if i in mats else zeros(len(positions[i - 1]), len(positions[i]))
             for i in range(1, n + 1)
         )
-        blocks.append(Block(c, positions, diffs))
+        blocks.append(Block(c, tuple(positions), diffs))
     cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
+    _check_partition(cx)
     _check_dd_zero(cx)
     return cx
 

@@ -329,7 +329,8 @@ def _snf_inplace(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     at a time, by elimination on sparse rows (V transposed, the dense pivots).
 
     u and v must arrive as identities; on return u @ original @ v == final a.
-    A matrix with at most one component is reduced whole.  Otherwise each
+    A zero matrix, with no component, is its own Smith form and is left as
+    it is.  A matrix with one component is reduced whole.  Otherwise each
     component is reduced on its own and its transforms are written into
     the component's rows of u and columns of v.  The diagonal then holds
     the units, the other nonzero entries and the zeros, in that order (so
@@ -338,7 +339,9 @@ def _snf_inplace(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     becomes 1 + 6).
     """
     comps, sparse = _components(a)
-    if len(comps) <= 1:
+    if not comps:
+        return
+    if len(comps) == 1:
         _snf_whole(a, u, v, sparse)
         return
     units, others, zero_rows, zero_cols = [], [], [], []

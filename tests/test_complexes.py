@@ -8,7 +8,16 @@ import pytest
 from derham import abelian as ab
 from derham import complexes as cx
 from derham import intlinalg as la
-from derham.bases import to_dense, wedge_normalize
+from derham.bases import (
+    basis_index,
+    enumerate_basis,
+    gamma_module_action,
+    sym_multiply,
+    to_dense,
+    wedge_delete,
+    wedge_insert,
+    wedge_normalize,
+)
 from derham.intlinalg import GroupInvariants
 
 
@@ -61,6 +70,62 @@ def test_dd_zero_moderate_ranges():
         for r in range(4):
             cx.build_C(n, r)
             cx.build_D(n, r)
+
+
+def _moves(family, x, y):
+    """(coefficient, left, right) terms of d on the label x (x) y: C and K
+    move a wedge factor of x into y, D a generator of the monomial x, with
+    its multiplicity, into the wedge y."""
+    if family == "D":
+        for j, mult in enumerate(x, start=1):
+            sign, w = wedge_insert(j, y)
+            if mult and sign:
+                yield sign * mult, x[: j - 1] + (mult - 1,) + x[j:], w
+        return
+    for p, j in enumerate(x, start=1):
+        sign, rest = wedge_delete(x, p)
+        if family == "C":
+            coeff, m = gamma_module_action(j, y)
+        else:
+            coeff, m = 1, sym_multiply(j, y)
+        yield sign * coeff, rest, m
+
+
+def _reference_entries(family, n, r, i):
+    """The nonzero entries {(row, column): value} of d_i, built label by
+    label from the bases' structure constants."""
+    left, right = {"C": ("wedge", "gamma"), "D": ("sym", "wedge"), "K": ("wedge", "sym")}[family]
+    cols_left, cols_right = enumerate_basis(left, i, r), enumerate_basis(right, n - i, r)
+    rows_left, rows_right = basis_index(left, i - 1, r), basis_index(right, n - i + 1, r)
+    out = {}
+    for a, x in enumerate(cols_left):
+        for b, y in enumerate(cols_right):
+            for coeff, x2, y2 in _moves(family, x, y):
+                key = (rows_left[x2] * len(rows_right) + rows_right[y2], a * len(cols_right) + b)
+                out[key] = out.get(key, 0) + coeff
+    return {key: x for key, x in out.items() if x}
+
+
+def test_differentials_match_the_structure_constants():
+    # n = 0, r = 0 and r > n are in the grid
+    for n in range(9):
+        for r in range(6):
+            for family, c in (
+                ("C", cx.build_C(n, r)),
+                ("D", cx.build_D(n, r)),
+                ("K", cx._build_complex("K", "wedge", "sym", n, r)),
+            ):
+                for i in range(n + 2):
+                    rows, cols, values = c.entries(i)
+                    got = dict(zip(zip(rows, cols), values))
+                    assert got == _reference_entries(family, n, r, i), (family, n, r, i)
+
+
+def test_partition_check_refuses_a_missing_block():
+    c = cx.build_C(4, 2)
+    cx._check_partition(c)
+    with pytest.raises(ValueError):
+        cx._check_partition(dataclasses.replace(c, blocks=c.blocks[1:]))
 
 
 def test_homology_prime_weight_three():

@@ -218,7 +218,7 @@ def test_sparse_elimination_matches_dense_on_wide_tall_diagonal_empty_and_koszul
         assert_sparse_elimination_matches_dense(la.intmat(m))
     for diag in ([2, 3], [4, 6, 10]):
         assert_sparse_elimination_matches_dense(la.intmat(np.diag(diag).tolist()))
-    for shape in [(0, 0), (0, 3), (3, 0)]:
+    for shape in [(0, 0), (0, 3), (3, 0), (3, 4)]:
         assert_sparse_elimination_matches_dense(la.zeros(*shape))
     for i in range(1, 9):
         assert_sparse_elimination_matches_dense(koszul_block(8, i))
