@@ -25,7 +25,7 @@ for gen, order in zip(target.generators, target.orders):
     print("   ", gen, "order", order)
 
 q = q_matrix(N, RANK)
-print("\ncomparison matrix shape:", q.matrix.shape)
+print(f"\ncomparison map: {len(q.columns)} columns, {len(q.target.orders)} target rows")
 print("kills boundaries:", q_kills_boundaries(q))
 
 report = verify_q_relations(N, RANK)

@@ -260,6 +260,9 @@ def cmd_derived_sp(ns) -> int:
         raise UsageError(f"need 0 <= i <= n - 1, got i={ns.i}, n={ns.n}")
     if ns.rank < 0:
         raise UsageError("rank must be nonnegative")
+    # the generator presentation is dense, gens x relations, growing as n^2
+    if ns.n > HARD_MAX_N:
+        raise UsageError(f"derived-sp is capped at n <= {HARD_MAX_N}")
     _refuse_costly(ns.n, ns.rank)
     group = derived_sp(ns.i, ns.n, ns.p, ns.rank)
     pres = generator_presentation(ns.i, ns.n, ns.p, ns.rank)
@@ -381,6 +384,10 @@ def _run_suite(ns) -> dict:
         max_n = _default(ns.max_n, 60)
         if not 2 <= max_n <= MAX_LEMMA_N:
             raise UsageError(f"the lemma range is 2 <= n <= {MAX_LEMMA_N}")
+        # C(pn, pk) has about pn bits, so the cost grows with p * n
+        cap = max(DEFAULT_PRIMES) * MAX_LEMMA_N
+        if max(primes) * max_n > cap:
+            raise UsageError(f"the lemma range is capped at p * n <= {cap}")
         return _verify_lemma(primes, max_n)
     if ns.suite == "h0":
         config = RunConfig(_default(ns.max_n, 12), _default(ns.rank, 3))

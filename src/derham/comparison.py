@@ -15,9 +15,9 @@ Everything is checked with exact integer linear algebra.  Every map lands
 in a finite sum of cyclic groups, given by its orders (those of H_i, or of
 ``h0_target``), and is decided against them.  Cycles stay sparse vectors:
 a class is read off the rows of U of the content block that holds the
-cycle, and boundary membership is an integral solve on that block.  For
-the degree-0 map every column of d_1 is sent to 0 modulo the orders, and
-H_0 is read off one block per S_r orbit of content vectors.
+cycle, and boundary membership is an integral solve on that block.  The
+degree-0 map is decided per content block: the block of c has one degree-0
+label, the divided monomial c, and q sends it to at most two generators.
 """
 
 from __future__ import annotations
@@ -80,51 +80,42 @@ def h0_target(n: int, r: int) -> H0Target:
 
 @dataclass(frozen=True)
 class QMap:
-    """0/1 matrix from the degree-n divided monomial basis to the target
-    generators: the column of a monomial e has a 1 in the summand of p
-    exactly when p divides every nonzero exponent, at the row of e/p."""
+    """The degree-0 comparison, one sparse column per content vector c of
+    weight n: columns[c] = {target row: 1} at the row of c/p in the summand
+    of each prime p dividing every entry of c.  So q keeps contents."""
 
     n: int
     r: int
     target: H0Target
-    matrix: np.ndarray
+    columns: dict
 
 
 @lru_cache(maxsize=None)
 def q_matrix(n: int, r: int) -> QMap:
-    """Build the degree-0 comparison matrix and check it kills boundaries."""
+    """Build the degree-0 comparison, one column per divided monomial."""
     if n < 2:
         raise ValueError("need n >= 2")
     target = h0_target(n, r)
-    monomials = enumerate_basis("gamma", n, r)
-    mat = la.zeros(len(target.generators), len(monomials))
-    for col, e in enumerate(monomials):
-        nonzero = [x for x in e if x]
-        for p in prime_divisors(n):
-            if all(x % p == 0 for x in nonzero):
-                reduced = tuple(x // p for x in e)
-                mat[target.rows[p, reduced], col] = 1
-    q = QMap(n, r, target, mat)
-    if not q_kills_boundaries(q):
-        raise la.NotWellDefinedError(
-            f"degree-0 comparison does not kill boundaries at n={n}, r={r}"
-        )
-    return q
+    columns = {c: {} for c in enumerate_basis("gamma", n, r)}
+    for c, p in iproduct(columns, prime_divisors(n)):
+        if not any(x % p for x in c):
+            columns[c][target.rows[p, tuple(x // p for x in c)]] = 1
+    return QMap(n, r, target, columns)
 
 
 def q_kills_boundaries(q: QMap) -> bool:
     """Every column of d_1 must map to 0 modulo the target cyclic orders.
 
-    d_1's nonzero entries are read off the content blocks, and each
-    column's image under q is added up from q's nonzero entries."""
-    q_cols = [[(k, x) for k, x in enumerate(col) if x] for col in q.matrix.T.tolist()]
-    images: dict[int, dict[int, int]] = {}
-    for row, col, x in zip(*build_C(q.n, q.r).entries(1)):
-        image = images.setdefault(col, {})
-        for k, y in q_cols[row]:
-            image[k] = image.get(k, 0) + x * y
+    d_1 keeps contents, and its block of c is one row, the divided monomial
+    c, with entries x = ±c_j.  Each column of that block maps to x times the
+    column y of c, so x·y_k must vanish modulo the order of each row k."""
     orders = q.target.orders
-    return all(v % orders[k] == 0 for image in images.values() for k, v in image.items())
+    return all(
+        x * y % orders[k] == 0
+        for b in build_C(q.n, q.r).blocks
+        for x in b.d(1).tolist()[0]
+        for k, y in q.columns[b.content].items()
+    )
 
 
 def h0_map_is_iso(q: QMap, hom: ComplexHomology) -> bool:
@@ -133,12 +124,19 @@ def h0_map_is_iso(q: QMap, hom: ComplexHomology) -> bool:
     surjection between isomorphic finite groups.
 
     The source is ``hom.invariants(0)``, read off one block of d_0 and d_1
-    per S_r orbit of content vectors; surjectivity is one Smith reduction
-    of [q | diag(orders)]."""
+    per S_r orbit of content vectors.  If every target row lies in exactly
+    one column, q is the direct sum of its columns, so it is onto exactly
+    when each column is onto its rows' cyclic groups: one Smith reduction
+    of at most 2 rows each.  A q not graded this way is refused as not onto."""
     orders = q.target.orders
-    surjective = la.onto_cyclic_sum(q.matrix, orders)
+    rows = sorted(k for column in q.columns.values() for k in column)
+    onto = rows == list(range(len(orders))) and all(
+        la.onto_cyclic_sum([[y] for y in column.values()], [orders[k] for k in column])
+        for column in q.columns.values()
+        if column
+    )
     target = GroupInvariants(0, orders)
-    return la.MapFacts(q_kills_boundaries(q), surjective, target).iso(hom.invariants(0))
+    return la.MapFacts(q_kills_boundaries(q), onto, target).iso(hom.invariants(0))
 
 
 def verify_h0_iso(n: int, r: int) -> bool:

@@ -334,6 +334,9 @@ BAD_ARGUMENTS = (
     # a lemma sweep of hours, a basis of 6.9e10 labels
     ["verify", "lemma", "--max-n", "10000"],
     ["basis", "--functor", "gamma", "--degree", "20", "--rank", "20"],
+    # a dense presentation growing as n^2; binomials of about p * n bits
+    ["derived-sp", "--i", "0", "--n", "13", "--p", "2", "--rank", "2"],
+    ["verify", "lemma", "--p", "1009"],
 )
 
 

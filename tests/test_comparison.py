@@ -31,28 +31,25 @@ def test_h0_target_weight_four():
 
 def test_q_matrix_prime_weight():
     q = cmp.q_matrix(3, 2)
-    monos = enumerate_basis("gamma", 3, 2)
-    col_pure = monos.index((3, 0))
-    col_mixed = monos.index((2, 1))
-    assert q.matrix[:, col_pure].tolist() == [1, 0]
-    assert q.matrix[:, col_mixed].tolist() == [0, 0]
+    assert q.columns[3, 0] == {0: 1}
+    assert q.columns[2, 1] == {}
 
 
 def test_q_matrix_weight_four_rank_one():
     q = cmp.q_matrix(4, 1)
-    assert q.matrix.tolist() == [[1]]
+    assert q.columns == {(4,): {0: 1}}
     assert q.target.orders == (4,)
 
 
 def test_q_matrix_weight_six_rank_one():
     q = cmp.q_matrix(6, 1)
-    assert q.matrix[:, 0].tolist() == [1, 1]
+    assert q.columns[(6,)] == {0: 1, 1: 1}
 
 
 def test_q_matrix_entries_are_boolean():
     for n in (4, 6, 8):
         q = cmp.q_matrix(n, 2)
-        assert set(int(x) for x in q.matrix.reshape(-1)) <= {0, 1}
+        assert {y for column in q.columns.values() for y in column.values()} <= {1}
 
 
 def test_q_kills_boundaries_range():
@@ -61,22 +58,43 @@ def test_q_kills_boundaries_range():
             assert cmp.q_kills_boundaries(cmp.q_matrix(n, r))
 
 
+def _dense_q(q):
+    """q as a dense matrix, one column per divided monomial in basis order."""
+    mat = la.zeros(len(q.target.orders), len(q.columns))
+    for j, column in enumerate(q.columns.values()):
+        for k, y in column.items():
+            mat[k, j] = y
+    return mat
+
+
 def _dense_q_kills_boundaries(q):
     """The reference: q applied to every column of the assembled dense d_1,
     one matrix-vector product per column."""
     d1 = cx.build_C(q.n, q.r).d(1)
+    mat = _dense_q(q)
     for j in range(d1.shape[1]):
-        image = la.mat_vec(q.matrix, d1[:, j])
+        image = la.mat_vec(mat, d1[:, j])
         if any(int(x) % m for x, m in zip(image, q.target.orders)):
             return False
     return True
 
 
+def _dense_h0_map_is_iso(q, hom):
+    """The reference: well defined by the dense d_1, onto by one Smith
+    reduction of [q | diag(orders)]."""
+    orders = q.target.orders
+    onto = la.onto_cyclic_sum(_dense_q(q), orders)
+    facts = la.MapFacts(_dense_q_kills_boundaries(q), onto, GroupInvariants(0, orders))
+    return facts.iso(hom.invariants(0))
+
+
 def _with_entry(q, row, col, value):
-    """q with one entry changed."""
-    mat = q.matrix.copy()
-    mat[row, col] = value
-    return dataclasses.replace(q, matrix=mat)
+    """q with one entry changed; col counts divided monomials in basis order."""
+    content = list(q.columns)[col]
+    column = {k: y for k, y in q.columns[content].items() if k != row}
+    if value:
+        column[row] = value
+    return dataclasses.replace(q, columns={**q.columns, content: column})
 
 
 def _with_orders(q, orders):
@@ -97,7 +115,7 @@ def test_q_kills_boundaries_rejects_a_moved_entry():
     # twice x1^[2] x2^[2], maps to 2, not 0 mod 4
     q = cmp.q_matrix(4, 2)
     assert q.target.orders == (4, 2, 4)
-    assert q.matrix[:, 2].tolist() == [0, 1, 0]
+    assert q.columns[2, 2] == {1: 1}
     moved = _with_entry(_with_entry(q, 1, 2, 0), 2, 2, 1)
     assert cmp.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
     q8 = cmp.q_matrix(8, 2)
@@ -128,6 +146,72 @@ def test_h0_iso_rejects_a_wrong_target_order():
     smaller = _with_orders(q, (4, 1, 4))
     assert cmp.q_kills_boundaries(smaller)
     assert not cmp.h0_map_is_iso(smaller, hom)
+
+
+def test_h0_decision_per_content_matches_dense_reference():
+    for n in range(2, 13):
+        for r in range(5):
+            q, hom = cmp.q_matrix(n, r), cx.homology_of("C", n, r)
+            assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
+            assert cmp.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is True, (n, r)
+    q4, q8 = cmp.q_matrix(4, 2), cmp.q_matrix(8, 2)
+    mutated = [
+        (_with_entry(_with_entry(q4, 1, 2, 0), 2, 2, 1), False),
+        (_with_entry(_with_entry(q8, 3, 6, 0), 4, 6, 1), False),
+        (_with_entry(q4, 1, 2, 2), False),
+        (_with_orders(q4, (8, 2, 4)), False),
+        (_with_orders(q4, (4, 1, 4)), False),
+        (_with_orders(q4, (4, 2, 4)), True),
+    ]
+    for q, iso in mutated:
+        hom = cx.homology_of("C", q.n, q.r)
+        assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q)
+        assert cmp.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is iso
+
+
+def test_h0_iso_rejects_a_map_not_graded_by_content():
+    q = cmp.q_matrix(4, 2)
+    hom = cx.homology_of("C", 4, 2)
+    # the generator of x1 x2 (order 2) hit by no column: not onto
+    missed = _with_entry(q, 1, 2, 0)
+    assert cmp.q_kills_boundaries(missed)
+    assert not cmp.h0_map_is_iso(missed, hom)
+    assert not _dense_h0_map_is_iso(missed, hom)
+    # hit by the columns of x1^[2] x2^[2] and of x1^[4]: the map is still
+    # well defined, but q no longer keeps contents, and is refused
+    twice = _with_entry(q, 1, 0, 1)
+    assert cmp.q_kills_boundaries(twice)
+    assert not cmp.h0_map_is_iso(twice, hom)
+
+
+def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
+    shapes = []
+    snf = la.smith_normal_form
+
+    def recording(m):
+        shapes.append(m.shape)
+        return snf(m)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording)
+    for cache in (cx.build_C, cx.homology_of, cmp.h0_target, cmp.q_matrix):
+        cache.cache_clear()
+    assert cmp.verify_h0_iso(12, 4)
+    assert shapes
+    assert max(rows for rows, _ in shapes) <= 2, max(shapes)
+
+
+def test_verify_h0_iso_checks_well_definedness_once(monkeypatch):
+    calls = []
+    check = cmp.q_kills_boundaries
+
+    def counting(q):
+        calls.append(q)
+        return check(q)
+
+    monkeypatch.setattr(cmp, "q_kills_boundaries", counting)
+    cmp.q_matrix.cache_clear()
+    assert cmp.verify_h0_iso(6, 2)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
