@@ -1,8 +1,11 @@
 """Exact integer linear algebra: Smith form, cokernels, presented groups.
 
-Every matrix is a numpy object array of Python ints, so nothing here ever
-rounds.  The Smith normal form U @ M @ V = D is the engine behind all the
-homology computations in this package.
+The program keeps every matrix as a list of rows of Python ints, so nothing
+ever rounds.  The Smith normal form U @ M @ V = D is the engine behind all
+the homology computations in this package: it keeps the diagonal, the rows
+of U and the columns of V, and SnfResult.U, .D and .V build numpy object
+arrays from them for a demo like this one, as do the dense helpers
+la.intmat, la.mat_mul, la.is_zero and la.det_exact used below.
 """
 
 from derham import intlinalg as la
@@ -31,12 +34,15 @@ print("H_0 of C^2(Z):", hom.invariants(0))
 
 # The same group as Z/m_1 + ... + Z/m_k, read off the Smith form of d_1:
 # the m_k are its invariant factors other than 1, and the matching rows of
-# U, each on the positions of its content block, send each cycle to its
-# class.
+# U, each sparse on the positions of its content block, send each cycle to
+# its class.
 orders, classes = hom.presentation(0)
 print("presentation: orders =", list(orders), "invariants =", la.GroupInvariants(0, orders))
 for j in range(hom.cx.dim(0)):
-    cls = [int(dict(zip(pos, row)).get(j, 0)) % m for (pos, row), m in zip(classes, orders)]
+    cls = [
+        sum(u for l, u in row.items() if pos[l] == j) % m
+        for (pos, row), m in zip(classes, orders)
+    ]
     print(f"class of basis vector {j} of C_0: {cls} mod {list(orders)}")
 
 # Exact coordinates inside a sublattice, from one Smith decomposition.

@@ -26,7 +26,7 @@ for pos, coeff in sorted(cycle.items()):
 
 # Its class generates H_1 = Z/2.
 print("\nH_1 at weight 4 on Z^2:", homology_of("C", 4, 2).invariants(1))
-print("comparison matrix (one generator):", f_matrix(1, 4, 2, 2).tolist())
+print("comparison matrix (one generator):", f_matrix(1, 4, 2, 2))
 
 # The three-term weight-6 cycle in homological degree 2.
 cycle6 = eta(2, 2, 6, [1, 2, 3], 3)

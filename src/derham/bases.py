@@ -19,8 +19,7 @@ from itertools import combinations
 from math import comb, prod
 from typing import Sequence
 
-import numpy as np
-
+from .intlinalg import as_rows
 from .numtheory import binomial
 
 WedgeIndex = tuple[int, ...]
@@ -153,8 +152,8 @@ def vec_add(acc: Vector, key: int, coeff: int) -> None:
             acc.pop(key, None)
 
 
-def to_dense(v: Vector, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=object)
+def to_dense(v: Vector, size: int) -> list[int]:
+    out = [0] * size
     for k, x in v.items():
         out[k] = x
     return out
@@ -225,20 +224,21 @@ def unit_terms(monomial: Exponents) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def gamma_induced_matrix(t: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix of the divided-power functor applied to t: Z^r -> Z^s.
+def gamma_induced_matrix(t, degree: int) -> list[list[int]]:
+    """Matrix of the divided-power functor applied to t: Z^r -> Z^s, as
+    rows; t is an s x r matrix (see ``intlinalg.as_rows``).
 
     The column of a monomial e is the expansion of the product of the
-    degree-e_k divided powers of the image columns t[:, k].
+    degree-e_k divided powers of the image columns of t.
     """
-    s, r = t.shape
+    rows, r = as_rows(t)
+    images = [tuple(int(row[k]) for row in rows) for k in range(r)]
     source = enumerate_basis("gamma", degree, r)
-    target_size = basis_size("gamma", degree, s)
-    out = np.zeros((target_size, len(source)), dtype=object)
+    out = [[0] * len(source) for _ in range(basis_size("gamma", degree, len(rows)))]
     for j, e in enumerate(source):
-        terms = [(int(e_k), tuple(int(x) for x in t[:, k])) for k, e_k in enumerate(e)]
-        for pos, coeff in divided_product(terms, s).items():
-            out[pos, j] = coeff
+        terms = [(e_k, images[k]) for k, e_k in enumerate(e)]
+        for pos, coeff in divided_product(terms, len(rows)).items():
+            out[pos][j] = coeff
     return out
 
 

@@ -455,6 +455,18 @@ def cmd_counterexample(ns) -> int:
     return 0 if ok else 1
 
 
+def _refuse_transforms(rows: int, cols: int) -> None:
+    """Refuse a matrix whose transforms are too large: U is rows x rows and
+    V is cols x cols, however sparse the input.  Checked on the header's
+    shape, before the body is read."""
+    cells = rows * rows + rows * cols + cols * cols
+    if cells > MAX_DIFFERENTIAL_CELLS:
+        raise UsageError(
+            f"a {rows} x {cols} matrix needs {cells:.2e} entries with its transforms; "
+            f"the limit is {MAX_DIFFERENTIAL_CELLS:.0e}"
+        )
+
+
 def cmd_snf(ns) -> int:
     try:
         if ns.input == "-":
@@ -462,28 +474,19 @@ def cmd_snf(ns) -> int:
         else:
             with open(ns.input) as fh:
                 text = fh.read()
-        matrix = la.mat_parse(text)
+        rows, cols = la.mat_parse(text, check=_refuse_transforms)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read matrix: {exc}")
-    # U is rows x rows and V is cols x cols, however sparse the input
-    rows, cols = matrix.shape
-    cells = rows * rows + rows * cols + cols * cols
-    if cells > MAX_DIFFERENTIAL_CELLS:
-        raise UsageError(
-            f"a {rows} x {cols} matrix needs {cells:.2e} entries with its transforms; "
-            f"the limit is {MAX_DIFFERENTIAL_CELLS:.0e}"
-        )
-    res = la.smith_normal_form(matrix)
+    res = la.smith_normal_form(rows, cols)
+    names = "DUV" if ns.output_dir or ns.transforms else "D"
+    texts = (la.mat_to_text(*res.sparse(name)) for name in names)
     if ns.output_dir:
         os.makedirs(ns.output_dir, exist_ok=True)
-        for name, mat in (("D", res.D), ("U", res.U), ("V", res.V)):
+        for name, text in zip(names, texts):
             with open(os.path.join(ns.output_dir, f"{name}.txt"), "w") as fh:
-                fh.write(la.mat_to_text(mat))
+                fh.write(text)
     else:
-        sys.stdout.write(la.mat_to_text(res.D))
-        if ns.transforms:
-            sys.stdout.write(la.mat_to_text(res.U))
-            sys.stdout.write(la.mat_to_text(res.V))
+        sys.stdout.writelines(texts)
     return 0
 
 

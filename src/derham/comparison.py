@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from itertools import product as iproduct
 from operator import add, mod
-
-import numpy as np
 
 from . import intlinalg as la
 from .abelian import monomial_order_mod_p, prime_divisors
@@ -113,7 +112,7 @@ def q_kills_boundaries(q: QMap) -> bool:
     return all(
         x * y % orders[k] == 0
         for b in build_C(q.n, q.r).blocks
-        for x in b.d(1).tolist()[0]
+        for x in b.d(1)[0]
         for k, y in q.columns[b.content].items()
     )
 
@@ -344,14 +343,15 @@ def _generator_lifts(label, n_over_p: int, i: int) -> list[int]:
 @dataclass(frozen=True)
 class TheoremBlock:
     """One prime summand of the degree-i comparison: its source presentation
-    over Z and its matrix into the homology presentation."""
+    over Z and its matrix into the homology presentation, as rows: one per
+    cyclic summand of H_i, one entry per source generator."""
 
     i: int
     n: int
     p: int
     r: int
     source: PresentedGroup
-    matrix: np.ndarray
+    matrix: list[list[int]]
     generator_labels: tuple
 
 
@@ -369,23 +369,24 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
     orders, classes = homology_of("C", n, r).presentation(i)
     hits: dict[int, list[tuple[int, int]]] = {}  # position -> (class, U entry)
     for k, (positions, row) in enumerate(classes):
-        for pos, u in zip(positions, row.tolist()):
-            if u:
-                hits.setdefault(pos, []).append((k, u))
-    mat = la.zeros(len(orders), len(pres.generators))
+        for l, u in row.items():
+            hits.setdefault(positions[l], []).append((k, u))
+    gens = len(pres.generators)
+    mat = [[0] * gens for _ in orders]
     for col, label in enumerate(pres.generators):
         lifts = _generator_lifts(label, n // p, i)
         for pos, c in eta(i, p, n, lifts, r).items():
             for k, u in hits.get(pos, ()):
-                mat[k, col] += c * u
-    relations = la.hstack(
-        [p * la.identity(len(pres.generators)), pres.relations]
-    )
-    source = PresentedGroup(len(pres.generators), relations)
+                mat[k][col] += c * u
+    relations = []  # [p I | the F_p relations]
+    for k, rel in enumerate(pres.relations):
+        relations.append([0] * gens + rel)
+        relations[-1][k] = p
+    source = PresentedGroup(gens, relations)
     return TheoremBlock(i, n, p, r, source, mat, pres.generators)
 
 
-def f_matrix(i: int, n: int, p: int, r: int) -> np.ndarray:
+def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:
     """Matrix of the degree-i comparison for one prime, with every source
     relation checked to go to 0 modulo the cyclic orders of H_i."""
     block = theorem_block(i, n, p, r)
@@ -398,8 +399,9 @@ def f_matrix(i: int, n: int, p: int, r: int) -> np.ndarray:
     return block.matrix
 
 
-def assemble_comparison(i: int, n: int, r: int) -> tuple[np.ndarray, PresentedGroup]:
-    """Block sum of the per-prime comparisons into the degree-i homology.
+def assemble_comparison(i: int, n: int, r: int) -> tuple[list[list[int]], PresentedGroup]:
+    """Block sum of the per-prime comparisons into the degree-i homology:
+    the matrices side by side, the source relations down the diagonal.
 
     Primes p with no degree-i source (i > n/p - 1) contribute no block.
     """
@@ -409,9 +411,14 @@ def assemble_comparison(i: int, n: int, r: int) -> tuple[np.ndarray, PresentedGr
         for p in prime_divisors(n)
         if 1 <= i <= n // p - 1
     ]
-    relations = la.block_diag([b.source.relations for b in blocks])
-    mat = la.hstack([la.zeros(len(orders), 0)] + [b.matrix for b in blocks])
-    return mat, PresentedGroup(relations.shape[0], relations)
+    widths = [len(b.source.relations[0]) if b.source.gens else 0 for b in blocks]
+    relations, before = [], 0
+    for b, width in zip(blocks, widths):
+        after = sum(widths) - before - width
+        relations += ([0] * before + row + [0] * after for row in b.source.relations)
+        before += width
+    mat = [list(chain.from_iterable(b.matrix[k] for b in blocks)) for k in range(len(orders))]
+    return mat, PresentedGroup(len(relations), relations)
 
 
 def verify_theorem(i: int, n: int, r: int) -> bool:
@@ -537,7 +544,7 @@ def f18_counterexample(r: int) -> dict:
     exponent = 1 if source_inv.is_trivial else max(source_inv.torsion)
     return {
         "rank": r,
-        "source_generators": block.matrix.shape[1],
+        "source_generators": len(block.generator_labels),
         "source_dimension": len(source_inv.torsion),
         "source_invariants": source_inv.as_dict(),
         "source_exponent": exponent,

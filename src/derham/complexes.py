@@ -17,10 +17,12 @@ complex is a direct sum of content blocks, one for each c with |c| = n, and
 the builder writes each block from c alone: the integral Koszul complex on
 (c_j : c_j > 0), with its degrees reflected in D and at most C(r, r // 2)
 columns.  At construction the blocks are checked to hold every position of
-every degree, and d compose d = 0 block by block.  Library code reads only
-the blocks, and the nonzero entries of a d_i, in row order, through
-``entries``; the dense d_i is assembled from them on each call, for tests
-and demos.
+every degree, and d compose d = 0 block by block.  A block's d_i is a tuple
+of rows, each a tuple of Python ints: immutable and hashable, so zero blocks
+are shared and blocks with equal matrices are checked once.  Library code
+reads only the blocks, and the nonzero entries of a d_i, in row order,
+through ``entries``; the dense d_i, a numpy object array, is assembled from
+them on each call, for tests and demos, and only it imports numpy.
 
 Homology is read off Smith normal forms of the blocks, cached per complex.
 Permuting the coordinates by sigma is a chain automorphism that maps the
@@ -36,10 +38,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from itertools import product as iproduct
-
-import numpy as np
+from operator import mul
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
@@ -78,12 +79,12 @@ class PairBasis:
 class Block:
     """The content block c of a complex: positions[i] lists, ascending, the
     degree-i basis positions whose labels have content c (i = 0..n), and
-    diffs[i-1] is d_i restricted to them, rows positions[i-1] and columns
-    positions[i]."""
+    diffs[i-1] is d_i restricted to them, as a tuple of rows: one row per
+    position of positions[i-1], one entry per position of positions[i]."""
 
     content: tuple
     positions: tuple[tuple[int, ...], ...]
-    diffs: tuple[np.ndarray, ...]
+    diffs: tuple[tuple[tuple[int, ...], ...], ...]
 
     def at(self, i: int) -> tuple[int, ...]:
         """Positions of degree i, () outside 0..n."""
@@ -94,11 +95,12 @@ class Block:
         """The content of the S_r-orbit representative: the sorted entries."""
         return tuple(sorted(self.content))
 
-    def d(self, i: int) -> np.ndarray:
-        """The block of d_i, with d_0 = d_{n+1} = 0."""
+    def d(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of the block of d_i, with d_0 = d_{n+1} = 0; it has
+        len(at(i)) columns."""
         if 1 <= i <= len(self.diffs):
             return self.diffs[i - 1]
-        return la.zeros(len(self.at(i - 1)), len(self.at(i)))
+        return ((0,) * len(self.at(i)),) * len(self.at(i - 1))
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,19 @@ class ChainComplexZ:
         triples = []
         for b in self.blocks:
             row_at, col_at = b.at(i - 1), b.at(i)
-            for k, row in enumerate(b.d(i).tolist()):
-                for l, x in enumerate(row):
-                    if x:
-                        triples.append((row_at[k], col_at[l], x))
+            for k, row in enumerate(b.d(i)):
+                for l in compress(range(len(row)), row):
+                    triples.append((row_at[k], col_at[l], row[l]))
         triples.sort()  # positions are distinct, so values are never compared
         return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
 
-    def d(self, i: int) -> np.ndarray:
-        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0,
-        assembled from the blocks on every call.  Only tests and demos read
-        a dense d_i; the library reads the blocks and ``entries``."""
+    def d(self, i: int):
+        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0, a
+        numpy object array assembled from the blocks on every call.  Only
+        tests and demos read a dense d_i; the library reads the blocks and
+        ``entries``."""
+        import numpy as np
+
         rows, cols, values = self.entries(i)
         mat = la.zeros(self.dim(i - 1), self.dim(i))
         mat[rows, cols] = np.array(values, dtype=object)
@@ -179,19 +183,28 @@ class ChainComplexZ:
         """Whether d_i kills a degree-i vector (position -> coefficient),
         applying only the blocks that hold its entries."""
         for b in self.blocks_holding(i, vec):
-            coeffs = np.array([vec.get(pos, 0) for pos in b.at(i)], dtype=object)
-            if not la.is_zero(la.mat_vec(b.d(i), coeffs)):
+            coeffs = [vec.get(pos, 0) for pos in b.at(i)]
+            if any(sum(map(mul, row, coeffs)) for row in b.d(i)):
                 return False
         return True
 
 
 def _check_dd_zero(cx: ChainComplexZ) -> None:
+    # a block's matrices depend on the values of its content, not on where
+    # its support sits, so most blocks repeat another's matrices exactly
+    checked = set()
     for b in cx.blocks:
+        if b.diffs in checked:
+            continue
+        checked.add(b.diffs)
         for i, (left, right) in enumerate(zip(b.diffs, b.diffs[1:]), start=2):
-            if left.shape[1] != right.shape[0]:
-                raise ValueError(f"d_{i-1} and d_{i} do not compose")
             # most blocks are empty in most degrees: only multiply the others
-            if left.size and right.size and left.dot(right).any():
+            if not (left and left[0] and right):
+                continue
+            if len(left[0]) != len(right):
+                raise ValueError(f"d_{i-1} and d_{i} do not compose")
+            cols = list(zip(*right))
+            if any(sum(map(mul, row, col)) for row in left for col in cols):
                 raise AssertionError(
                     f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})"
                 )
@@ -239,7 +252,6 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
         for w in sizes
         for W in wedge_at[w]
     }
-    zeros = lru_cache(maxsize=None)(la.zeros)  # one per empty shape, shared
     blocks = []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
@@ -263,12 +275,13 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
             for col, W in enumerate(labels[w]):
                 for sign, rest, j in faces[W]:
                     mat[index[rest]][col] = sign if unit else sign * c[j - 1]
-            mat = np.array(mat, dtype=object)
-            # a right wedge gains j instead: the transpose, and
-            # wedge_insert(j, rest) has the sign opposite to wedge_delete's
-            mats[max(degree[w - 1], degree[w])] = mat if wedge_left else -mat.T
+            if not wedge_left:
+                # a right wedge gains j instead: the transpose, and
+                # wedge_insert(j, rest) has the sign opposite to wedge_delete's
+                mat = [[-x for x in col] for col in zip(*mat)]
+            mats[max(degree[w - 1], degree[w])] = tuple(map(tuple, mat))
         diffs = tuple(
-            mats[i] if i in mats else zeros(len(positions[i - 1]), len(positions[i]))
+            mats[i] if i in mats else ((0,) * len(positions[i]),) * len(positions[i - 1])
             for i in range(1, n + 1)
         )
         blocks.append(Block(c, tuple(positions), diffs))
@@ -323,7 +336,8 @@ class DifferentialSolver:
     def block(self, content: tuple) -> la.LinearSolver:
         """The Smith decomposition of the block of d_i with this content."""
         if content not in self._blocks:
-            self._blocks[content] = la.LinearSolver(self.cx.block(content).d(self.i))
+            b = self.cx.block(content)
+            self._blocks[content] = la.LinearSolver(b.d(self.i), len(b.at(self.i)))
         return self._blocks[content]
 
     def diagonal(self, content: tuple) -> list[int]:
@@ -359,7 +373,7 @@ class DifferentialSolver:
         x = {}
         for b in self.cx.blocks_holding(self.i - 1, v):
             coeffs = self.block(b.content).solve([v.get(pos, 0) for pos in b.at(self.i - 1)])
-            x.update((pos, c) for pos, c in zip(b.at(self.i), coeffs.tolist()) if c)
+            x.update((pos, c) for pos, c in zip(b.at(self.i), coeffs) if c)
         return x
 
     def contains(self, v: dict[int, int]) -> bool:
@@ -401,7 +415,8 @@ class ComplexHomology:
     def presentation(self, i: int) -> tuple[tuple[int, ...], tuple]:
         """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and how a
         cycle is sent to its class: the orders m_k, and classes[k], the
-        degree-i positions of a block with a row of that block's U.
+        degree-i positions of a block with a row of that block's U, sparse
+        {index into the positions: value}.
 
         H_i is the sum over content blocks.  In a block, with U d_{i+1} V = D,
         d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first rank columns of U^-1
@@ -429,7 +444,7 @@ class ComplexHomology:
                     for k, m in enumerate(solver.diag):
                         if m > 1:
                             orders.append(m)
-                            classes.append((b.at(i), solver.snf.U[k]))
+                            classes.append((b.at(i), solver.snf.urows[k]))
             self._presentation[i] = (tuple(orders), tuple(classes))
         return self._presentation[i]
 
@@ -595,7 +610,7 @@ def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
     if n == 0:
         return GroupInvariants(1, ())
     dim = basis_size("gamma", n, r)
-    columns: list[np.ndarray] = []
+    columns: list[list[int]] = []
     seen: set[tuple] = set()
     for k in range(1, n + 1):
         tails = enumerate_basis("gamma", n - k, r)
@@ -605,12 +620,11 @@ def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
             scaled = tuple(p * c for c in point)
             for tail in tails:
                 terms = [(k, scaled)] + unit_terms(tail)
-                dense = to_dense(divided_product(terms, r), dim)
-                key = tuple(int(x) for x in dense)
+                key = tuple(to_dense(divided_product(terms, r), dim))
                 if any(key) and key not in seen:
                     seen.add(key)
-                    columns.append(dense)
+                    columns.append(key)
     if not columns:
         return GroupInvariants(dim, ())
-    return la.invariants_of_cokernel(np.stack(columns, axis=1))
+    return la.invariants_of_cokernel([list(row) for row in zip(*columns)])
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from . import intlinalg as la
 from .bases import enumerate_basis, sym_multiply, wedge_delete
 from .complexes import ChainComplexZ, _build_complex
@@ -32,7 +30,11 @@ def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     cx = _build_complex("K", "wedge", "sym", n, r)
-    blocks = tuple(replace(b, diffs=tuple(d % p for d in b.diffs)) for b in cx.blocks)
+
+    def mod_p(d):
+        return tuple(tuple(x % p for x in row) for row in d)
+
+    blocks = tuple(replace(b, diffs=tuple(map(mod_p, b.diffs))) for b in cx.blocks)
     return replace(cx, blocks=blocks)
 
 
@@ -71,9 +73,7 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
     cpx = build_koszul(n, r, p)
     reps = sorted(
-        b.at(i + 1)[int(np.nonzero(v)[0][0])]
-        for b in cpx.blocks
-        for v in la.fp_cokernel_basis(b.d(i + 2), p)
+        b.at(i + 1)[k] for b in cpx.blocks for k in la.fp_cokernel_basis(b.d(i + 2), p)
     )
     labels = cpx.labels(i + 1)
     return DerivedSpGroup(i, n, p, r, len(reps), tuple(labels[pos] for pos in reps))
@@ -101,7 +101,7 @@ class GeneratorPresentation:
     p: int
     r: int
     generators: tuple[tuple, ...]
-    relations: np.ndarray  # over F_p, one column per relation
+    relations: list[list[int]]  # over F_p, one row per generator, one column per relation
 
 
 @lru_cache(maxsize=None)
@@ -114,20 +114,17 @@ def generator_presentation(i: int, n: int, p: int, r: int) -> GeneratorPresentat
     syms = enumerate_basis("sym", n - i - 1, r)
     generators = tuple((w, m) for w in wedges for m in syms)
     gen_index = {g: k for k, g in enumerate(generators)}
-    wedge_tuples = enumerate_basis("wedge", i + 2, r)
-    tail_monomials = enumerate_basis("sym", n - i - 2, r)
-    columns = []
-    for xs in wedge_tuples:
-        for y in tail_monomials:
-            col = np.zeros(len(generators), dtype=object)
-            for k in range(1, i + 3):
-                sign, w2 = wedge_delete(xs, k)
-                m2 = sym_multiply(xs[k - 1], y)
-                col[gen_index[(w2, m2)]] += sign
-            columns.append(col % p)
-    relations = (
-        np.stack(columns, axis=1) if columns else la.zeros(len(generators), 0)
-    )
+    tails = [
+        (xs, y)
+        for xs in enumerate_basis("wedge", i + 2, r)
+        for y in enumerate_basis("sym", n - i - 2, r)
+    ]
+    relations = [[0] * len(tails) for _ in generators]
+    for col, (xs, y) in enumerate(tails):
+        for k in range(1, i + 3):
+            sign, w2 = wedge_delete(xs, k)
+            row = relations[gen_index[(w2, sym_multiply(xs[k - 1], y))]]
+            row[col] = (row[col] + sign) % p
     return GeneratorPresentation(i, n, p, r, generators, relations)
 
 

@@ -106,8 +106,7 @@ def test_homology_dump_matrices(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    stored = la.mat_parse((dump / "d_1.txt").read_text())
-    assert stored.tolist() == [[-2]]
+    assert la.mat_parse((dump / "d_1.txt").read_text()) == ([[-2]], 1)
 
 
 def test_dump_matrices_equal_the_dense_differentials(tmp_path, capsys):
@@ -127,7 +126,7 @@ def test_snf_round_trip(tmp_path, capsys):
     src.write_text("1 1\n6\n")
     code, out, _ = run_cli(["snf", str(src)], capsys)
     assert code == 0
-    assert la.mat_parse(out).tolist() == [[6]]
+    assert la.mat_parse(out) == ([[6]], 1)
 
 
 def test_snf_dumped_differential(tmp_path, capsys):
@@ -141,8 +140,8 @@ def test_snf_dumped_differential(tmp_path, capsys):
     )
     code, out, _ = run_cli(["snf", str(dump / "d_1.txt")], capsys)
     assert code == 0
-    d = la.mat_parse(out)
-    diag = [int(d[i, i]) for i in range(min(d.shape))]
+    d, cols = la.mat_parse(out)
+    diag = [d[i][i] for i in range(min(len(d), cols))]
     # consistent with H_0 = Z/2 + Z/4 + Z/4
     assert diag == [1, 1, 2, 4, 4]
 
@@ -466,6 +465,20 @@ def test_verify_h0_rank4_weight12_in_bounded_memory():
         ["verify", "h0", "--max-n", "12", "--rank", "4"], subprocess.PIPE
     )
     assert code == 0
+    assert peak_kb < 70 * 1024
+
+
+def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
+    # an 18 MB file of a 3000 x 3000 zero matrix: the transforms guard reads
+    # the header's shape, so the body is never split into 9e6 tokens (the
+    # guard on the parsed matrix peaked at 279 MB)
+    src = tmp_path / "zeros.txt"
+    with open(src, "w") as fh:
+        fh.write("3000 3000\n")
+        fh.writelines(["0 " * 2999 + "0\n"] * 3000)
+    assert src.stat().st_size > 18_000_000
+    code, peak_kb = _run_with_peak_rss(["snf", str(src), "--transforms"], subprocess.PIPE)
+    assert code == 2
     assert peak_kb < 70 * 1024
 
 

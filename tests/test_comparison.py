@@ -188,9 +188,10 @@ def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
     shapes = []
     snf = la.smith_normal_form
 
-    def recording(m):
-        shapes.append(m.shape)
-        return snf(m)
+    def recording(m, cols=None):
+        res = snf(m, cols)
+        shapes.append(res.shape)
+        return res
 
     monkeypatch.setattr(la, "smith_normal_form", recording)
     for cache in (cx.build_C, cx.homology_of, cmp.h0_target, cmp.q_matrix):
@@ -364,7 +365,7 @@ def test_explicit_boundary_identity_weight_four():
     col = labels2.index(((1, 2), (1, 1)))
     boundary = c4.d(2)[:, col]
     cycle = to_dense(cmp.eta(1, 2, 4, [1, 2], 2), c4.dim(1))
-    assert la.is_zero(boundary - 2 * cycle)
+    assert boundary.tolist() == [2 * x for x in cycle]
 
 
 def test_lift_changes_are_boundaries():
@@ -393,7 +394,7 @@ def test_theorem_prime_weights():
 
 def test_f_matrix_weight_four():
     mat = cmp.f_matrix(1, 4, 2, 2)
-    assert mat.shape[1] == 1  # one wedge pair over F_2
+    assert len(mat[0]) == 1  # one wedge pair over F_2
     # its class generates H_1 = Z/2: the assembled map is an isomorphism
     assert cmp.verify_theorem(1, 4, 2)
 
@@ -401,7 +402,7 @@ def test_f_matrix_weight_four():
 def test_f_matrix_weight_six_degree_two():
     # one wedge triple over F_2 onto H_2 = Z/2
     mat = cmp.f_matrix(2, 6, 2, 3)
-    assert mat.shape[1] == 1
+    assert len(mat[0]) == 1
     assert cx.homology_of("C", 6, 3).invariants(2) == GroupInvariants(0, (2,))
     assert cmp.verify_theorem(2, 6, 3)
 
@@ -409,7 +410,7 @@ def test_f_matrix_weight_six_degree_two():
 def test_f_matrix_weight_six_prime_three_part():
     # one wedge pair over F_3 onto the 3-torsion of H_1
     mat = cmp.f_matrix(1, 6, 3, 2)
-    assert mat.shape[1] == 1
+    assert len(mat[0]) == 1
     h1 = cx.homology_of("C", 6, 2).invariants(1)
     assert any(t % 3 == 0 for t in h1.torsion)
     assert cmp.verify_theorem(1, 6, 2)
@@ -424,7 +425,8 @@ def _reference_map_facts(f, source, orders):
     for t, m in enumerate(orders):
         relations[t, t] = m
     solver = la.LinearSolver(relations)
-    mapped = la.mat_mul(f, source.relations)
+    f = la.intmat(f, source.gens)
+    mapped = la.mat_mul(f, la.intmat(source.relations))
     well_defined = all(solver.contains(mapped[:, j]) for j in range(mapped.shape[1]))
     surjective = la.invariants_of_cokernel(la.hstack([f, relations])).is_trivial
     return la.MapFacts(well_defined, surjective, solver.cokernel())
@@ -437,7 +439,8 @@ def _reference_theorem_matrix(i, n, p, r):
     orders, classes = hom.presentation(i)
     dense = la.zeros(len(orders), hom.cx.dim(i))
     for k, (positions, row) in enumerate(classes):
-        dense[k, list(positions)] = row
+        for l, u in row.items():
+            dense[k, positions[l]] = u
     labels = kz.generator_presentation(i, n // p, p, r).generators
     mat = la.zeros(len(orders), len(labels))
     for col, label in enumerate(labels):
@@ -451,17 +454,18 @@ def _assert_matches_reference(i, n, r):
     for p in prime_divisors(n):
         if 1 <= i <= n // p - 1:
             got = cmp.theorem_block(i, n, p, r).matrix
-            assert (got == _reference_theorem_matrix(i, n, p, r)).all(), (i, n, p, r)
+            assert got == _reference_theorem_matrix(i, n, p, r).tolist(), (i, n, p, r)
     orders, _ = cx.homology_of("C", n, r).presentation(i)
     mat, source = cmp.assemble_comparison(i, n, r)
     facts = la.presented_map_facts(mat, source, orders)
     assert facts == _reference_map_facts(mat, source, orders), (i, n, r)
-    if mat.size:
+    if mat and mat[0]:
         # maps that may fail to be onto or well defined
-        bumped = mat.copy()
-        bumped[0, 0] += 1
+        bumped = [row[:] for row in mat]
+        bumped[0][0] += 1
+        doubled = [[2 * x for x in row] for row in mat]
         squared = [m * m for m in orders]
-        for other, target in ((2 * mat, orders), (bumped, orders), (mat, squared)):
+        for other, target in ((doubled, orders), (bumped, orders), (mat, squared)):
             want = _reference_map_facts(other, source, target)
             assert la.presented_map_facts(other, source, target) == want, (i, n, r)
     return facts

@@ -189,7 +189,10 @@ def test_classes_of_cycle_basis_are_an_isomorphism():
             old, kernel = _kernel_basis_presentation(h.cx, i)
             orders, classes = h.presentation(i)
             f = la.intmat(
-                [la.mat_vec(kernel[list(pos)].T, row).tolist() for pos, row in classes],
+                [
+                    sum(u * kernel[pos[l]] for l, u in row.items()).tolist()
+                    for pos, row in classes
+                ],
                 kernel.shape[1],
             )
             assert la.presented_map_is_iso(f, old, orders), (family, n, r, i)
@@ -378,12 +381,12 @@ def _with_one_entry(c, change):
     """C with the first nonzero entry of d_1, in the first block that has
     one, replaced by change(entry)."""
     for k, b in enumerate(c.blocks):
-        d = b.d(1)
-        if d.any():
-            d = d.copy()
-            row, col = (int(x[0]) for x in np.nonzero(d))
-            d[row, col] = change(d[row, col])
-            block = dataclasses.replace(b, diffs=(d,) + b.diffs[1:])
+        d = [list(row) for row in b.d(1)]
+        hit = [(row, col) for row, line in enumerate(d) for col, x in enumerate(line) if x]
+        if hit:
+            row, col = hit[0]
+            d[row][col] = change(d[row][col])
+            block = dataclasses.replace(b, diffs=(tuple(map(tuple, d)),) + b.diffs[1:])
             return dataclasses.replace(c, blocks=c.blocks[:k] + (block,) + c.blocks[k + 1 :])
     raise AssertionError("no nonzero entry")
 

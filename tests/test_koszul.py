@@ -2,7 +2,6 @@
 
 from math import comb
 
-import numpy as np
 import pytest
 
 from derham import koszul as kz
@@ -64,7 +63,7 @@ def test_derived_sp_representatives_match_the_dense_cokernel_basis():
                 for i in range(n):
                     labels = cpx.labels(i + 1)
                     dense = la.fp_cokernel_basis(cpx.d(i + 2), p)
-                    want = tuple(labels[int(np.nonzero(v)[0][0])] for v in dense)
+                    want = tuple(labels[k] for k in dense)
                     got = kz.derived_sp(i, n, p, r)
                     assert got.representatives == want, (i, n, p, r)
                     assert got.dimension == len(want)
@@ -88,7 +87,7 @@ def test_lie_cube_dimension_formula():
 def test_presentation_top_case_no_relations():
     pres = kz.generator_presentation(1, 2, 2, 2)
     assert len(pres.generators) == 1
-    assert pres.relations.shape[1] == 0
+    assert pres.relations == [[]]
     assert kz.presentation_dimension(pres) == 1
 
 
