@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers and over prime fields.
 
-A matrix is a list of rows, each a list of plain Python ints, so every
-operation is exact, entries may grow without bound, and no floating point
-is used anywhere.  A matrix without rows has no width of its own, so the
+A matrix is a sequence of rows (lists or tuples) of plain Python ints, so
+every operation is exact, entries may grow without bound, and no floating
+point is used anywhere.  A matrix without rows has no width of its own, so the
 functions that need one take it as ``cols``.  Every function also accepts a
 2-dimensional numpy array, read through its ``tolist()``, but none imports
 numpy: the dense helpers below (``intmat``, ``zeros``, ``identity``,
@@ -824,8 +824,8 @@ def mat_from_text(text: str, check: Callable[[int, int], None] | None = None) ->
     return _split(list(map(value.__getitem__, data)), rows, cols), cols
 
 
-def mat_to_json(m, cols: int | None = None) -> str:
-    rows, width = as_rows(m, cols)
+def mat_to_json(m) -> str:
+    rows, width = as_rows(m)
     payload = {
         "rows": len(rows),
         "cols": width,
