@@ -8,11 +8,10 @@ JSON so runs can be diffed and gated in CI.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -145,6 +144,9 @@ def cmd_table(ns) -> int:
         }
         _emit(_json_dumps(payload), ns.output)
     elif ns.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "i", "rank", "computed", "expected", "pass"])
@@ -469,12 +471,14 @@ def _refuse_transforms(rows: int, cols: int) -> None:
 
 def cmd_snf(ns) -> int:
     try:
-        if ns.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(ns.input) as fh:
-                text = fh.read()
-        rows, cols = la.mat_parse(text, check=_refuse_transforms)
+        with open(ns.input) if ns.input != "-" else nullcontext(sys.stdin) as fh:
+            # the shape on a text header line is refused before the body is
+            # read; JSON is read whole
+            head = fh.readline()
+            shape = head.split()[:2]
+            if len(shape) == 2 and all(map(str.isdecimal, shape)):
+                _refuse_transforms(*map(int, shape))
+            rows, cols = la.mat_parse(head + fh.read(), check=_refuse_transforms)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read matrix: {exc}")
     res = la.smith_normal_form(rows, cols)
@@ -555,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_counterexample)
 
     p = sub.add_parser("snf", help="Smith normal form of a matrix file")
-    p.add_argument("input", help="matrix in exchange format, or - for stdin")
+    p.add_argument("input", help="matrix file, text or JSON (read whole), or - for stdin")
     p.add_argument("--transforms", action="store_true",
                    help="also print U and V")
     p.add_argument("--output-dir", default=None)

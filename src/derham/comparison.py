@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from itertools import product as iproduct
+from math import gcd, prod
 from operator import add, mod
 
 from . import intlinalg as la
@@ -117,6 +118,15 @@ def q_kills_boundaries(q: QMap) -> bool:
     )
 
 
+def _column_onto(column: dict, orders) -> bool:
+    """Whether a column y = {row k: y_k} of q is onto the sum of Z/m_k over
+    its rows: whether the minors of [y | diag(m)] of full size, prod(m) and
+    each y_t prod(m_s : s != t), have gcd 1."""
+    m = [orders[k] for k in column]
+    minors = (y * prod(m[:t] + m[t + 1:]) for t, y in enumerate(column.values()))
+    return gcd(prod(m), *minors) == 1
+
+
 def h0_map_is_iso(q: QMap, hom: ComplexHomology) -> bool:
     """Whether q induces an isomorphism from H_0 of hom's complex onto the
     target, the sum of cyclic groups of the target orders: a well-defined
@@ -125,14 +135,12 @@ def h0_map_is_iso(q: QMap, hom: ComplexHomology) -> bool:
     The source is ``hom.invariants(0)``, read off one block of d_0 and d_1
     per S_r orbit of content vectors.  If every target row lies in exactly
     one column, q is the direct sum of its columns, so it is onto exactly
-    when each column is onto its rows' cyclic groups: one Smith reduction
-    of at most 2 rows each.  A q not graded this way is refused as not onto."""
+    when each column, of at most 2 rows, is onto its rows' cyclic groups.
+    A q not graded this way is refused as not onto."""
     orders = q.target.orders
     rows = sorted(k for column in q.columns.values() for k in column)
     onto = rows == list(range(len(orders))) and all(
-        la.onto_cyclic_sum([[y] for y in column.values()], [orders[k] for k in column])
-        for column in q.columns.values()
-        if column
+        _column_onto(column, orders) for column in q.columns.values()
     )
     target = GroupInvariants(0, orders)
     return la.MapFacts(q_kills_boundaries(q), onto, target).iso(hom.invariants(0))

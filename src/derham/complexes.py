@@ -9,28 +9,27 @@ Two families are materialized for a free abelian group Z^r:
   extracts a generator from the symmetric monomial (with its multiplicity)
   and inserts it into the wedge.
 
-Both, and the Koszul complex wedge^a (x) sym^(n-a) of ``koszul``, come from
-one builder.  The differential moves one generator between the factors and
-so keeps a label's content: the vector c in N^r that counts each generator
-once per wedge occurrence and with its exponent in a monomial.  So every
-complex is a direct sum of content blocks, one for each c with |c| = n, and
-the builder writes each block from c alone: the integral Koszul complex on
-(c_j : c_j > 0), with its degrees reflected in D and at most C(r, r // 2)
-columns.  At construction the blocks are checked to hold every position of
-every degree, and d compose d = 0 block by block.  A block's d_i is a tuple
-of rows, each a tuple of Python ints: immutable and hashable, so zero blocks
-are shared and blocks with equal matrices are checked once.  Library code
-reads only the blocks, and the nonzero entries of a d_i, in row order,
-through ``entries``; the dense d_i, a numpy object array, is assembled from
-them on each call, for tests and demos, and only it imports numpy.
+The differential moves one generator between the factors and so keeps a
+label's content: the vector c in N^r that counts each generator once per
+wedge occurrence and with its exponent in a monomial.  So every complex is a
+direct sum of content blocks, one for each c with |c| = n: the integral
+Koszul complex on (c_j : c_j > 0), degrees reflected in D, which
+``_koszul`` writes once per process from those entries, for C, D and the
+Koszul complex wedge^a (x) sym^(n-a) of ``koszul``.  A block's d_i is a
+tuple of rows of Python ints, so equal matrices are checked once.
 
-Homology is read off Smith normal forms of the blocks, cached per complex.
-Permuting the coordinates by sigma is a chain automorphism that maps the
-block of c onto the block of sigma c by a signed permutation, so the Smith
-diagonal of every block is read off its S_r-orbit representative, the block
-of sorted(c).  A finite H_i is also presented from the Smith forms of the
-blocks of d_(i+1): their invariant factors give the cyclic summands, and the
-matching rows of their left transforms U send each cycle to its class.
+Permuting the coordinates by sigma maps the block of c onto the block of
+sigma c by a signed permutation.  So ``homology_of(...).invariants`` reads,
+with no basis, one block per partition of n into at most r parts (sorted,
+zeros in front) times its orbit size r! / prod(m_k!), the m_k the
+multiplicities of its entries, zeros included: ``OrbitComplex``.  Callers
+that read basis positions build ``build_C`` or ``build_D``: presentations,
+solves and ``is_cycle``, ``homology --dump-matrices``,
+``q_kills_boundaries`` and ``cross_effect_h0``.  Both routes share one
+Smith decomposition per (degree, content).  A finite H_i is presented from
+the Smith forms of the blocks of d_(i+1): their invariant factors give the
+cyclic summands, and the matching rows of their left transforms U send each
+cycle to its class.  Only tests and demos assemble a dense d_i.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from itertools import product as iproduct
-from operator import mul
+from math import factorial, prod
+from operator import add, mul
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
@@ -52,9 +52,10 @@ from .bases import (
     exponent_vectors,
     to_dense,
     unit_terms,
-    wedge_delete,
 )
 from .intlinalg import GroupInvariants
+
+FACTORS = {"C": ("wedge", "gamma"), "D": ("sym", "wedge")}  # left^i (x) right^(n-i)
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,6 @@ class Block:
     def at(self, i: int) -> tuple[int, ...]:
         """Positions of degree i, () outside 0..n."""
         return self.positions[i] if 0 <= i < len(self.positions) else ()
-
-    @cached_property
-    def orbit(self) -> tuple:
-        """The content of the S_r-orbit representative: the sorted entries."""
-        return tuple(sorted(self.content))
 
     def d(self, i: int) -> tuple[tuple[int, ...], ...]:
         """The rows of the block of d_i, with d_0 = d_{n+1} = 0; it has
@@ -137,8 +133,8 @@ class ChainComplexZ:
 
     @cached_property
     def orbits(self) -> Counter:
-        """Number of blocks per S_r-orbit representative."""
-        return Counter(b.orbit for b in self.blocks)
+        """Number of blocks per S_r-orbit representative, the sorted content."""
+        return Counter(tuple(sorted(b.content)) for b in self.blocks)
 
     @cached_property
     def _owner(self) -> tuple[list[int], ...]:
@@ -189,49 +185,88 @@ class ChainComplexZ:
         return True
 
 
-def _check_dd_zero(cx: ChainComplexZ) -> None:
+def _check_dd_zero(cx) -> None:
     # a block's matrices depend on the values of its content, not on where
-    # its support sits, so most blocks repeat another's matrices exactly
-    checked = set()
-    for b in cx.blocks:
-        if b.diffs in checked:
+    # its support sits, so most blocks share ``_koszul``'s matrices
+    for diffs in {id(b.diffs): b.diffs for b in cx.blocks}.values():
+        if i := _dd_nonzero(diffs):
+            raise AssertionError(f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})")
+
+
+@lru_cache(maxsize=None)
+def _dd_nonzero(diffs: tuple) -> int:
+    """The first i with d_(i-1) d_i != 0, else 0: a row of d_(i-1) times d_i
+    adds the rows of d_i it picks, as the d_i of a weight-12 block reach
+    924 x 792 with at most 12 entries a row.  Cached, as blocks recur."""
+    for i, (left, right) in enumerate(zip(diffs, diffs[1:]), start=2):
+        # most blocks are empty in most degrees: only multiply the others
+        if not (left and left[0] and right):
             continue
-        checked.add(b.diffs)
-        for i, (left, right) in enumerate(zip(b.diffs, b.diffs[1:]), start=2):
-            # most blocks are empty in most degrees: only multiply the others
-            if not (left and left[0] and right):
-                continue
-            if len(left[0]) != len(right):
-                raise ValueError(f"d_{i-1} and d_{i} do not compose")
-            cols = list(zip(*right))
-            if any(sum(map(mul, row, col)) for row in left for col in cols):
-                raise AssertionError(
-                    f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})"
-                )
+        if len(left[0]) != len(right):
+            raise ValueError(f"d_{i-1} and d_{i} do not compose")
+        for row in left:
+            acc = [0] * len(right[0])
+            for k in compress(range(len(row)), row):
+                acc = list(map(add, acc, map(row[k].__mul__, right[k])))
+            if any(acc):
+                return i
+    return 0
 
 
-def _check_partition(cx: ChainComplexZ) -> None:
-    """The blocks hold every position of every degree.  Positions come from
-    the contents, not from the labels, so a missed label would otherwise
-    drop out silently."""
+def _check_partition(cx, sizes=None) -> None:
+    """The blocks hold every label of every degree, each block counted once
+    or, given sizes, sizes[k] times.  Blocks come from contents, not from
+    the labels, so a missed label would otherwise drop out silently."""
     held = [0] * (cx.n + 1)
     for i, degree in enumerate(zip(*(b.positions for b in cx.blocks))):
-        held[i] = sum(map(len, degree))
+        held[i] = sum(map(mul, map(len, degree), sizes)) if sizes else sum(map(len, degree))
     if held != [cx.dim(i) for i in range(cx.n + 1)]:
         raise ValueError(
             f"the blocks of {cx.family}^{cx.n}(Z^{cx.rank}) do not hold every position"
         )
 
 
+@lru_cache(maxsize=None)
+def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """(wedges, positions, diffs) of the block of left^i (x) right^(n-i)
+    whose content c has the nonzero entries values.  With S the support,
+    each W in S is a label, the wedge W with the other factor c - 1_W, in
+    degree |W| (n - |W| for a right wedge).  wedges[i] lists the degree-i W,
+    as indices into S, by basis position: in lex order for a left wedge,
+    else in descending lex order of c - 1_W, the reverse; positions[i]
+    numbers them.  d takes the factor j at place q (from 0) out of a left
+    wedge with sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j
+    of S - W into a right wedge with the opposite sign and multiplicity c_j."""
+    wedge_left, n, s = left == "wedge", sum(values), len(values)
+    wedges = [()] * (n + 1)
+    for w in range(s + 1):
+        at = tuple(combinations(range(s), w))
+        wedges[w if wedge_left else n - w] = at if wedge_left else at[::-1]
+    index = {W: k for at in wedges for k, W in enumerate(at)}
+    diffs = []
+    for i in range(1, n + 1):
+        rows, cols = wedges[i - 1], wedges[i]
+        if not (rows and cols):
+            diffs.append(((0,) * len(cols),) * len(rows))
+            continue
+        mat = [[0] * len(cols) for _ in rows]
+        # each W of the side with the larger wedges, and each factor j of it:
+        # a left wedge loses j, a right one gains it, with the opposite sign
+        for k, W in enumerate(cols if wedge_left else rows):
+            for q, j in enumerate(W):
+                x = (1 if q % 2 else -1) * (1 if right == "sym" else values[j])
+                if wedge_left:
+                    mat[index[W[:q] + W[q + 1:]]][k] = x
+                else:
+                    mat[k][index[W[:q] + W[q + 1:]]] = -x
+        diffs.append(tuple(map(tuple, mat)))
+    return tuple(wedges), tuple(map(tuple, map(range, map(len, wedges)))), tuple(diffs)
+
+
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
     """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r), one
-    of the two the wedge, built block by block from the contents.
-
-    In the block of content c with support S, each subset W of S is one
-    label, the wedge W with the other factor c - 1_W, in degree |W| (n - |W|
-    for a right wedge).  d takes a factor j out of a left wedge with
-    wedge_delete's sign and coefficient c_j (1 into sym), or puts j of S - W
-    into a right wedge with wedge_insert's sign and multiplicity c_j.
+    of the two the wedge: each content c's block from ``_koszul``, at the
+    basis positions of its labels, the wedge W with the other factor c - 1_W.
     """
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
@@ -241,49 +276,24 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
     )
     wedge_left = left == "wedge"
     other = right if wedge_left else left
-    unit = right == "sym"  # a symmetric product has coefficient 1
     sizes = range(min(n, r) + 1)  # of a wedge
-    degree = [w if wedge_left else n - w for w in sizes]
-    width = [len(bases[i].right) for i in degree]
     wedge_at = [basis_index("wedge", w, r) for w in sizes]
     other_at = [basis_index(other, n - w, r) for w in sizes]
-    faces = {  # W -> (sign, W minus j, j) for each factor j
-        W: [(*wedge_delete(W, p), j) for p, j in enumerate(W, start=1)]
-        for w in sizes
-        for W in wedge_at[w]
-    }
-    blocks = []
+    widths, blocks = [len(b.right) for b in bases], []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
-        positions = [()] * (n + 1)
-        labels = []  # labels[w]: the W with |W| = w, by ascending position
-        for w in range(len(support) + 1):
+        wedges, _, diffs = _koszul(left, right, tuple([c[j - 1] for j in support]))
+        positions = []
+        for at, width in zip(wedges, widths):
             found = []
-            for W in combinations(support, w):
+            for W in at:
+                W = tuple(map(support.__getitem__, W))
                 m = list(c)
                 for j in W:
                     m[j - 1] -= 1
-                a, b = wedge_at[w][W], other_at[w][tuple(m)]
-                found.append((a * width[w] + b, W) if wedge_left else (b * width[w] + a, W))
-            positions[degree[w]], at = zip(*sorted(found))
-            labels.append(at)
-        index = {W: k for at in labels for k, W in enumerate(at)}
-        mats = {}
-        for w in range(1, len(labels)):
-            # column W, rows W minus a factor
-            mat = [[0] * len(labels[w]) for _ in labels[w - 1]]
-            for col, W in enumerate(labels[w]):
-                for sign, rest, j in faces[W]:
-                    mat[index[rest]][col] = sign if unit else sign * c[j - 1]
-            if not wedge_left:
-                # a right wedge gains j instead: the transpose, and
-                # wedge_insert(j, rest) has the sign opposite to wedge_delete's
-                mat = [[-x for x in col] for col in zip(*mat)]
-            mats[max(degree[w - 1], degree[w])] = tuple(map(tuple, mat))
-        diffs = tuple(
-            mats[i] if i in mats else ((0,) * len(positions[i]),) * len(positions[i - 1])
-            for i in range(1, n + 1)
-        )
+                a, b = wedge_at[len(W)][W], other_at[len(W)][tuple(m)]
+                found.append(a * width + b if wedge_left else b * width + a)
+            positions.append(tuple(found))
         blocks.append(Block(c, tuple(positions), diffs))
     cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
     _check_partition(cx)
@@ -298,21 +308,60 @@ def build_C(n: int, r: int) -> ChainComplexZ:
     n = 0 gives the unit complex: Z in degree 0, with the one label
     ((), (0,) * r), the weight-0 factor of a tensor decomposition.
     """
-    return _build_complex("C", "wedge", "gamma", n, r)
+    return _build_complex("C", *FACTORS["C"], n, r)
 
 
 @lru_cache(maxsize=None)
 def build_D(n: int, r: int) -> ChainComplexZ:
     """The complex with degree-i term sym^i(Z^r) (x) wedge^(n-i)(Z^r)."""
-    return _build_complex("D", "sym", "wedge", n, r)
+    return _build_complex("D", *FACTORS["D"], n, r)
 
 
 def build(family: str, n: int, r: int) -> ChainComplexZ:
-    if family == "C":
-        return build_C(n, r)
-    if family == "D":
-        return build_D(n, r)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FACTORS:
+        raise ValueError(f"unknown family {family!r}")
+    return (build_C if family == "C" else build_D)(n, r)
+
+
+def _partitions(n: int, parts: int, least: int = 1):
+    """The partitions of n into at most ``parts`` parts, none below ``least``,
+    each as its parts in ascending order."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1 if parts else 0):
+        yield from ((k, *rest) for rest in _partitions(n - k, parts - 1, k))
+
+
+class OrbitComplex:
+    """C^n(Z^r) or D^n(Z^r) as its S_r orbits of content blocks, with no
+    basis: orbits maps the sorted content of each partition to its orbit
+    size, and block(c) is the block of c positioned in its own basis.
+    Checked: orbit sizes times block sizes give ``basis_size`` in every
+    degree, and d d = 0 holds on every orbit's block."""
+
+    def __init__(self, family: str, n: int, rank: int):
+        if family not in FACTORS or n < 0 or rank < 0:
+            raise ValueError(f"no complex {family}^{n}(Z^{rank})")
+        self.family, self.n, self.rank = family, n, rank
+        _check_partition(self, list(self.orbits.values()))
+        _check_dd_zero(self)
+
+    @cached_property
+    def orbits(self) -> dict[tuple, int]:
+        r = self.rank
+        reps = ((0,) * (r - len(part)) + part for part in _partitions(self.n, r))
+        return {c: factorial(r) // prod(map(factorial, Counter(c).values())) for c in reps}
+
+    def dim(self, i: int) -> int:
+        left, right = FACTORS[self.family]
+        return basis_size(left, i, self.rank) * basis_size(right, self.n - i, self.rank)
+
+    def block(self, content: tuple) -> Block:
+        return Block(content, *_koszul(*FACTORS[self.family], tuple(x for x in content if x))[1:])
+
+    @property
+    def blocks(self) -> list[Block]:
+        return [self.block(c) for c in self.orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -321,33 +370,33 @@ def build(family: str, n: int, r: int) -> ChainComplexZ:
 
 class DifferentialSolver:
     """The Smith decompositions of d_i, one LinearSolver per content block,
-    each computed on first use.
+    each computed on first use, whichever route asks for it.
 
     The rank and the cokernel read each block's Smith diagonal off its
     S_r-orbit representative, so they reduce one block per orbit.  Solves
     reduce the blocks the right-hand side touches.
     """
 
-    def __init__(self, cx: ChainComplexZ, i: int):
-        self.cx = cx
+    def __init__(self, hom: ComplexHomology, i: int):
+        self.hom = hom
         self.i = i
         self._blocks: dict[tuple, la.LinearSolver] = {}
 
     def block(self, content: tuple) -> la.LinearSolver:
         """The Smith decomposition of the block of d_i with this content."""
         if content not in self._blocks:
-            b = self.cx.block(content)
+            b = self.hom.source.block(content)
             self._blocks[content] = la.LinearSolver(b.d(self.i), len(b.at(self.i)))
         return self._blocks[content]
 
     def diagonal(self, content: tuple) -> list[int]:
         """The Smith diagonal of a block, read off its orbit representative."""
-        return self.block(self.cx.block(content).orbit).diag
+        return self.block(tuple(sorted(content))).diag
 
     @cached_property
     def rank(self) -> int:
         return sum(
-            count * self.block(rep).rank for rep, count in self.cx.orbits.items()
+            count * self.block(rep).rank for rep, count in self.hom.source.orbits.items()
         )
 
     @cached_property
@@ -355,23 +404,24 @@ class DifferentialSolver:
         """The Smith diagonal entries above 1, over all blocks."""
         return tuple(
             m
-            for rep, count in self.cx.orbits.items()
+            for rep, count in self.hom.source.orbits.items()
             for m in self.block(rep).diag * count
             if m > 1
         )
 
     def cokernel(self) -> GroupInvariants:
         """Invariants of Z^rows / (column span of d_i)."""
-        return GroupInvariants(self.cx.dim(self.i - 1) - self.rank, self.torsion)
+        return GroupInvariants(self.hom.source.dim(self.i - 1) - self.rank, self.torsion)
 
     def solve(self, v: dict[int, int]) -> dict[int, int]:
         """Return x with d_i x = v, both {position: coefficient}, solving
         only on the blocks that hold v's positions, or raise
         NotInLatticeError."""
-        if not all(0 <= pos < self.cx.dim(self.i - 1) for pos in v):
+        cx = self.hom.cx
+        if not all(0 <= pos < cx.dim(self.i - 1) for pos in v):
             raise ValueError("vector position outside the rows of d_i")
         x = {}
-        for b in self.cx.blocks_holding(self.i - 1, v):
+        for b in cx.blocks_holding(self.i - 1, v):
             coeffs = self.block(b.content).solve([v.get(pos, 0) for pos in b.at(self.i - 1)])
             x.update((pos, c) for pos, c in zip(b.at(self.i), coeffs) if c)
         return x
@@ -386,17 +436,24 @@ class DifferentialSolver:
 
 class ComplexHomology:
     """All homology data of one complex, read off one cached
-    DifferentialSolver per differential."""
+    DifferentialSolver per differential.  The invariants read the orbits of
+    source; presentations and solves read the positions of ``cx``."""
 
-    def __init__(self, cx: ChainComplexZ):
-        self.cx = cx
+    def __init__(self, source: ChainComplexZ | OrbitComplex):
+        self.source = source
         self._solver: dict[int, DifferentialSolver] = {}
         self._presentation: dict[int, tuple] = {}
+
+    @cached_property
+    def cx(self) -> ChainComplexZ:
+        """source, or the full complex of an OrbitComplex, built on first use."""
+        src = self.source
+        return src if isinstance(src, ChainComplexZ) else build(src.family, src.n, src.rank)
 
     def solver(self, i: int) -> DifferentialSolver:
         """The block Smith decompositions of d_i, kept for reuse."""
         if i not in self._solver:
-            self._solver[i] = DifferentialSolver(self.cx, i)
+            self._solver[i] = DifferentialSolver(self, i)
         return self._solver[i]
 
     def invariants(self, i: int) -> GroupInvariants:
@@ -404,11 +461,12 @@ class ComplexHomology:
 
         Free rank is nullity(d_i) - rank(d_{i+1}); the torsion is read off
         the invariant factors of the blocks of d_{i+1} because the cycle
-        lattice is saturated.
+        lattice is saturated.  Each is a sum over orbits of orbit size times
+        the representative block's.
         """
-        if not 0 <= i <= self.cx.n:
+        if not 0 <= i <= self.source.n:
             return la.TRIVIAL_GROUP
-        nullity = self.cx.dim(i) - self.solver(i).rank
+        nullity = self.source.dim(i) - self.solver(i).rank
         boundaries = self.solver(i + 1)
         return GroupInvariants(nullity - boundaries.rank, boundaries.torsion)
 
@@ -430,16 +488,16 @@ class ComplexHomology:
         """
         if i not in self._presentation:
             boundaries = self.solver(i + 1)
-            if self.cx.dim(i) - self.solver(i).rank != boundaries.rank:
+            if self.source.dim(i) - self.solver(i).rank != boundaries.rank:
                 raise la.InfiniteGroupUnsupportedError(
                     f"H_{i} has a free part; only finite homology is presented"
                 )
             with_torsion = {
-                rep for rep in self.cx.orbits if any(m > 1 for m in boundaries.block(rep).diag)
+                rep for rep in self.source.orbits if any(m > 1 for m in boundaries.block(rep).diag)
             }
             orders, classes = [], []
             for b in self.cx.blocks:
-                if b.orbit in with_torsion:
+                if tuple(sorted(b.content)) in with_torsion:
                     solver = boundaries.block(b.content)
                     for k, m in enumerate(solver.diag):
                         if m > 1:
@@ -451,7 +509,9 @@ class ComplexHomology:
 
 @lru_cache(maxsize=None)
 def homology_of(family: str, n: int, r: int) -> ComplexHomology:
-    return ComplexHomology(build(family, n, r))
+    """The homology of C^n(Z^r) or D^n(Z^r) on the orbit route; the full
+    complex is built only if a presentation or a solve asks for it."""
+    return ComplexHomology(OrbitComplex(family, n, r))
 
 
 def homology(cx: ChainComplexZ, i: int) -> GroupInvariants:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -121,6 +122,27 @@ def test_dump_matrices_equal_the_dense_differentials(tmp_path, capsys):
             assert (dump / f"d_{i}.txt").read_text() == la.mat_to_text(cx.d(i))
 
 
+@pytest.mark.parametrize("family,n,rank", [("C", 8, 4), ("D", 8, 4), ("C", 6, 5)])
+def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
+    # the groups are read off one block per partition; no basis is placed
+    from derham import complexes
+
+    argv = ["homology", "--family", family, "--n", str(n), "--rank", str(rank), "--format", "json"]
+    complexes.homology_of.cache_clear()
+    code, expected, _ = run_cli(argv, capsys)
+    assert code == 0
+
+    def refuse(n, r):
+        raise AssertionError(f"full complex of weight {n} on Z^{r} built")
+
+    monkeypatch.setattr(complexes, "build_C", refuse)
+    monkeypatch.setattr(complexes, "build_D", refuse)
+    for cache in (complexes.homology_of, complexes._koszul):
+        cache.cache_clear()
+    assert run_cli(argv, capsys)[:2] == (0, expected)
+    complexes.homology_of.cache_clear()
+
+
 def test_snf_round_trip(tmp_path, capsys):
     src = tmp_path / "m.txt"
     src.write_text("1 1\n6\n")
@@ -190,6 +212,39 @@ def test_snf_refuses_transforms_quadratic_in_the_input(tmp_path, capsys):
     code, out, err = run_cli(["snf", str(src)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: a 5000 x 1 matrix needs 2.50e+07 entries")
+
+
+class _BodyUnread(io.StringIO):
+    """A stream that fails if read past its first lines."""
+
+    def read(self, *args):
+        raise AssertionError("the body was read")
+
+
+def test_snf_refuses_a_header_before_reading_the_body(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", _BodyUnread("3000 3000\n0 0 0\n"))
+    code, out, err = run_cli(["snf", "-", "--transforms"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a 3000 x 3000 matrix needs 2.70e+07 entries")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 2\n1 0\n0 3\n", "\n\n2\n2 1 0 0 3", "2 2 1 0\n0 3\n", "2\n", "2 x\n1 2\n", "-1 2\n",
+     "2 2\n1 0\n0\n", '{"rows": 1, "cols": 1, "data": [4]}', '\n  {"rows": 1, "cols": 1, "data": [4]}'],
+)
+def test_snf_reads_every_input_as_the_whole_file_parser(tmp_path, capsys, text):
+    # the header is read first, and the result or the error is the one
+    # mat_parse gives on the whole text
+    src = tmp_path / "m.txt"
+    src.write_text(text)
+    code, out, err = run_cli(["snf", str(src)], capsys)
+    try:
+        rows, cols = la.mat_parse(text)
+    except ValueError as exc:
+        assert (code, out, err) == (2, "", f"error: cannot read matrix: {exc}\n")
+    else:
+        assert (code, out) == (0, la.mat_to_text(*la.smith_normal_form(rows, cols).sparse("D")))
 
 
 @pytest.mark.parametrize(
@@ -470,8 +525,8 @@ def test_verify_h0_rank4_weight12_in_bounded_memory():
 
 def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
     # an 18 MB file of a 3000 x 3000 zero matrix: the transforms guard reads
-    # the header's shape, so the body is never split into 9e6 tokens (the
-    # guard on the parsed matrix peaked at 279 MB)
+    # the header line's shape before the body is read (the guard on the
+    # parsed matrix peaked at 279 MB, on the whole file read at 51 MB)
     src = tmp_path / "zeros.txt"
     with open(src, "w") as fh:
         fh.write("3000 3000\n")
@@ -479,7 +534,7 @@ def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
     assert src.stat().st_size > 18_000_000
     code, peak_kb = _run_with_peak_rss(["snf", str(src), "--transforms"], subprocess.PIPE)
     assert code == 2
-    assert peak_kb < 70 * 1024
+    assert peak_kb < 30 * 1024
 
 
 def test_console_entry_point():

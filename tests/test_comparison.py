@@ -1,6 +1,7 @@
 """The comparison maps: degree-0 structure, higher cycles, counterexample."""
 
 import dataclasses
+from itertools import product as iproduct
 
 import pytest
 
@@ -167,6 +168,49 @@ def test_h0_decision_per_content_matches_dense_reference():
         hom = cx.homology_of("C", q.n, q.r)
         assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q)
         assert cmp.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is iso
+
+
+def _smith_column_onto(column, orders):
+    """The reference: one Smith reduction of [y | diag(m)] per column."""
+    return la.onto_cyclic_sum([[y] for y in column.values()], [orders[k] for k in column])
+
+
+def test_h0_columns_decided_by_minors_match_the_smith_reduction():
+    maps = [cmp.q_matrix(n, r) for n in range(2, 13) for r in range(5)]
+    q4, q8 = cmp.q_matrix(4, 2), cmp.q_matrix(8, 2)
+    maps += [
+        _with_entry(_with_entry(q4, 1, 2, 0), 2, 2, 1),
+        _with_entry(_with_entry(q8, 3, 6, 0), 4, 6, 1),
+        _with_entry(q4, 1, 2, 2),
+        _with_entry(q4, 1, 0, 1),
+        _with_orders(q4, (8, 2, 4)),
+        _with_orders(q4, (4, 1, 4)),
+    ]
+    decided = set()
+    for q in maps:
+        for column in q.columns.values():
+            got = cmp._column_onto(column, q.target.orders)
+            assert got is _smith_column_onto(column, q.target.orders), (q.n, q.r, column)
+            decided.add(got)
+    assert decided == {True, False}
+    # columns of up to three rows, with every small value and order
+    orders = (1, 2, 3, 4, 6, 12)
+    for ys in iproduct(range(-3, 5), repeat=2):
+        for ms in iproduct(range(len(orders)), repeat=2):
+            column = dict(zip(ms, ys)) if ms[0] != ms[1] else {ms[0]: ys[0]}
+            assert cmp._column_onto(column, orders) is _smith_column_onto(column, orders)
+    assert cmp._column_onto({0: 1, 1: 1, 2: 1}, (2, 3, 5))
+    assert not cmp._column_onto({0: 1, 1: 1, 2: 1}, (2, 3, 4))
+
+
+def test_h0_decision_reduces_no_column(monkeypatch):
+    def refuse(f, orders):
+        raise AssertionError("a column was Smith-reduced")
+
+    monkeypatch.setattr(la, "onto_cyclic_sum", refuse)
+    cmp.q_matrix.cache_clear()
+    for n in range(2, 9):
+        assert cmp.verify_h0_iso(n, 3)
 
 
 def test_h0_iso_rejects_a_map_not_graded_by_content():

@@ -471,3 +471,103 @@ def test_gamma_elementary_cross_module():
                 got = cx.gamma_elementary_invariants(n, p, r)
                 expect = ab.gamma_group(n, ab.elementary(p, r))
                 assert got == expect
+
+
+# -- the orbit route against the full route -----------------------------------
+
+ORBIT_CELLS = [(f, n, r) for f in "CD" for n in range(9) for r in range(6)] + [
+    ("C", 7, 6),
+    ("C", 7, 7),
+]
+
+
+def _every_block_invariants(c, i):
+    """The full route without the orbit shortcut: H_i from the Smith
+    diagonal of every content block of d_i and d_(i+1)."""
+    if not 0 <= i <= c.n:
+        return GroupInvariants(0, ())
+    diag = {
+        k: [x for b in c.blocks for x in la.snf_diagonal(la.as_rows(b.d(k), len(b.at(k)))[0])]
+        for k in (i, i + 1)
+    }
+    rank = {k: sum(1 for x in d if x) for k, d in diag.items()}
+    return GroupInvariants(c.dim(i) - rank[i] - rank[i + 1], [x for x in diag[i + 1] if x > 1])
+
+
+@pytest.mark.parametrize("family,n,r", ORBIT_CELLS)
+def test_orbit_route_matches_the_full_route(family, n, r):
+    oc = cx.OrbitComplex(family, n, r)
+    full = cx.build(family, n, r)
+    hom = cx.ComplexHomology(oc)
+    reference = cx.ComplexHomology(full)
+    # the partitions are the sorted contents, their sizes the blocks per orbit
+    assert oc.orbits == dict(full.orbits)
+    for rep in oc.orbits:
+        # a representative block is the full builder's, entry for entry
+        b, whole = oc.block(rep), full.block(rep)
+        assert b.diffs == whole.diffs
+        assert [len(b.at(i)) for i in range(n + 1)] == [len(whole.at(i)) for i in range(n + 1)]
+    for i in range(-1, n + 2):
+        got = hom.invariants(i)
+        assert got == reference.invariants(i), (i, got)
+        if 0 <= i <= n and n:
+            assert got == ab.closed_form_homology(family, n, i, r), i
+        assert got == _every_block_invariants(full, i), i
+    # the orbit route builds no basis and no full complex
+    assert "cx" not in vars(hom)
+
+
+def test_full_builder_places_each_block_in_ascending_positions():
+    # _koszul's label order is the order of the basis positions
+    for n in range(9):
+        for r in range(6):
+            for c in (cx.build_C(n, r), cx.build_D(n, r), cx._build_complex("K", "wedge", "sym", n, r)):
+                for b in c.blocks:
+                    assert all(list(at) == sorted(at) for at in b.positions), (c.family, n, r, b.content)
+
+
+@pytest.mark.parametrize("family,n,r", [("C", 6, 3), ("D", 6, 3), ("C", 5, 5), ("D", 4, 2)])
+def test_orbit_check_refuses_a_dropped_partition(monkeypatch, family, n, r):
+    partitions = list(cx._partitions(n, r))
+    cx.OrbitComplex(family, n, r)
+    for k in range(len(partitions)):
+        dropped = partitions[:k] + partitions[k + 1:]
+        monkeypatch.setattr(cx, "_partitions", lambda n, parts: iter(dropped))
+        with pytest.raises(ValueError, match="do not hold every position"):
+            cx.OrbitComplex(family, n, r)
+
+
+def test_orbit_complex_refuses_what_it_cannot_build():
+    for args in (("K", 3, 2), ("C", -1, 2), ("D", 2, -1)):
+        with pytest.raises(ValueError):
+            cx.OrbitComplex(*args)
+
+
+def test_both_routes_share_one_smith_decomposition_per_block(monkeypatch):
+    calls = []
+    reduce = la._reduce
+
+    def counted(rows, width):
+        calls.append((len(rows), width))
+        return reduce(rows, width)
+
+    monkeypatch.setattr(la, "_reduce", counted)
+    cx.homology_of.cache_clear()
+    hom = cx.homology_of("C", 6, 3)
+    for i in range(7):
+        hom.invariants(i)
+    orbits = len(hom.source.orbits)
+    assert len(calls) == 8 * orbits
+    assert "cx" not in vars(hom)
+    for i in range(1, 7):
+        hom.presentation(i)
+    # the presentations add the blocks with torsion that are not orbit
+    # representatives, each once, and the invariants reduce nothing again
+    added = len(calls) - 8 * orbits
+    assert added > 0
+    for i in range(7):
+        hom.invariants(i)
+    for i in range(1, 7):
+        hom.presentation(i)
+    assert len(calls) == 8 * orbits + added
+    assert sum(len(s._blocks) for s in hom._solver.values()) == len(calls)
