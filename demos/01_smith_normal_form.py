@@ -9,7 +9,7 @@ la.intmat, la.mat_mul, la.is_zero and la.det_exact used below.
 """
 
 from derham import intlinalg as la
-from derham.complexes import homology_of
+from derham.complexes import build_C, homology_of
 
 # A matrix with interesting invariant factors.
 m = la.intmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -29,19 +29,21 @@ print("coker(diag(2, 3)):", la.invariants_of_cokernel([[2, 0], [0, 3]]))
 # Homology is read off the same Smith forms.  The weight-2 complex on Z is
 # Z --(-2)--> Z (x (x) x goes to -2 gamma_2(x)), so H_0 = Z/2.
 hom = homology_of("C", 2, 1)
-print("\nd_1 of C^2(Z):", hom.cx.d(1).tolist())
+full = build_C(2, 1)
+print("\nd_1 of C^2(Z):", full.d(1).tolist())
 print("H_0 of C^2(Z):", hom.invariants(0))
 
 # The same group as Z/m_1 + ... + Z/m_k, read off the Smith form of d_1:
 # the m_k are its invariant factors other than 1, and the matching rows of
-# U, each sparse on the positions of its content block, send each cycle to
-# its class.
+# U, each a content c with a sparse row over the labels of c's block, send
+# each cycle to its class.  The full complex places label k of the block of
+# c at the basis position full.block(c).at(i)[k].
 orders, classes = hom.presentation(0)
 print("presentation: orders =", list(orders), "invariants =", la.GroupInvariants(0, orders))
-for j in range(hom.cx.dim(0)):
+for j in range(full.dim(0)):
     cls = [
-        sum(u for l, u in row.items() if pos[l] == j) % m
-        for (pos, row), m in zip(classes, orders)
+        sum(u for l, u in row.items() if full.block(c).at(0)[l] == j) % m
+        for (c, row), m in zip(classes, orders)
     ]
     print(f"class of basis vector {j} of C_0: {cls} mod {list(orders)}")
 

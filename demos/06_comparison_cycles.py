@@ -16,13 +16,21 @@ from derham.comparison import (
     verify_theorem,
 )
 
+def show(cycle, n, r, i):
+    """A cycle, keyed by (content c, place k in the block of c), at the
+    labels of the full complex: position full.block(c).at(i)[k]."""
+    full = build_C(n, r)
+    labels = full.labels(i)
+    for pos, coeff in sorted((full.block(c).at(i)[k], x) for (c, k), x in cycle.items()):
+        wedge, mono = labels[pos]
+        print(f"   {coeff:+d} * wedge{wedge} (x) gamma{mono}")
+
+
 # The fundamental weight-4 cycle: x1 (x) x1 g2(x2) - x2 (x) x2 g2(x1).
+# It lies in one content block, 2 (x1 + x2).
 cycle = eta(1, 2, 4, [1, 2], 2)
-labels = build_C(4, 2).labels(1)
-print("weight-4 cycle:")
-for pos, coeff in sorted(cycle.items()):
-    wedge, mono = labels[pos]
-    print(f"   {coeff:+d} * wedge{wedge} (x) gamma{mono}")
+print("weight-4 cycle, in the block of content", sorted({c for c, _ in cycle}))
+show(cycle, 4, 2, 1)
 
 # Its class generates H_1 = Z/2.
 print("\nH_1 at weight 4 on Z^2:", homology_of("C", 4, 2).invariants(1))
@@ -30,11 +38,8 @@ print("comparison matrix (one generator):", f_matrix(1, 4, 2, 2))
 
 # The three-term weight-6 cycle in homological degree 2.
 cycle6 = eta(2, 2, 6, [1, 2, 3], 3)
-labels6 = build_C(6, 3).labels(2)
 print("\nweight-6 cycle in degree 2:")
-for pos, coeff in sorted(cycle6.items()):
-    wedge, mono = labels6[pos]
-    print(f"   {coeff:+d} * wedge{wedge} (x) gamma{mono}")
+show(cycle6, 6, 3, 2)
 
 # Well-definedness evidence: scalings are boundaries, relations cancel.
 report = verify_f_welldefined(1, 6, 2, 3)

@@ -165,52 +165,45 @@ def gamma_of_vector(vec: Sequence[int], degree: int) -> Vector:
     The sum-of-arguments relation makes the coefficient of the exponent
     vector e equal to the product of the vector entries raised to e.
     """
-    rank = len(vec)
-    index = basis_index("gamma", degree, rank)
-    out: Vector = {}
-    for e, pos in index.items():
-        coeff = 1
-        for c, exp in zip(vec, e):
-            if exp:
-                if c == 0:
-                    coeff = 0
-                    break
-                coeff *= int(c) ** exp
-        vec_add(out, pos, coeff)
-    return out
+    return divided_product([(degree, vec)], len(vec))
 
 
-def gamma_multiply(v1: Vector, d1: int, v2: Vector, d2: int, rank: int) -> Vector:
-    """Bilinear extension of the divided monomial product."""
-    labels1 = enumerate_basis("gamma", d1, rank)
-    labels2 = enumerate_basis("gamma", d2, rank)
-    index = basis_index("gamma", d1 + d2, rank)
-    out: Vector = {}
-    for k1, c1 in v1.items():
-        m1 = labels1[k1]
-        for k2, c2 in v2.items():
-            coeff, m = gamma_product(m1, labels2[k2])
-            vec_add(out, index[m], c1 * c2 * coeff)
+def divided_monomials(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> dict:
+    """Expand a product of divided powers of integer vectors, keyed by
+    exponent vector: gamma_d(v) is the sum, over e with |e| = d on the
+    support of v, of prod v_j^e_j gamma_e, and gamma_e gamma_f is
+    prod_j C(e_j + f_j, e_j) gamma_(e+f).  terms is a list of (degree,
+    vector) pairs; degree-0 factors are the unit, a negative degree is 0.
+    """
+    out = {(0,) * rank: 1}
+    for degree, vec in terms:
+        if len(vec) != rank:
+            raise DegreeMismatchError("vector of wrong rank")
+        if degree < 0:
+            return {}
+        support = [j for j, x in enumerate(vec) if x]
+        step: dict = {}
+        for e in exponent_vectors(degree, len(support)):
+            x = prod(int(vec[j]) ** k for j, k in zip(support, e))
+            for m, c in out.items():
+                new, coeff = list(m), c * x
+                for j, k in zip(support, e):
+                    coeff *= comb(m[j] + k, k)
+                    new[j] += k
+                key = tuple(new)
+                step[key] = step.get(key, 0) + coeff
+        out = {m: c for m, c in step.items() if c}
     return out
 
 
 def divided_product(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> Vector:
-    """Expand a product of divided powers of integer vectors.
-
-    terms is a list of (degree, vector) pairs; the result lives in the
-    divided power of total degree.  Degree-0 factors are the unit.
-    """
-    total = 0
-    out: Vector = {basis_index("gamma", 0, rank)[(0,) * rank]: 1}
-    for degree, vec in terms:
-        if len(vec) != rank:
-            raise DegreeMismatchError("vector of wrong rank")
-        if degree == 0:
-            continue
-        factor = gamma_of_vector(tuple(int(c) for c in vec), degree)
-        out = gamma_multiply(out, total, factor, degree, rank)
-        total += degree
-    return out
+    """``divided_monomials`` at the basis positions of the divided power of
+    total degree."""
+    out = divided_monomials(terms, rank)
+    if not out:
+        return {}
+    index = basis_index("gamma", sum(next(iter(out))), rank)
+    return {index[m]: c for m, c in out.items()}
 
 
 def unit_terms(monomial: Exponents) -> list[tuple[int, tuple[int, ...]]]:

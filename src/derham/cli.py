@@ -23,7 +23,7 @@ from .comparison import (
     verify_q_relations,
     verify_theorem,
 )
-from .complexes import homology_of, kunneth_check
+from .complexes import build, homology_of, kunneth_check
 from .koszul import derived_sp, generator_presentation, presentation_dimension
 from .numtheory import sweep_binomial_lemma
 
@@ -212,10 +212,11 @@ def cmd_homology(ns) -> int:
     ]
     if ns.dump_matrices:
         os.makedirs(ns.dump_matrices, exist_ok=True)
+        cx = build(ns.family, ns.n, ns.rank)
         for i in range(1, ns.n + 1):
             path = os.path.join(ns.dump_matrices, f"d_{i}.txt")
             with open(path, "w") as fh:
-                la.write_text(fh, (hom.cx.dim(i - 1), hom.cx.dim(i)), *hom.cx.entries(i))
+                la.write_text(fh, (cx.dim(i - 1), cx.dim(i)), *cx.entries(i))
     if ns.format == "json":
         _emit(_json_dumps({"command": "homology", "records": records}), ns.output)
     else:
@@ -498,78 +499,94 @@ def cmd_snf(ns) -> int:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = ("table", "homology", "basis", "derived-sp", "verify", "counterexample", "snf")
+
+
+def _build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser with the named subcommands.  Its usage lists every
+    subcommand whichever are built, so the top-level messages are the same."""
     parser = argparse.ArgumentParser(
         prog="derham",
         description="exact homology of divided-power de Rham complexes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if names != SUBCOMMANDS:
+        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
 
     def common(p):
         p.add_argument("--output", default=None, help="write to a file")
         p.add_argument("--jobs", type=int, default=None,
                        help="ignored; cells are evaluated in order")
 
-    p = sub.add_parser("table", help="homology table with expected values")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--rank", type=int, default=DEFAULT_RANK)
-    p.add_argument("--format", choices=("md", "json", "csv"), default="md")
-    common(p)
-    p.set_defaults(fn=cmd_table)
+    if "table" in names:
+        p = sub.add_parser("table", help="homology table with expected values")
+        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+        p.add_argument("--rank", type=int, default=DEFAULT_RANK)
+        p.add_argument("--format", choices=("md", "json", "csv"), default="md")
+        common(p)
+        p.set_defaults(fn=cmd_table)
 
-    p = sub.add_parser("homology", help="homology of one complex")
-    p.add_argument("--family", choices=("C", "D"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--dump-matrices", default=None, metavar="DIR")
-    common(p)
-    p.set_defaults(fn=cmd_homology)
+    if "homology" in names:
+        p = sub.add_parser("homology", help="homology of one complex")
+        p.add_argument("--family", choices=("C", "D"), required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--degree", type=int, default=None)
+        p.add_argument("--format", choices=("md", "json"), default="md")
+        p.add_argument("--dump-matrices", default=None, metavar="DIR")
+        common(p)
+        p.set_defaults(fn=cmd_homology)
 
-    p = sub.add_parser("basis", help="dump a monomial basis")
-    p.add_argument("--functor", choices=("wedge", "sym", "gamma"), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_basis)
+    if "basis" in names:
+        p = sub.add_parser("basis", help="dump a monomial basis")
+        p.add_argument("--functor", choices=("wedge", "sym", "gamma"), required=True)
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--rank", type=int, required=True)
+        common(p)
+        p.set_defaults(fn=cmd_basis)
 
-    p = sub.add_parser("derived-sp", help="derived symmetric power over F_p")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_derived_sp)
+    if "derived-sp" in names:
+        p = sub.add_parser("derived-sp", help="derived symmetric power over F_p")
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--rank", type=int, required=True)
+        common(p)
+        p.set_defaults(fn=cmd_derived_sp)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", nargs="?",
-                   choices=("h0", "theorem", "lemma", "relations", "kunneth"))
-    p.add_argument("--all", action="store_true", help="every suite at defaults")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--p", type=int, default=None, help="single prime for lemma")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
+    if "verify" in names:
+        p = sub.add_parser("verify", help="run a verification suite")
+        p.add_argument("suite", nargs="?",
+                       choices=("h0", "theorem", "lemma", "relations", "kunneth"))
+        p.add_argument("--all", action="store_true", help="every suite at defaults")
+        p.add_argument("--max-n", type=int, default=None)
+        p.add_argument("--rank", type=int, default=None)
+        p.add_argument("--p", type=int, default=None, help="single prime for lemma")
+        common(p)
+        p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("counterexample", help="report a failing comparison")
-    p.add_argument("which", choices=("f18",))
-    p.add_argument("--rank", type=int, default=2)
-    common(p)
-    p.set_defaults(fn=cmd_counterexample)
+    if "counterexample" in names:
+        p = sub.add_parser("counterexample", help="report a failing comparison")
+        p.add_argument("which", choices=("f18",))
+        p.add_argument("--rank", type=int, default=2)
+        common(p)
+        p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("snf", help="Smith normal form of a matrix file")
-    p.add_argument("input", help="matrix file, text or JSON (read whole), or - for stdin")
-    p.add_argument("--transforms", action="store_true",
-                   help="also print U and V")
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(fn=cmd_snf)
+    if "snf" in names:
+        p = sub.add_parser("snf", help="Smith normal form of a matrix file")
+        p.add_argument("input", help="matrix file, text or JSON (read whole), or - for stdin")
+        p.add_argument("--transforms", action="store_true",
+                       help="also print U and V")
+        p.add_argument("--output-dir", default=None)
+        p.set_defaults(fn=cmd_snf)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command that names its subcommand first needs only that subparser
+    named = argv[:1] if argv[:1] and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    ns = _build_parser(named).parse_args(argv)
     try:
         return ns.fn(ns)
     except (UsageError, OSError) as exc:

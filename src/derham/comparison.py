@@ -13,11 +13,13 @@ Three verification layers:
 
 Everything is checked with exact integer linear algebra.  Every map lands
 in a finite sum of cyclic groups, given by its orders (those of H_i, or of
-``h0_target``), and is decided against them.  Cycles stay sparse vectors:
-a class is read off the rows of U of the content block that holds the
-cycle, and boundary membership is an integral solve on that block.  The
-degree-0 map is decided per content block: the block of c has one degree-0
-label, the divided monomial c, and q sends it to at most two generators.
+``h0_target``), and is decided against them.  Cycles stay sparse vectors
+in block-local coordinates, {(content c, k): coefficient} with k the place
+of a label in the block of c: a class is read off the rows of U of that
+block, and boundary membership is an integral solve on it, so no basis of
+the complex is enumerated.  The degree-0 map is decided per content block:
+the block of c has one degree-0 label, the divided monomial c, and q sends
+it to at most two generators.
 """
 
 from __future__ import annotations
@@ -33,15 +35,13 @@ from . import intlinalg as la
 from .abelian import monomial_order_mod_p, prime_divisors
 from .bases import (
     DegreeMismatchError,
-    Vector,
-    basis_index,
-    divided_product,
+    divided_monomials,
     enumerate_basis,
     unit_terms,
     vec_add,
     wedge_normalize,
 )
-from .complexes import ComplexHomology, build_C, homology_of
+from .complexes import ComplexHomology, homology_of, is_cycle, label_key
 from .intlinalg import GroupInvariants, PresentedGroup
 from .koszul import generator_presentation
 from .numtheory import binomial
@@ -107,14 +107,15 @@ def q_kills_boundaries(q: QMap) -> bool:
     """Every column of d_1 must map to 0 modulo the target cyclic orders.
 
     d_1 keeps contents, and its block of c is one row, the divided monomial
-    c, with entries x = ±c_j.  Each column of that block maps to x times the
-    column y of c, so x·y_k must vanish modulo the order of each row k."""
-    orders = q.target.orders
+    c, with entries x = ±c_j, read off the block alone.  Each column of that
+    block maps to x times the column y of c, so x·y_k must vanish modulo the
+    order of each row k."""
+    orders, source = q.target.orders, homology_of("C", q.n, q.r).source
     return all(
         x * y % orders[k] == 0
-        for b in build_C(q.n, q.r).blocks
-        for x in b.d(1)[0]
-        for k, y in q.columns[b.content].items()
+        for c, column in q.columns.items()
+        for x in source.block(c).d(1)[0]
+        for k, y in column.items()
     )
 
 
@@ -166,10 +167,8 @@ def _q_value(expr, n: int, r: int, target: H0Target) -> tuple[int, ...]:
     out = [0] * len(target.generators)
     for p in prime_divisors(n):
         if all(j % p == 0 for j, _ in expr):
-            prod = divided_product([(j // p, v) for j, v in expr], r)
-            labels = enumerate_basis("gamma", n // p, r)
-            for pos, c in prod.items():
-                out[target.rows[p, labels[pos]]] += c
+            for mono, c in divided_monomials([(j // p, v) for j, v in expr], r).items():
+                out[target.rows[p, mono]] += c
     return target.reduce(out)
 
 
@@ -268,12 +267,14 @@ def _unit_vector(index: int, r: int) -> tuple[int, ...]:
     return tuple(1 if t == index - 1 else 0 for t in range(r))
 
 
-def eta_vector(i: int, p: int, n: int, args, r: int) -> Vector:
-    """Expand the comparison cycle on integer-vector arguments.
+def eta_vector(i: int, p: int, n: int, args, r: int) -> dict:
+    """Expand the comparison cycle on integer-vector arguments, keyed by
+    block (see ``complexes.label_key``).
 
     args is a sequence of n/p vectors in Z^r; the first i+1 feed the wedge
-    part.  Wedge factors are expanded multilinearly and normalized with
-    signs; the divided-power factor is expanded through the product rules.
+    part.  Wedge factors are expanded multilinearly over the supports of
+    their arguments and normalized with signs; the divided-power factor is
+    expanded through the product rules.
     """
     if n % p != 0:
         raise DegreeMismatchError("p must divide n")
@@ -285,42 +286,31 @@ def eta_vector(i: int, p: int, n: int, args, r: int) -> Vector:
         raise DegreeMismatchError("too few arguments for the wedge part")
     if i < 1:
         raise DegreeMismatchError("the cycle lives in positive degrees")
-    cxn = build_C(n, r)
-    pair = cxn.bases[i]
-    wedge_idx = basis_index("wedge", i, r)
-    gamma_labels_width = len(pair.right)
-    out: Vector = {}
+    out: dict = {}
     for t in range(1, i + 2):
         wedge_args = [args[k] for k in range(i + 1) if k != t - 1]
         gamma_terms = [(p - 1, args[k]) for k in range(i + 1) if k != t - 1]
         gamma_terms.append((p, args[t - 1]))
         gamma_terms.extend((p, args[k]) for k in range(i + 1, m))
-        gamma_part = divided_product(gamma_terms, r)
+        gamma_part = divided_monomials(gamma_terms, r)
         if not gamma_part:
             continue
         sign_t = (-1) ** t
         # multilinear expansion of the wedge of integer vectors
-        for choice in iproduct(*(range(1, r + 1) for _ in wedge_args)):
-            coeff = 1
-            for vec, g in zip(wedge_args, choice):
-                coeff *= vec[g - 1]
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
+        supports = ([j for j, x in enumerate(vec) if x] for vec in wedge_args)
+        for choice in iproduct(*supports):
             sign_w, w = wedge_normalize(choice)
             if sign_w == 0:
                 continue
-            base = wedge_idx[w] * gamma_labels_width
-            total = sign_t * sign_w * coeff
-            for pos, c in gamma_part.items():
-                vec_add(out, base + pos, total * c)
+            total = sign_t * sign_w * prod(vec[j] for vec, j in zip(wedge_args, choice))
+            for mono, c in gamma_part.items():
+                vec_add(out, label_key(w, mono), total * c)
     return out
 
 
-def eta(i: int, p: int, n: int, lifts, r: int) -> Vector:
+def eta(i: int, p: int, n: int, lifts, r: int) -> dict:
     """The comparison cycle on standard-basis lifts, in wedge^i (x)
-    divided^(n-i) of C^n(Z^r); checked to be a cycle.
+    divided^(n-i) of C^n(Z^r), keyed by block; checked to be a cycle.
 
     Term t drops the t-th of the first i+1 arguments from the wedge, takes
     (p-1)-st divided powers of the others, and the p-th divided power of
@@ -328,7 +318,7 @@ def eta(i: int, p: int, n: int, lifts, r: int) -> Vector:
     """
     vec = eta_vector(i, p, n, [_unit_vector(k, r) for k in lifts], r)
     # the cycle lives in one content block, p times the sum of the lifts
-    if not build_C(n, r).is_cycle(i, vec):
+    if not is_cycle(homology_of("C", n, r).source, i, vec):
         raise AssertionError(f"eta({i}, {p}, {n}, {tuple(lifts)}) is not a cycle")
     return vec
 
@@ -369,22 +359,22 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
 
     Each generator's cycle, checked to be a cycle by ``eta``, is sent to
     its class in the homology presentation: class k is the row of U in
-    classes[k] applied to the cycle's entries at that block's positions.
+    classes[k] applied to the cycle's entries in that class's block.
     """
     if n % p or not 1 <= i <= n // p - 1:
         raise DegreeMismatchError(f"no comparison for i={i}, n={n}, p={p}")
     pres = generator_presentation(i, n // p, p, r)
     orders, classes = homology_of("C", n, r).presentation(i)
-    hits: dict[int, list[tuple[int, int]]] = {}  # position -> (class, U entry)
-    for k, (positions, row) in enumerate(classes):
+    hits: dict[tuple, list[tuple[int, int]]] = {}  # block key -> (class, U entry)
+    for k, (content, row) in enumerate(classes):
         for l, u in row.items():
-            hits.setdefault(positions[l], []).append((k, u))
+            hits.setdefault((content, l), []).append((k, u))
     gens = len(pres.generators)
     mat = [[0] * gens for _ in orders]
     for col, label in enumerate(pres.generators):
         lifts = _generator_lifts(label, n // p, i)
-        for pos, c in eta(i, p, n, lifts, r).items():
-            for k, u in hits.get(pos, ()):
+        for key, c in eta(i, p, n, lifts, r).items():
+            for k, u in hits.get(key, ()):
                 mat[k][col] += c * u
     relations = []  # [p I | the F_p relations]
     for k, rel in enumerate(pres.relations):
@@ -442,7 +432,7 @@ def verify_theorem(i: int, n: int, r: int) -> bool:
 # well-definedness evidence
 
 
-def jacobi_eta_image(i: int, n: int, p: int, r: int, xs, tail) -> Vector:
+def jacobi_eta_image(i: int, n: int, p: int, r: int, xs, tail) -> dict:
     """Image of one alternating relation under the cycle assignment.
 
     xs is a tuple of i+2 generator indices, tail a symmetric monomial; the
@@ -450,7 +440,7 @@ def jacobi_eta_image(i: int, n: int, p: int, r: int, xs, tail) -> Vector:
     into the symmetric arguments.  The terms cancel pairwise, so the sum is
     the zero vector in the chain group itself.
     """
-    acc: Vector = {}
+    acc: dict = {}
     for k in range(1, i + 3):
         rest = xs[:k - 1] + xs[k:]
         args = [_unit_vector(g, r) for g in rest]
@@ -459,8 +449,8 @@ def jacobi_eta_image(i: int, n: int, p: int, r: int, xs, tail) -> Vector:
             sym_args.extend([_unit_vector(j, r)] * e)
         term = eta_vector(i, p, n, list(args) + sym_args, r)
         sign = (-1) ** k
-        for pos, c in term.items():
-            vec_add(acc, pos, sign * c)
+        for key, c in term.items():
+            vec_add(acc, key, sign * c)
     return acc
 
 
@@ -527,8 +517,8 @@ def lift_change_in_boundaries(i: int, n: int, p: int, r: int) -> bool:
                 )
                 shifted = eta_vector(i, p, n, vectors, r)
                 diff = dict(shifted)
-                for pos, c in base.items():
-                    vec_add(diff, pos, -c)
+                for key, c in base.items():
+                    vec_add(diff, key, -c)
                 if not boundaries.contains(diff):
                     return False
     return True

@@ -22,14 +22,18 @@ Permuting the coordinates by sigma maps the block of c onto the block of
 sigma c by a signed permutation.  So ``homology_of(...).invariants`` reads,
 with no basis, one block per partition of n into at most r parts (sorted,
 zeros in front) times its orbit size r! / prod(m_k!), the m_k the
-multiplicities of its entries, zeros included: ``OrbitComplex``.  Callers
-that read basis positions build ``build_C`` or ``build_D``: presentations,
-solves and ``is_cycle``, ``homology --dump-matrices``,
-``q_kills_boundaries`` and ``cross_effect_h0``.  Both routes share one
-Smith decomposition per (degree, content).  A finite H_i is presented from
-the Smith forms of the blocks of d_(i+1): their invariant factors give the
-cyclic summands, and the matching rows of their left transforms U send each
-cycle to its class.  Only tests and demos assemble a dense d_i.
+multiplicities of its entries, zeros included: ``OrbitComplex``.
+
+Chains, cycles and classes are written in block-local coordinates, as
+{(content c, k): coefficient} with k the place of a label in the block of
+c: ``DifferentialSolver.solve``, ``is_cycle`` and the classes of
+``ComplexHomology.presentation`` apply one block at a time and read no
+basis.  A finite H_i is presented from the Smith forms of the blocks of
+d_(i+1): their invariant factors give the cyclic summands, and the matching
+rows of their left transforms U send each cycle to its class.  Only
+``homology --dump-matrices``, ``build_koszul``,
+``block_decomposition_matches`` and the tests build a full complex, whose
+blocks sit at basis positions; only tests and demos assemble a dense d_i.
 """
 
 from __future__ import annotations
@@ -68,9 +72,6 @@ class PairBasis:
     @property
     def size(self) -> int:
         return len(self.left) * len(self.right)
-
-    def index(self, left_idx: int, right_idx: int) -> int:
-        return left_idx * len(self.right) + right_idx
 
     def labels(self) -> tuple:
         return tuple((l, r) for l in self.left for r in self.right)
@@ -131,25 +132,15 @@ class ChainComplexZ:
     def _by_content(self) -> dict[tuple, Block]:
         return {b.content: b for b in self.blocks}
 
+    @property
+    def contents(self):
+        """The content of every block, in order."""
+        return self._by_content.keys()
+
     @cached_property
     def orbits(self) -> Counter:
         """Number of blocks per S_r-orbit representative, the sorted content."""
         return Counter(tuple(sorted(b.content)) for b in self.blocks)
-
-    @cached_property
-    def _owner(self) -> tuple[list[int], ...]:
-        """For each degree 0..n, the number of the block owning each position."""
-        owner = tuple([0] * self.dim(i) for i in range(self.n + 1))
-        for k, b in enumerate(self.blocks):
-            for i, positions in enumerate(b.positions):
-                for pos in positions:
-                    owner[i][pos] = k
-        return owner
-
-    def blocks_holding(self, i: int, positions) -> list[Block]:
-        """The blocks that hold the given degree-i positions, each once."""
-        owner = self._owner[i]
-        return [self.blocks[k] for k in sorted({owner[pos] for pos in positions})]
 
     def entries(self, i: int) -> tuple[list[int], list[int], list[int]]:
         """The nonzero entries of d_i as (rows, cols, values), read off the
@@ -174,15 +165,6 @@ class ChainComplexZ:
         mat = la.zeros(self.dim(i - 1), self.dim(i))
         mat[rows, cols] = np.array(values, dtype=object)
         return mat
-
-    def is_cycle(self, i: int, vec: dict[int, int]) -> bool:
-        """Whether d_i kills a degree-i vector (position -> coefficient),
-        applying only the blocks that hold its entries."""
-        for b in self.blocks_holding(i, vec):
-            coeffs = [vec.get(pos, 0) for pos in b.at(i)]
-            if any(sum(map(mul, row, coeffs)) for row in b.d(i)):
-                return False
-        return True
 
 
 def _check_dd_zero(cx) -> None:
@@ -227,16 +209,17 @@ def _check_partition(cx, sizes=None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """(wedges, positions, diffs) of the block of left^i (x) right^(n-i)
-    whose content c has the nonzero entries values.  With S the support,
-    each W in S is a label, the wedge W with the other factor c - 1_W, in
-    degree |W| (n - |W| for a right wedge).  wedges[i] lists the degree-i W,
-    as indices into S, by basis position: in lex order for a left wedge,
-    else in descending lex order of c - 1_W, the reverse; positions[i]
-    numbers them.  d takes the factor j at place q (from 0) out of a left
-    wedge with sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j
-    of S - W into a right wedge with the opposite sign and multiplicity c_j."""
+def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict, tuple, tuple]:
+    """(wedges, index, positions, diffs) of the block of left^i (x)
+    right^(n-i) whose content c has the nonzero entries values.  With S the
+    support, each W in S is a label, the wedge W with the other factor
+    c - 1_W, in degree |W| (n - |W| for a right wedge).  wedges[i] lists the
+    degree-i W, as indices into S, by basis position: in lex order for a
+    left wedge, else in descending lex order of c - 1_W, the reverse;
+    index[W] is the place of W in its degree, and positions[i] numbers
+    them.  d takes the factor j at place q (from 0) out of a left wedge with
+    sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j of S - W
+    into a right wedge with the opposite sign and multiplicity c_j."""
     wedge_left, n, s = left == "wedge", sum(values), len(values)
     wedges = [()] * (n + 1)
     for w in range(s + 1):
@@ -260,7 +243,8 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, tupl
                 else:
                     mat[k][index[W[:q] + W[q + 1:]]] = -x
         diffs.append(tuple(map(tuple, mat)))
-    return tuple(wedges), tuple(map(tuple, map(range, map(len, wedges)))), tuple(diffs)
+    positions = tuple(map(tuple, map(range, map(len, wedges))))
+    return tuple(wedges), index, positions, tuple(diffs)
 
 
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
@@ -282,7 +266,7 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
     widths, blocks = [len(b.right) for b in bases], []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
-        wedges, _, diffs = _koszul(left, right, tuple([c[j - 1] for j in support]))
+        wedges, _, _, diffs = _koszul(left, right, tuple([c[j - 1] for j in support]))
         positions = []
         for at, width in zip(wedges, widths):
             found = []
@@ -356,12 +340,50 @@ class OrbitComplex:
         left, right = FACTORS[self.family]
         return basis_size(left, i, self.rank) * basis_size(right, self.n - i, self.rank)
 
+    @property
+    def contents(self) -> tuple[tuple, ...]:
+        """Every content vector, in the order of the basis."""
+        return exponent_vectors(self.n, self.rank)
+
     def block(self, content: tuple) -> Block:
-        return Block(content, *_koszul(*FACTORS[self.family], tuple(x for x in content if x))[1:])
+        if len(content) != self.rank or sum(content) != self.n or min(content, default=0) < 0:
+            raise ValueError(f"{content} is no content of {self.family}^{self.n}(Z^{self.rank})")
+        _, _, positions, diffs = _koszul(*FACTORS[self.family], tuple(x for x in content if x))
+        return Block(content, positions, diffs)
 
     @property
     def blocks(self) -> list[Block]:
         return [self.block(c) for c in self.orbits]
+
+
+def label_key(wedge: tuple, mono: tuple) -> tuple[tuple, int]:
+    """The block-local key (c, k) of the label wedge (x) gamma_mono of C,
+    the wedge a sorted tuple of generators from 0: c = mono + 1_wedge, and
+    k the place of the wedge, as indices into the support of c, in the
+    block of c."""
+    c = list(mono)
+    for j in wedge:
+        c[j] += 1
+    support = [j for j, x in enumerate(c) if x]
+    index = _koszul(*FACTORS["C"], tuple(c[j] for j in support))[1]
+    return tuple(c), index[tuple(map(support.index, wedge))]
+
+
+def by_content(vec: dict) -> dict[tuple, dict[int, int]]:
+    """A block-keyed vector {(content, k): x} as {content: {k: x}}."""
+    out: dict[tuple, dict[int, int]] = {}
+    for (content, k), x in vec.items():
+        out.setdefault(content, {})[k] = x
+    return out
+
+
+def is_cycle(source, i: int, vec: dict) -> bool:
+    """Whether d_i of source kills a block-keyed degree-i vector, applying
+    one block at a time."""
+    for content, coeffs in by_content(vec).items():
+        if any(sum(row[k] * x for k, x in coeffs.items()) for row in source.block(content).d(i)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +435,17 @@ class DifferentialSolver:
         """Invariants of Z^rows / (column span of d_i)."""
         return GroupInvariants(self.hom.source.dim(self.i - 1) - self.rank, self.torsion)
 
-    def solve(self, v: dict[int, int]) -> dict[int, int]:
-        """Return x with d_i x = v, both {position: coefficient}, solving
-        only on the blocks that hold v's positions, or raise
+    def solve(self, v: dict) -> dict:
+        """Return x with d_i x = v, both block-keyed {(content, k): value},
+        solving on the blocks of v's contents one at a time, or raise
         NotInLatticeError."""
-        cx = self.hom.cx
-        if not all(0 <= pos < cx.dim(self.i - 1) for pos in v):
-            raise ValueError("vector position outside the rows of d_i")
         x = {}
-        for b in cx.blocks_holding(self.i - 1, v):
-            coeffs = self.block(b.content).solve([v.get(pos, 0) for pos in b.at(self.i - 1)])
-            x.update((pos, c) for pos, c in zip(b.at(self.i), coeffs) if c)
+        for content, coeffs in by_content(v).items():
+            rows = len(self.hom.source.block(content).at(self.i - 1))
+            if not all(0 <= k < rows for k in coeffs):
+                raise ValueError("vector entry outside the rows of d_i")
+            dense = [coeffs.get(k, 0) for k in range(rows)]
+            x.update(((content, l), c) for l, c in enumerate(self.block(content).solve(dense)) if c)
         return x
 
     def contains(self, v: dict[int, int]) -> bool:
@@ -437,18 +459,14 @@ class DifferentialSolver:
 class ComplexHomology:
     """All homology data of one complex, read off one cached
     DifferentialSolver per differential.  The invariants read the orbits of
-    source; presentations and solves read the positions of ``cx``."""
+    source; presentations and solves read the blocks of source, one content
+    at a time, in block-local coordinates.  No full basis is enumerated for
+    an ``OrbitComplex``."""
 
     def __init__(self, source: ChainComplexZ | OrbitComplex):
         self.source = source
         self._solver: dict[int, DifferentialSolver] = {}
         self._presentation: dict[int, tuple] = {}
-
-    @cached_property
-    def cx(self) -> ChainComplexZ:
-        """source, or the full complex of an OrbitComplex, built on first use."""
-        src = self.source
-        return src if isinstance(src, ChainComplexZ) else build(src.family, src.n, src.rank)
 
     def solver(self, i: int) -> DifferentialSolver:
         """The block Smith decompositions of d_i, kept for reuse."""
@@ -472,9 +490,9 @@ class ComplexHomology:
 
     def presentation(self, i: int) -> tuple[tuple[int, ...], tuple]:
         """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and how a
-        cycle is sent to its class: the orders m_k, and classes[k], the
-        degree-i positions of a block with a row of that block's U, sparse
-        {index into the positions: value}.
+        cycle is sent to its class: the orders m_k, and classes[k], a content
+        c with a row of the U of c's block, sparse {k: value} over the
+        block-local coordinates of degree i.
 
         H_i is the sum over content blocks.  In a block, with U d_{i+1} V = D,
         d_{i+1}(V e_k) = D_kk U^-1 e_k, so the first rank columns of U^-1
@@ -482,8 +500,8 @@ class ComplexHomology:
         rank(d_{i+1}) (then also in every block) that saturation is every
         cycle: a cycle z has class (U z_c)_k mod D_kk, where z_c is its
         block-c part.  The m_k are the diagonal entries other than 0 and 1 of
-        the blocks, and classes[k] pairs the block's positions with the
-        matching row of its U.  A free part raises
+        the blocks, in the order of source.contents, and classes[k] pairs the
+        content with the matching row of its U.  A free part raises
         InfiniteGroupUnsupportedError.
         """
         if i not in self._presentation:
@@ -496,21 +514,21 @@ class ComplexHomology:
                 rep for rep in self.source.orbits if any(m > 1 for m in boundaries.block(rep).diag)
             }
             orders, classes = [], []
-            for b in self.cx.blocks:
-                if tuple(sorted(b.content)) in with_torsion:
-                    solver = boundaries.block(b.content)
+            for content in self.source.contents:
+                if tuple(sorted(content)) in with_torsion:
+                    solver = boundaries.block(content)
                     for k, m in enumerate(solver.diag):
                         if m > 1:
                             orders.append(m)
-                            classes.append((b.at(i), solver.snf.urows[k]))
+                            classes.append((content, solver.snf.urows[k]))
             self._presentation[i] = (tuple(orders), tuple(classes))
         return self._presentation[i]
 
 
 @lru_cache(maxsize=None)
 def homology_of(family: str, n: int, r: int) -> ComplexHomology:
-    """The homology of C^n(Z^r) or D^n(Z^r) on the orbit route; the full
-    complex is built only if a presentation or a solve asks for it."""
+    """The homology of C^n(Z^r) or D^n(Z^r) on the orbit route, with no
+    full complex built."""
     return ComplexHomology(OrbitComplex(family, n, r))
 
 
@@ -637,9 +655,9 @@ def cross_effect_h0(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
         raise ValueError("need n >= 2")
     hom = homology_of("C", n, rank_a + rank_b)
     return direct_sum(
-        hom.solver(1).block(b.content).cokernel()
-        for b in hom.cx.blocks
-        if any(b.content[:rank_a]) and any(b.content[rank_a:])
+        hom.solver(1).block(c).cokernel()
+        for c in hom.source.contents
+        if any(c[:rank_a]) and any(c[rank_a:])
     )
 
 

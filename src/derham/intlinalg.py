@@ -492,23 +492,44 @@ def snf_diagonal(m) -> list[int]:
 # finitely generated abelian group invariants
 
 
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime numbers above 1 whose powers multiply to each value,
+    by gcds alone: two numbers that share a factor g > 1 give way to g and
+    their cofactors, which divides the product of all held numbers by g."""
+    base, todo = [], [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        k = next((k for k, b in enumerate(base) if gcd(x, b) > 1), None)
+        if k is None:
+            base.append(x)
+            continue
+        b = base.pop(k)
+        g = gcd(x, b)
+        todo += [y for y in (g, b // g, x // g) if y > 1]
+    return base
+
+
 def _divisor_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     """Normalize arbitrary torsion moduli to a divisor chain m1 | m2 | ...
 
-    One pass of pairwise gcd/lcm suffices: once entry i has met every later
-    entry it divides all of them, and the later gcd/lcm steps keep it so.
-    E.g. [2, 3] -> [6], [4, 6] -> [2, 12].
+    Moduli that already form one are returned sorted.  Otherwise the
+    primary decomposition, with the primes grouped into a coprime base so
+    that nothing is factored: the k-th largest invariant factor is the
+    product, over each b of the base, of the k-th largest of the moduli's
+    b-parts b^v_b(m).  E.g. [2, 3] -> [6], [4, 6] -> [2, 12].
     """
     mods = sorted(int(m) for m in torsion if int(m) > 1)
     if all(b % a == 0 for a, b in zip(mods, mods[1:])):
         return tuple(mods)
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            a, b = mods[i], mods[j]
-            if b % a != 0:
-                g = gcd(a, b)
-                mods[i], mods[j] = g, a * b // g
-    return tuple(m for m in mods if m > 1)
+    distinct, chain = set(mods), [1] * len(mods)  # chain largest first
+    for b in _coprime_base(distinct):
+        power = dict.fromkeys(distinct, 1)
+        for m in distinct:
+            while m % (power[m] * b) == 0:
+                power[m] *= b
+        for k, m in enumerate(sorted(mods, key=power.get, reverse=True)):
+            chain[k] *= power[m]
+    return tuple(m for m in reversed(chain) if m > 1)
 
 
 @dataclass(frozen=True)

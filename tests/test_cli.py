@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -141,6 +142,85 @@ def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
         cache.cache_clear()
     assert run_cli(argv, capsys)[:2] == (0, expected)
     complexes.homology_of.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "command,builds",
+    [
+        ("verify theorem --rank 4", 0),
+        ("verify h0 --max-n 8 --rank 3", 0),
+        ("counterexample f18 --rank 3", 0),
+        ("homology --family C --n 4 --rank 2 --dump-matrices DIR", 1),
+    ],
+)
+def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path, command, builds):
+    # the comparison cycles, their classes and solves, and the degree-0 map
+    # read content blocks in block-local coordinates; only the matrix dump
+    # places the blocks at basis positions
+    from derham import comparison, complexes
+
+    calls = []
+    build_complex = complexes._build_complex
+
+    def counted(*args):
+        calls.append(args)
+        return build_complex(*args)
+
+    monkeypatch.setattr(complexes, "_build_complex", counted)
+    # start from fresh caches, as a new process would, so none hides a build
+    for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
+                  complexes._koszul, comparison.q_matrix, comparison.theorem_block):
+        cache.cache_clear()
+    argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out
+    assert len(calls) == builds, calls
+
+
+PARSER_CASES = [
+    [],
+    ["--help"],
+    ["bogus"],
+    ["snf"],
+    ["snf", "m.txt", "--bogus"],
+    ["verify", "nope"],
+    ["table", "--rank", "x"],
+    ["verify", "theorem", "--rank", "4"],
+    ["homology", "--family", "C", "--n", "4", "--rank", "2", "--format", "json"],
+    ["snf", "-", "--transforms"],
+] + [[name, "--help"] for name in cli.SUBCOMMANDS]
+
+
+def _parse(run, argv):
+    """What run makes of argv: the namespace, or the exit code, with the
+    text on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(run(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_main_parses_as_the_parser_with_every_subcommand(monkeypatch, argv):
+    # main builds only the subparser that argv names first; its namespaces,
+    # help texts and usage errors equal those of the full parser
+    for name in vars(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda ns: ns)
+    built = []
+    build_parser = cli._build_parser
+
+    def recorded(names=cli.SUBCOMMANDS):
+        built.append(list(names))
+        return build_parser(names)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    assert _parse(cli.main, argv) == _parse(build_parser().parse_args, argv)
+    named = argv[0] in cli.SUBCOMMANDS if argv else False
+    assert built == [argv[:1] if named else list(cli.SUBCOMMANDS)]
 
 
 def test_snf_round_trip(tmp_path, capsys):

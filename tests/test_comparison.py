@@ -1,6 +1,7 @@
 """The comparison maps: degree-0 structure, higher cycles, counterexample."""
 
 import dataclasses
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -11,8 +12,21 @@ from derham import complexes as cx
 from derham import intlinalg as la
 from derham import koszul as kz
 from derham.abelian import direct_sum, prime_divisors
-from derham.bases import enumerate_basis, to_dense
+from derham.bases import (
+    basis_index,
+    divided_product,
+    enumerate_basis,
+    to_dense,
+    vec_add,
+    wedge_normalize,
+)
 from derham.intlinalg import GroupInvariants
+
+
+def _positions(full, i, vec):
+    """A block-keyed degree-i vector at the basis positions of the full
+    complex: the key (c, k) is position full.block(c).at(i)[k]."""
+    return {full.block(c).at(i)[k]: x for (c, k), x in vec.items()}
 
 
 # -- the degree-0 map -----------------------------------------------------------
@@ -308,7 +322,7 @@ def test_h0_source_read_per_orbit_matches_every_block():
         for r in range(5):
             hom = cx.homology_of("C", n, r)
             every_block = direct_sum(
-                hom.solver(1).block(b.content).cokernel() for b in hom.cx.blocks
+                hom.solver(1).block(b.content).cokernel() for b in cx.build_C(n, r).blocks
             )
             assert hom.invariants(0) == every_block, (n, r)
 
@@ -325,8 +339,9 @@ def test_verify_h0_iso_examples():
 
 
 def test_eta_weight_four():
-    cycle = cmp.eta(1, 2, 4, [1, 2], 2)
-    labels = cx.build_C(4, 2).labels(1)
+    full = cx.build_C(4, 2)
+    cycle = _positions(full, 1, cmp.eta(1, 2, 4, [1, 2], 2))
+    labels = full.labels(1)
     readable = {labels[k]: c for k, c in cycle.items()}
     assert readable == {
         ((1,), (1, 2)): 1,   # x1 (x) x1 gamma_2(x2)
@@ -335,8 +350,9 @@ def test_eta_weight_four():
 
 
 def test_eta_weight_six_three_terms():
-    cycle = cmp.eta(2, 2, 6, [1, 2, 3], 3)
-    labels = cx.build_C(6, 3).labels(2)
+    full = cx.build_C(6, 3)
+    cycle = _positions(full, 2, cmp.eta(2, 2, 6, [1, 2, 3], 3))
+    labels = full.labels(2)
     readable = {labels[k]: c for k, c in cycle.items()}
     assert readable == {
         ((2, 3), (2, 1, 1)): -1,  # -x2^x3 (x) x2 x3 gamma_2(x1)
@@ -347,8 +363,9 @@ def test_eta_weight_six_three_terms():
 
 def test_eta_weight_six_prime_three():
     # x1 (x) gamma_2(x1) gamma_3(x2)  -  x2 (x) gamma_2(x2) gamma_3(x1)
-    cycle = cmp.eta(1, 3, 6, [1, 2], 2)
-    labels = cx.build_C(6, 2).labels(1)
+    full = cx.build_C(6, 2)
+    cycle = _positions(full, 1, cmp.eta(1, 3, 6, [1, 2], 2))
+    labels = full.labels(1)
     readable = {labels[k]: c for k, c in cycle.items()}
     assert readable == {
         ((1,), (2, 3)): 1,
@@ -385,6 +402,89 @@ def test_eta_degree_mismatch():
         cmp.eta(1, 3, 4, [1, 2], 2)  # 3 does not divide 4
 
 
+def _position_eta_vector(i, p, n, args, r):
+    """eta_vector as the position route wrote it, at the basis positions of
+    build_C(n, r): every choice of i wedge generators, and the divided part
+    at the positions of its degree, offset by the wedge's row of labels."""
+    m = n // p
+    wedge_at = basis_index("wedge", i, r)
+    width = len(cx.build_C(n, r).bases[i].right)
+    out = {}
+    for t in range(1, i + 2):
+        wedge_args = [args[k] for k in range(i + 1) if k != t - 1]
+        gamma_terms = [(p - 1, args[k]) for k in range(i + 1) if k != t - 1]
+        gamma_terms.append((p, args[t - 1]))
+        gamma_terms.extend((p, args[k]) for k in range(i + 1, m))
+        gamma_part = divided_product(gamma_terms, r)
+        for choice in iproduct(range(1, r + 1), repeat=i):
+            coeff = 1
+            for vec, g in zip(wedge_args, choice):
+                coeff *= vec[g - 1]
+            sign, w = wedge_normalize(choice)
+            if coeff and sign:
+                for pos, c in gamma_part.items():
+                    vec_add(out, wedge_at[w] * width + pos, (-1) ** t * sign * coeff * c)
+    return out
+
+
+# the cells of `verify theorem` (n <= 7, rank <= 4) with a comparison, and f18
+ETA_CELLS = [
+    (i, n, p, r)
+    for n in range(2, 8)
+    for r in range(1, 5)
+    for p in prime_divisors(n)
+    for i in range(1, n // p)
+] + [(1, 8, 2, r) for r in (1, 2, 3)]
+
+
+def test_block_keyed_eta_is_a_cycle_of_the_full_complex_in_one_content():
+    # the reference: each key (c, k) at position build_C(n, r).block(c).at(i)[k],
+    # killed by the dense d_i, and every key in the content p * sum of the lifts
+    assert {(n, p) for _, n, p, _ in ETA_CELLS} == {(4, 2), (6, 2), (6, 3), (8, 2)}
+    for i, n, p, r in ETA_CELLS:
+        full = cx.build_C(n, r)
+        d = full.d(i)
+        for label in kz.generator_presentation(i, n // p, p, r).generators:
+            lifts = cmp._generator_lifts(label, n // p, i)
+            cycle = cmp.eta(i, p, n, lifts, r)
+            assert cycle and all(cycle.values())
+            assert {c for c, _ in cycle} == {tuple(p * lifts.count(j) for j in range(1, r + 1))}
+            vec = _positions(full, i, cycle)
+            assert len(vec) == len(cycle)
+            assert la.is_zero(la.mat_vec(d, to_dense(vec, full.dim(i)))), (i, n, p, r, label)
+            units = [cmp._unit_vector(g, r) for g in lifts]
+            assert vec == _position_eta_vector(i, p, n, units, r), (i, n, p, r, label)
+
+
+def test_block_keyed_eta_vector_matches_the_position_route_on_any_arguments():
+    # the arguments of verify_f_welldefined (an argument times p) and of
+    # lift_change_in_boundaries (x_k + p x_m), and random integer vectors,
+    # whose cycles spread over several contents
+    rng = random.Random(21)
+    spread = 0
+    for i, n, p, r in ETA_CELLS:
+        full = cx.build_C(n, r)
+        m = n // p
+        for label in kz.generator_presentation(i, m, p, r).generators:
+            lifts = cmp._generator_lifts(label, m, i)
+            units = [cmp._unit_vector(g, r) for g in lifts]
+            cases = [[tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(m)]]
+            for slot in range(m):
+                scaled = tuple(p * c for c in units[slot])
+                cases.append(units[:slot] + [scaled] + units[slot + 1:])
+                for other in range(1, r + 1):
+                    step = cmp._unit_vector(other, r)
+                    shifted = tuple(c + p * u for c, u in zip(units[slot], step))
+                    cases.append(units[:slot] + [shifted] + units[slot + 1:])
+            for args in cases:
+                got = cmp.eta_vector(i, p, n, args, r)
+                assert all(got.values())
+                spread += len({c for c, _ in got}) > 1
+                want = _position_eta_vector(i, p, n, args, r)
+                assert _positions(full, i, got) == want, (i, n, p, r, args)
+    assert spread
+
+
 # -- well-definedness evidence ---------------------------------------------------
 
 
@@ -408,7 +508,7 @@ def test_explicit_boundary_identity_weight_four():
     labels2 = pair2.labels()
     col = labels2.index(((1, 2), (1, 1)))
     boundary = c4.d(2)[:, col]
-    cycle = to_dense(cmp.eta(1, 2, 4, [1, 2], 2), c4.dim(1))
+    cycle = to_dense(_positions(c4, 1, cmp.eta(1, 2, 4, [1, 2], 2)), c4.dim(1))
     assert boundary.tolist() == [2 * x for x in cycle]
 
 
@@ -479,17 +579,17 @@ def _reference_map_facts(f, source, orders):
 def _reference_theorem_matrix(i, n, p, r):
     """The comparison matrix from the dense class matrix: the class rows
     scattered into rows of width dim C_i, times each dense cycle."""
-    hom = cx.homology_of("C", n, r)
-    orders, classes = hom.presentation(i)
-    dense = la.zeros(len(orders), hom.cx.dim(i))
-    for k, (positions, row) in enumerate(classes):
+    full = cx.build_C(n, r)
+    orders, classes = cx.homology_of("C", n, r).presentation(i)
+    dense = la.zeros(len(orders), full.dim(i))
+    for k, (content, row) in enumerate(classes):
         for l, u in row.items():
-            dense[k, positions[l]] = u
+            dense[k, full.block(content).at(i)[l]] = u
     labels = kz.generator_presentation(i, n // p, p, r).generators
     mat = la.zeros(len(orders), len(labels))
     for col, label in enumerate(labels):
         cycle = cmp.eta(i, p, n, cmp._generator_lifts(label, n // p, i), r)
-        mat[:, col] = la.mat_vec(dense, to_dense(cycle, hom.cx.dim(i)))
+        mat[:, col] = la.mat_vec(dense, to_dense(_positions(full, i, cycle), full.dim(i)))
     return mat
 
 

@@ -184,14 +184,15 @@ def test_classes_of_cycle_basis_are_an_isomorphism():
     # isomorphism from the kernel-basis presentation onto the cyclic orders
     cells = [(f, n, r) for f in ("C", "D") for n in range(1, 6) for r in range(3)]
     for family, n, r in cells + [("C", 6, 3)]:
-        h = cx.homology_of(family, n, r)
+        h, full = cx.homology_of(family, n, r), cx.build(family, n, r)
         for i in range(n + 1):
-            old, kernel = _kernel_basis_presentation(h.cx, i)
+            old, kernel = _kernel_basis_presentation(full, i)
             orders, classes = h.presentation(i)
+            # a class row over the block of c reads the positions of c in full
             f = la.intmat(
                 [
-                    sum(u * kernel[pos[l]] for l, u in row.items()).tolist()
-                    for pos, row in classes
+                    sum(u * kernel[full.block(c).at(i)[l]] for l, u in row.items()).tolist()
+                    for c, row in classes
                 ],
                 kernel.shape[1],
             )
@@ -271,8 +272,25 @@ def test_blocks_share_the_smith_diagonal_of_their_orbit():
                 assert la.fp_rank(b.d(i), p) == la.fp_rank(rep.d(i), p)
 
 
+def _block_keys(c, i):
+    """The block key (content, k) of each degree-i position of a full complex."""
+    return {pos: (b.content, k) for b in c.blocks for k, pos in enumerate(b.at(i))}
+
+
+def test_label_key_places_every_label_of_c_at_its_basis_position():
+    # block-local coordinates against the full builder's positions
+    for n in range(7):
+        for r in range(4):
+            full = cx.build_C(n, r)
+            for i in range(n + 1):
+                for pos, (wedge, mono) in enumerate(full.labels(i)):
+                    c, k = cx.label_key(tuple(g - 1 for g in wedge), mono)
+                    assert full.block(c).at(i)[k] == pos, (n, r, i, wedge, mono)
+
+
 def test_dense_differential_is_the_block_sum():
     for c in (cx.build_C(5, 3), cx.build_D(5, 3)):
+        orbit = cx.homology_of(c.family, c.n, c.rank).source
         assert sum(len(b.at(2)) for b in c.blocks) == c.dim(2)
         for i in range(0, c.n + 2):
             d = c.d(i)
@@ -282,36 +300,48 @@ def test_dense_differential_is_the_block_sum():
                 if b.at(i - 1) and b.at(i):
                     rebuilt[np.ix_(b.at(i - 1), b.at(i))] = b.d(i)
             assert (d == rebuilt).all()
-            # is_cycle applies the blocks; a column of d_i is a cycle of
-            # d_(i-1), a basis vector usually is not
+            # is_cycle applies the blocks, of the full complex or of the
+            # orbit route alike; a column of d_i is a cycle of d_(i-1), a
+            # basis vector usually is not
+            cols, rows = _block_keys(c, i), _block_keys(c, i - 1)
             for k in range(d.shape[1]):
-                assert c.is_cycle(i, {k: 1}) == la.is_zero(d[:, k])
-                column = {pos: x for pos, x in enumerate(d[:, k]) if x}
-                assert c.is_cycle(i - 1, column)
+                for source in (c, orbit):
+                    assert cx.is_cycle(source, i, {cols[k]: 1}) == la.is_zero(d[:, k])
+                    column = {rows[pos]: x for pos, x in enumerate(d[:, k]) if x}
+                    assert cx.is_cycle(source, i - 1, column)
 
 
 def test_block_solves_agree_with_the_dense_solver():
+    # solves take and give block keys; the reference is the dense d_i of
+    # the full complex, at the positions of those keys
     rng = np.random.default_rng(3)
-    h = cx.homology_of("C", 6, 3)
+    h, full = cx.homology_of("C", 6, 3), cx.build_C(6, 3)
     for i in range(1, 7):
-        d = h.cx.d(i)
+        d = full.d(i)
+        rows, cols = _block_keys(full, i - 1), _block_keys(full, i)
         dense, blocks = la.LinearSolver(d), h.solver(i)
         assert blocks.rank == dense.rank
         assert blocks.cokernel() == dense.cokernel()
         for _ in range(5):
             v = la.mat_vec(d, np.array(rng.integers(-3, 4, d.shape[1]).tolist(), dtype=object))
-            x = blocks.solve({k: c for k, c in enumerate(v.tolist()) if c})
-            assert la.is_zero(la.mat_vec(d, to_dense(x, d.shape[1])) - v)
+            x = blocks.solve({rows[k]: c for k, c in enumerate(v.tolist()) if c})
+            at = {key: pos for pos, key in cols.items()}
+            assert la.is_zero(la.mat_vec(d, to_dense({at[key]: c for key, c in x.items()}, d.shape[1])) - v)
         # multiples of basis vectors: boundaries, torsion classes and
         # vectors outside the rational span
         for k in range(d.shape[0]):
             for m in (1, 2, 3):
                 e = la.zeros(d.shape[0], 1)[:, 0]
                 e[k] = m
-                assert blocks.contains({k: m}) == dense.contains(e), (i, k, m)
-        for outside in (-1, d.shape[0]):
+                assert blocks.contains({rows[k]: m}) == dense.contains(e), (i, k, m)
+        # a place outside the rows of its block, or no content of C^6(Z^3)
+        for content in {key[0] for key in rows.values()}:
+            for outside in (-1, len(full.block(content).at(i - 1))):
+                with pytest.raises(ValueError):
+                    blocks.solve({(content, outside): 1})
+        for content in ((6, 0), (7, 0, 0), (7, -1, 0)):
             with pytest.raises(ValueError):
-                blocks.solve({outside: 1})
+                blocks.solve({(content, 0): 1})
 
 
 # -- block decomposition and Kunneth ------------------------------------------
@@ -551,14 +581,19 @@ def test_both_routes_share_one_smith_decomposition_per_block(monkeypatch):
         calls.append((len(rows), width))
         return reduce(rows, width)
 
+    def refuse(*args):
+        raise AssertionError("a full complex was built")
+
     monkeypatch.setattr(la, "_reduce", counted)
+    # neither the invariants nor the presentations build a full complex
+    for name in ("_build_complex", "build_C", "build_D"):
+        monkeypatch.setattr(cx, name, refuse)
     cx.homology_of.cache_clear()
     hom = cx.homology_of("C", 6, 3)
     for i in range(7):
         hom.invariants(i)
     orbits = len(hom.source.orbits)
     assert len(calls) == 8 * orbits
-    assert "cx" not in vars(hom)
     for i in range(1, 7):
         hom.presentation(i)
     # the presentations add the blocks with torsion that are not orbit

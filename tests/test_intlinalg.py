@@ -6,6 +6,8 @@ one homology route, on a two-step complex.
 
 import io
 import itertools
+import math
+import operator
 import random
 
 import numpy as np
@@ -20,6 +22,7 @@ from derham.complexes import (
     ComplexHomology,
     PairBasis,
     _check_dd_zero,
+    build,
     build_C,
     homology_of,
 )
@@ -355,6 +358,36 @@ def test_cokernel_crt_normalization():
     assert la.GroupInvariants(0, (4, 6)) == la.GroupInvariants(0, (2, 12))
 
 
+def _pairwise_divisor_chain(torsion):
+    """The reference: one pairwise gcd/lcm pass, quadratic in the length.
+    Once entry i has met every later entry it divides all of them, and the
+    later gcd/lcm steps keep it so."""
+    mods = sorted(int(m) for m in torsion if int(m) > 1)
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            a, b = mods[i], mods[j]
+            if b % a != 0:
+                g = math.gcd(a, b)
+                mods[i], mods[j] = g, a * b // g
+    return tuple(m for m in mods if m > 1)
+
+
+def test_divisor_chain_matches_the_pairwise_pass():
+    # mixed primes, prime powers, moduli with a large prime factor, zeros
+    # and ones; and lists that already form a chain, sorted or shuffled
+    rng = random.Random(20)
+    moduli = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 18, 25, 27, 30, 49, 60, 64,
+              97, 3 * 1009, 3 * 2**40, 10**18 + 9)
+    for _ in range(500):
+        mixed = [rng.choice(moduli) for _ in range(rng.randint(0, 30))]
+        steps = [rng.choice((1, 2, 3, 5, 4)) for _ in range(rng.randint(0, 12))]
+        chained = list(itertools.accumulate(steps, operator.mul))
+        shuffled = rng.sample(chained, len(chained))
+        for torsion in (mixed, chained, shuffled):
+            assert la._divisor_chain(torsion) == _pairwise_divisor_chain(torsion), torsion
+    assert la._divisor_chain([10**18 + 9, 2, 2]) == (2, 2 * (10**18 + 9))
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_matrices(max_dim=3, max_entry=4), st.randoms(use_true_random=False))
 def test_cokernel_invariant_under_unimodular_factors(a, rnd):
@@ -445,9 +478,10 @@ def test_presentation_agrees_with_direct_invariants():
             continue
         orders, classes = hom.presentation(1)
         assert len(classes) == len(orders)
-        for positions, row in classes:
-            assert set(row) <= set(range(len(positions)))
-            assert set(positions) <= set(range(d_out.shape[1]))
+        # the one block, with no content, holds every position of degree 1
+        for content, row in classes:
+            assert content == ()
+            assert set(row) <= set(range(d_out.shape[1]))
         assert la.GroupInvariants(0, orders) == hom.invariants(1)
         finite += 1
     assert 0 < finite < 25
@@ -582,15 +616,16 @@ def test_iso_reduces_each_relation_matrix_once(monkeypatch):
 
 def test_complex_homology_reduces_each_differential_once(monkeypatch):
     calls = _count_reductions(monkeypatch)
-    hom = ComplexHomology(build_C(4, 2))
-    for i in range(hom.cx.n + 1):
+    full = build_C(4, 2)
+    hom = ComplexHomology(full)
+    for i in range(full.n + 1):
         hom.invariants(i)
     # d_0, ..., d_{n+1}: invariants(n) asks for d_{n+1}; the groups read one
     # block per S_r orbit of content vectors
-    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits)
+    assert len(calls) == (full.n + 2) * len(full.orbits)
 
     def one_round():
-        for i in range(hom.cx.n + 1):
+        for i in range(full.n + 1):
             hom.presentation(i)
             hom.invariants(i)
 
@@ -599,15 +634,15 @@ def test_complex_homology_reduces_each_differential_once(monkeypatch):
     one_round()
     with_torsion = [
         (i, b.content)
-        for i in range(1, hom.cx.n + 2)
-        for b in hom.cx.blocks
+        for i in range(1, full.n + 2)
+        for b in full.blocks
         if b.content != tuple(sorted(b.content))
         and any(m > 1 for m in hom.solver(i).diagonal(b.content))
     ]
     assert with_torsion
-    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits) + len(with_torsion)
+    assert len(calls) == (full.n + 2) * len(full.orbits) + len(with_torsion)
     one_round()
-    assert len(calls) == (hom.cx.n + 2) * len(hom.cx.orbits) + len(with_torsion)
+    assert len(calls) == (full.n + 2) * len(full.orbits) + len(with_torsion)
 
 
 # -- F_p routines ----------------------------------------------------------------
@@ -634,15 +669,15 @@ def test_fp_rank_counts_smith_diagonal_units_mod_p():
     for family in "CD":
         for n in range(1, 7):
             for r in range(1, 4):
-                hom = homology_of(family, n, r)
+                hom, full = homology_of(family, n, r), build(family, n, r)
                 for i in range(n + 2):
                     # the Smith diagonal of d_i, block by block, each read
                     # off its orbit representative
                     solver = hom.solver(i)
-                    diag = [x for b in hom.cx.blocks for x in solver.diagonal(b.content)]
+                    diag = [x for b in full.blocks for x in solver.diagonal(b.content)]
                     for p in (2, 3, 5):
                         want = sum(1 for x in diag if x % p)
-                        assert la.fp_rank(hom.cx.d(i), p) == want, (family, n, r, i, p)
+                        assert la.fp_rank(full.d(i), p) == want, (family, n, r, i, p)
 
 
 def test_fp_rejects_composite_modulus():
