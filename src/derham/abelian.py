@@ -178,14 +178,6 @@ def closed_form_homology(family: str, n: int, i: int, rank: int) -> GroupInvaria
     return GroupInvariants(0, tuple(torsion))
 
 
-def _lie3_dimension(p: int, rank: int) -> int:
-    # delegated to the Koszul model: the degree-3 Lie functor is the first
-    # derived symmetric cube
-    from .koszul import derived_sp
-
-    return derived_sp(1, 3, p, rank).dimension
-
-
 def expected_table_entry(q: int, i: int, rank: int) -> GroupInvariants:
     """Closed-form table cell for the homology of the wedge-times-divided
     complex in weight q at homological degree i, evaluated on Z^rank."""
@@ -200,7 +192,10 @@ def expected_table_entry(q: int, i: int, rank: int) -> GroupInvariants:
     if q == 4 and i == 1:
         return wedge(2, 2)
     if q == 6 and i == 1:
-        return direct_sum([wedge(3, 2), elementary(2, _lie3_dimension(2, rank))])
+        # the degree-3 Lie functor of F_2^rank, the first derived symmetric
+        # cube, has Witt's dimension (r^3 - r)/3 (tests check it against
+        # the Koszul model)
+        return direct_sum([wedge(3, 2), elementary(2, (rank**3 - rank) // 3)])
     if q == 6 and i == 2:
         return wedge(2, 3)
     return TRIVIAL_GROUP

@@ -148,6 +148,7 @@ def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
     "command,builds",
     [
         ("verify theorem --rank 4", 0),
+        ("table --rank 4", 0),
         ("verify h0 --max-n 8 --rank 3", 0),
         ("counterexample f18 --rank 3", 0),
         ("homology --family C --n 4 --rank 2 --dump-matrices DIR", 1),
@@ -157,7 +158,7 @@ def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path
     # the comparison cycles, their classes and solves, and the degree-0 map
     # read content blocks in block-local coordinates; only the matrix dump
     # places the blocks at basis positions
-    from derham import comparison, complexes
+    from derham import comparison, complexes, koszul
 
     calls = []
     build_complex = complexes._build_complex
@@ -166,10 +167,13 @@ def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path
         calls.append(args)
         return build_complex(*args)
 
+    # koszul binds the builder by name, for the Koszul complexes of derived_sp
     monkeypatch.setattr(complexes, "_build_complex", counted)
+    monkeypatch.setattr(koszul, "_build_complex", counted)
     # start from fresh caches, as a new process would, so none hides a build
     for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
-                  complexes._koszul, comparison.q_matrix, comparison.theorem_block):
+                  complexes._koszul, comparison.q_matrix, comparison.theorem_block,
+                  koszul.build_koszul, koszul.derived_sp):
         cache.cache_clear()
     argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
     code, out, _ = run_cli(argv, capsys)
