@@ -448,7 +448,7 @@ class DifferentialSolver:
             x.update(((content, l), c) for l, c in enumerate(self.block(content).solve(dense)) if c)
         return x
 
-    def contains(self, v: dict[int, int]) -> bool:
+    def contains(self, v: dict) -> bool:
         try:
             self.solve(v)
             return True
