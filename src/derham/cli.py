@@ -73,6 +73,7 @@ def _refuse_costly(n: int, rank: int) -> None:
 class RunConfig:
     max_n: int = DEFAULT_MAX_N
     rank: int = DEFAULT_RANK
+    default: tuple[int, int] = (DEFAULT_MAX_N, 4)  # warn only above it and (7, 4)
 
     def validate(self, first_n: int = 1, first_rank: int = 0) -> None:
         """Refuse a range past the caps or the cost limit, and one that ends
@@ -86,7 +87,7 @@ class RunConfig:
                 f"this range starts at n = {first_n}, rank = {first_rank}"
             )
         _refuse_costly(self.max_n, self.rank)
-        if self.max_n > DEFAULT_MAX_N or self.rank > 4:
+        if self.max_n > max(self.default[0], DEFAULT_MAX_N) or self.rank > max(self.default[1], 4):
             print(
                 f"warning: n={self.max_n}, rank={self.rank} is above the "
                 "default desk scale; expect longer runtimes",
@@ -379,6 +380,11 @@ def _default(value, default):
     return default if value is None else value
 
 
+def _suite_config(ns, max_n: int, rank: int) -> RunConfig:
+    """A suite's range: its defaults (max_n, rank) for the absent options."""
+    return RunConfig(_default(ns.max_n, max_n), _default(ns.rank, rank), (max_n, rank))
+
+
 def _run_suite(ns) -> dict:
     if ns.suite == "lemma":
         primes = DEFAULT_PRIMES if ns.p is None else [ns.p]
@@ -393,17 +399,17 @@ def _run_suite(ns) -> dict:
             raise UsageError(f"the lemma range is capped at p * n <= {cap}")
         return _verify_lemma(primes, max_n)
     if ns.suite == "h0":
-        config = RunConfig(_default(ns.max_n, 12), _default(ns.rank, 3))
+        config = _suite_config(ns, 12, 3)
         config.validate(first_n=2)
         return _verify_h0(config.max_n, config.rank)
     if ns.suite == "theorem":
-        config = RunConfig(_default(ns.max_n, DEFAULT_MAX_N), _default(ns.rank, 4))
+        config = _suite_config(ns, DEFAULT_MAX_N, 4)
         config.validate(first_n=2, first_rank=1)
         if config.max_n > 7:
             raise UsageError("the isomorphism range stops at weight 7")
         return _verify_theorem(config.max_n, config.rank)
     if ns.suite == "relations":
-        config = RunConfig(_default(ns.max_n, 8), _default(ns.rank, 2))
+        config = _suite_config(ns, 8, 2)
         config.validate(first_n=2, first_rank=1)
         return _verify_relations(config.max_n, config.rank)
     # kunneth: the rank pairs (1, 1) and (1, 2) build complexes up to rank 3

@@ -156,19 +156,18 @@ def verify_h0_iso(n: int, r: int) -> bool:
 # relation suite for the degree-0 map
 
 
-def _q_value(expr, n: int, r: int, target: H0Target) -> tuple[int, ...]:
+def _q_value(expr, primes, r: int, target: H0Target) -> tuple[int, ...]:
     """Evaluate the defining formula on a formal product of divided powers.
 
     expr is a list of (degree, integer vector) factors with degrees summing
-    to n.  For each prime p dividing every degree, the product of the
-    degree/p powers of the reductions is expanded integrally and read off
-    modulo the target orders.
+    to n, and primes the primes dividing every degree.  For each such p,
+    the product of the degree/p powers of the reductions is expanded
+    integrally and read off modulo the target orders.
     """
     out = [0] * len(target.generators)
-    for p in prime_divisors(n):
-        if all(j % p == 0 for j, _ in expr):
-            for mono, c in divided_monomials([(j // p, v) for j, v in expr], r).items():
-                out[target.rows[p, mono]] += c
+    for p in primes:
+        for mono, c in divided_monomials([(j // p, v) for j, v in expr], r).items():
+            out[target.rows[p, mono]] += c
     return target.reduce(out)
 
 
@@ -204,7 +203,8 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
 
     Substituted elements run over all basis vectors and all sums of two
     basis vectors; exponent splits are exhausted; the remaining factors run
-    over all divided monomials of the complementary degree.
+    over all divided monomials of the complementary degree.  An expression
+    is 0 when no prime divides every degree, else evaluated once.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -212,9 +212,17 @@ def verify_q_relations(n: int, r: int) -> RelationReport:
     pool = _substitution_pool(r)
     checked = {"merge": 0, "sum": 0, "sign": 0}
     failures = []
+    primes, zero, values = prime_divisors(n), (0,) * len(target.generators), {}
 
     def q(expr):
-        return _q_value(expr, n, r, target)
+        degrees = gcd(*[j for j, _ in expr])
+        dividing = [p for p in primes if degrees % p == 0]
+        if not dividing:
+            return zero
+        key = tuple(expr)
+        if key not in values:
+            values[key] = _q_value(key, dividing, r, target)
+        return values[key]
 
     def scaled(value, c):
         return target.reduce([c * x for x in value])

@@ -22,7 +22,9 @@ Permuting the coordinates by sigma maps the block of c onto the block of
 sigma c by a signed permutation.  So ``homology_of(...).invariants`` reads,
 with no basis, one block per partition of n into at most r parts (sorted,
 zeros in front) times its orbit size r! / prod(m_k!), the m_k the
-multiplicities of its entries, zeros included: ``OrbitComplex``.
+multiplicities of its entries, zeros included: ``OrbitComplex``.  Each
+``_koszul`` block is Smith-reduced once per degree and process, for every
+content, rank and complex it serves (``Block.solvers``).
 
 Chains, cycles and classes are written in block-local coordinates, as
 {(content c, k): coefficient} with k the place of a label in the block of
@@ -39,7 +41,7 @@ blocks sit at basis positions; only tests and demos assemble a dense d_i.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from itertools import product as iproduct
@@ -82,11 +84,13 @@ class Block:
     """The content block c of a complex: positions[i] lists, ascending, the
     degree-i basis positions whose labels have content c (i = 0..n), and
     diffs[i-1] is d_i restricted to them, as a tuple of rows: one row per
-    position of positions[i-1], one entry per position of positions[i]."""
+    position of positions[i-1], one entry per position of positions[i].
+    solvers[i], once reduced, is the Smith decomposition of d(i)."""
 
     content: tuple
     positions: tuple[tuple[int, ...], ...]
     diffs: tuple[tuple[tuple[int, ...], ...], ...]
+    solvers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def at(self, i: int) -> tuple[int, ...]:
         """Positions of degree i, () outside 0..n."""
@@ -209,8 +213,8 @@ def _check_partition(cx, sizes=None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict, tuple, tuple]:
-    """(wedges, index, positions, diffs) of the block of left^i (x)
+def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict, tuple, tuple, dict]:
+    """(wedges, index, positions, diffs, solvers) of the block of left^i (x)
     right^(n-i) whose content c has the nonzero entries values.  With S the
     support, each W in S is a label, the wedge W with the other factor
     c - 1_W, in degree |W| (n - |W| for a right wedge).  wedges[i] lists the
@@ -219,7 +223,8 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
     index[W] is the place of W in its degree, and positions[i] numbers
     them.  d takes the factor j at place q (from 0) out of a left wedge with
     sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j of S - W
-    into a right wedge with the opposite sign and multiplicity c_j."""
+    into a right wedge with the opposite sign and multiplicity c_j.
+    solvers, empty here, is shared by every block written from this one."""
     wedge_left, n, s = left == "wedge", sum(values), len(values)
     wedges = [()] * (n + 1)
     for w in range(s + 1):
@@ -244,7 +249,7 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
                     mat[k][index[W[:q] + W[q + 1:]]] = -x
         diffs.append(tuple(map(tuple, mat)))
     positions = tuple(map(tuple, map(range, map(len, wedges))))
-    return tuple(wedges), index, positions, tuple(diffs)
+    return tuple(wedges), index, positions, tuple(diffs), {}
 
 
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
@@ -266,7 +271,7 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
     widths, blocks = [len(b.right) for b in bases], []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
-        wedges, _, _, diffs = _koszul(left, right, tuple([c[j - 1] for j in support]))
+        wedges, _, _, diffs, solvers = _koszul(left, right, tuple([c[j - 1] for j in support]))
         positions = []
         for at, width in zip(wedges, widths):
             found = []
@@ -278,7 +283,7 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
                 a, b = wedge_at[len(W)][W], other_at[len(W)][tuple(m)]
                 found.append(a * width + b if wedge_left else b * width + a)
             positions.append(tuple(found))
-        blocks.append(Block(c, tuple(positions), diffs))
+        blocks.append(Block(c, tuple(positions), diffs, solvers))
     cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
     _check_partition(cx)
     _check_dd_zero(cx)
@@ -348,8 +353,7 @@ class OrbitComplex:
     def block(self, content: tuple) -> Block:
         if len(content) != self.rank or sum(content) != self.n or min(content, default=0) < 0:
             raise ValueError(f"{content} is no content of {self.family}^{self.n}(Z^{self.rank})")
-        _, _, positions, diffs = _koszul(*FACTORS[self.family], tuple(x for x in content if x))
-        return Block(content, positions, diffs)
+        return Block(content, *_koszul(*FACTORS[self.family], tuple(x for x in content if x))[2:])
 
     @property
     def blocks(self) -> list[Block]:
@@ -392,11 +396,12 @@ def is_cycle(source, i: int, vec: dict) -> bool:
 
 class DifferentialSolver:
     """The Smith decompositions of d_i, one LinearSolver per content block,
-    each computed on first use, whichever route asks for it.
+    each computed on first use in the block's ``solvers``: for the blocks of
+    ``_koszul``, once per (left, right, values, i) and process.
 
     The rank and the cokernel read each block's Smith diagonal off its
-    S_r-orbit representative, so they reduce one block per orbit.  Solves
-    reduce the blocks the right-hand side touches.
+    S_r-orbit representative, so they reduce at most one block per orbit.
+    Solves reduce the blocks the right-hand side touches.
     """
 
     def __init__(self, hom: ComplexHomology, i: int):
@@ -408,7 +413,9 @@ class DifferentialSolver:
         """The Smith decomposition of the block of d_i with this content."""
         if content not in self._blocks:
             b = self.hom.source.block(content)
-            self._blocks[content] = la.LinearSolver(b.d(self.i), len(b.at(self.i)))
+            if self.i not in b.solvers:
+                b.solvers[self.i] = la.LinearSolver(b.d(self.i), len(b.at(self.i)))
+            self._blocks[content] = b.solvers[self.i]
         return self._blocks[content]
 
     def diagonal(self, content: tuple) -> list[int]:
@@ -458,14 +465,15 @@ class DifferentialSolver:
 
 class ComplexHomology:
     """All homology data of one complex, read off one cached
-    DifferentialSolver per differential.  The invariants read the orbits of
-    source; presentations and solves read the blocks of source, one content
-    at a time, in block-local coordinates.  No full basis is enumerated for
-    an ``OrbitComplex``."""
+    DifferentialSolver per differential.  The invariants, kept per degree,
+    read the orbits of source; presentations and solves read the blocks of
+    source, one content at a time, in block-local coordinates.  No full
+    basis is enumerated for an ``OrbitComplex``."""
 
     def __init__(self, source: ChainComplexZ | OrbitComplex):
         self.source = source
         self._solver: dict[int, DifferentialSolver] = {}
+        self._invariants: dict[int, GroupInvariants] = {}
         self._presentation: dict[int, tuple] = {}
 
     def solver(self, i: int) -> DifferentialSolver:
@@ -484,9 +492,11 @@ class ComplexHomology:
         """
         if not 0 <= i <= self.source.n:
             return la.TRIVIAL_GROUP
-        nullity = self.source.dim(i) - self.solver(i).rank
-        boundaries = self.solver(i + 1)
-        return GroupInvariants(nullity - boundaries.rank, boundaries.torsion)
+        if i not in self._invariants:
+            nullity = self.source.dim(i) - self.solver(i).rank
+            boundaries = self.solver(i + 1)
+            self._invariants[i] = GroupInvariants(nullity - boundaries.rank, boundaries.torsion)
+        return self._invariants[i]
 
     def presentation(self, i: int) -> tuple[tuple[int, ...], tuple]:
         """The finite degree-i homology as Z/m_1 + ... + Z/m_k, and how a

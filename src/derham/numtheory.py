@@ -71,11 +71,18 @@ def check_binomial_lemma(p: int, n: int, k: int) -> LemmaReport:
         raise NotPrimeError(f"{p} is not prime")
     if not 0 < k < n:
         raise OutOfRangeError("need 0 < k < n")
-    r = v_p(p, p * n * k * (n - k))
-    modulus = p**r
+    modulus = _lemma_modulus(p, n, k)
     lhs = binomial(p * n, p * k)
     rhs = binomial(n, k)
     return LemmaReport(p, n, k, lhs, rhs, modulus, (lhs - rhs) % modulus == 0)
+
+
+def _lemma_modulus(p: int, n: int, k: int) -> int:
+    """p^v_p(p*n*k*(n-k)), for a prime p and 0 < k < n."""
+    x, modulus = n * k * (n - k), p
+    while x % p == 0:
+        x, modulus = x // p, modulus * p
+    return modulus
 
 
 def check_central_divisibility(n: int, k: int) -> bool:
@@ -86,19 +93,17 @@ def check_central_divisibility(n: int, k: int) -> bool:
 
 
 def sweep_binomial_lemma(p: int, max_n: int) -> dict:
-    """Exhaustive lemma sweep over 1 <= k < n <= max_n for one prime."""
-    checked = 0
-    failed = 0
-    first_failure = None
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            report = check_binomial_lemma(p, n, k)
-            checked += 1
-            if not report.holds:
-                failed += 1
-                if first_failure is None:
-                    first_failure = {"p": p, "n": n, "k": k}
-    out = {"p": p, "checked": checked, "failed": failed}
-    if first_failure is not None:
-        out["first_failure"] = first_failure
+    """Exhaustive lemma sweep over 1 <= k < n <= max_n for one prime: the
+    congruence of ``check_binomial_lemma``, with p tested once."""
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    pairs = [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
+    failures = [
+        {"p": p, "n": n, "k": k}
+        for n, k in pairs
+        if (math.comb(p * n, p * k) - math.comb(n, k)) % _lemma_modulus(p, n, k)
+    ]
+    out = {"p": p, "checked": len(pairs), "failed": len(failures)}
+    if failures:
+        out["first_failure"] = failures[0]
     return out

@@ -181,6 +181,37 @@ def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path
     assert len(calls) == builds, calls
 
 
+def test_verify_theorem_reduces_each_block_matrix_once(monkeypatch, capsys):
+    # 393 content blocks of d_i are reduced on `verify theorem --rank 4`,
+    # but they hold 145 distinct matrices, each reduced once; the other
+    # reductions decide the comparison maps
+    from derham import comparison, complexes, koszul
+
+    inside, blocks, total = [], [], []
+    block, snf = complexes.DifferentialSolver.block, la.smith_normal_form
+
+    def counted_block(self, content):
+        inside.append(content)
+        try:
+            return block(self, content)
+        finally:
+            inside.pop()
+
+    def counted_snf(*args):
+        (blocks if inside else total).append(args)
+        return snf(*args)
+
+    monkeypatch.setattr(complexes.DifferentialSolver, "block", counted_block)
+    monkeypatch.setattr(la, "smith_normal_form", counted_snf)
+    for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
+                  complexes._koszul, comparison.q_matrix, comparison.theorem_block,
+                  koszul.build_koszul, koszul.derived_sp):
+        cache.cache_clear()
+    code, out, _ = run_cli(["verify", "theorem", "--rank", "4"], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert (len(blocks), len(blocks) + len(total)) == (145, 289)
+
+
 PARSER_CASES = [
     [],
     ["--help"],
@@ -490,10 +521,26 @@ def test_range_caps_exit_2(capsys):
 
 def test_warning_above_defaults(capsys):
     code, _, err = run_cli(
-        ["verify", "h0", "--max-n", "8", "--rank", "1"], capsys
+        ["verify", "h0", "--max-n", "6", "--rank", "5"], capsys
     )
     assert code == 0
     assert "warning" in err
+
+
+def test_default_suite_ranges_do_not_warn(capsys):
+    # each suite warns only above the range it runs with no options
+    for suite in ("h0", "relations", "theorem", "kunneth"):
+        code, out, err = run_cli(["verify", suite], capsys)
+        assert (code, err) == (0, ""), suite
+        assert json.loads(out)["pass"] is True
+    for argv, above in (
+        (["verify", "relations", "--max-n", "9", "--rank", "1"], "n=9, rank=1"),
+        (["verify", "h0", "--max-n", "4", "--rank", "5"], "n=4, rank=5"),
+        (["verify", "theorem", "--max-n", "3", "--rank", "5"], "n=3, rank=5"),
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, argv
+        assert err.startswith(f"warning: {above} is above"), argv
 
 
 def test_seed_flag_is_refused(capsys):

@@ -14,6 +14,7 @@ from derham import koszul as kz
 from derham.abelian import direct_sum, prime_divisors
 from derham.bases import (
     basis_index,
+    divided_monomials,
     divided_product,
     enumerate_basis,
     to_dense,
@@ -252,10 +253,12 @@ def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
         return res
 
     monkeypatch.setattr(la, "smith_normal_form", recording)
-    for cache in (cx.build_C, cx.homology_of, cmp.h0_target, cmp.q_matrix):
+    for cache in (cx.build_C, cx._koszul, cx.homology_of, cmp.h0_target, cmp.q_matrix):
         cache.cache_clear()
     assert cmp.verify_h0_iso(12, 4)
-    assert shapes
+    # the blocks of d_0 (no rows) and d_1 (one row) of the 34 partitions of
+    # 12 into at most 4 parts, each reduced once
+    assert len(shapes) == 2 * 34
     assert max(rows for rows, _ in shapes) <= 2, max(shapes)
 
 
@@ -302,8 +305,8 @@ def test_no_command_assembles_a_dense_differential(monkeypatch, capsys, tmp_path
 def test_q_value_merge_instance():
     # two divided squares merge with coefficient C(4,2) = 6 = 2 mod 4
     target = cmp.h0_target(4, 1)
-    lhs = cmp._q_value([(2, (1,)), (2, (1,))], 4, 1, target)
-    direct = cmp._q_value([(4, (1,))], 4, 1, target)
+    lhs = cmp._q_value([(2, (1,)), (2, (1,))], [2], 1, target)
+    direct = cmp._q_value([(4, (1,))], [2], 1, target)
     assert lhs == (2,)
     assert tuple(6 * x % 4 for x in direct) == lhs
 
@@ -314,6 +317,47 @@ def test_verify_q_relations_zero_failures():
             report = cmp.verify_q_relations(n, r)
             assert report.ok, report.failures[:3]
             assert report.total_checked > 0
+
+
+def _without_binomials(terms, r):
+    """``divided_monomials`` with gamma_e gamma_f = gamma_(e+f): the binomial
+    factor of each product dropped."""
+    out = {(0,) * r: 1}
+    for term in terms:
+        step = {}
+        for m, c in out.items():
+            for e, x in divided_monomials([term], r).items():
+                key = tuple(a + b for a, b in zip(m, e))
+                step[key] = step.get(key, 0) + c * x
+        out = step
+    return out
+
+
+def _unsigned(terms, r):
+    """``divided_monomials`` of |v|: gamma_j(-v) loses its sign (-1)^j."""
+    return divided_monomials([(d, tuple(map(abs, v))) for d, v in terms], r)
+
+
+@pytest.mark.parametrize(
+    "formula,n,r,kinds,count",
+    [
+        (_without_binomials, 4, 2, {"merge", "sum", "sign"}, 18),
+        (_without_binomials, 8, 2, {"merge", "sum", "sign"}, 106),
+        (_unsigned, 6, 2, {"sign"}, 6),
+    ],
+)
+def test_relation_suite_reports_a_wrong_q(monkeypatch, formula, n, r, kinds, count):
+    # each distinct expression is evaluated once, and to zero when no prime
+    # divides every degree; a wrong formula must still fail the relations it
+    # breaks, as often as evaluating every expression afresh finds (the
+    # pinned counts), with the same number of checks
+    checked = cmp.verify_q_relations(n, r).checked
+    with monkeypatch.context() as m:
+        m.setattr(cmp, "divided_monomials", formula)
+        report = cmp.verify_q_relations(n, r)
+    assert report.checked == checked
+    assert {failure[0] for failure in report.failures} == kinds
+    assert len(report.failures) == count
 
 
 def test_h0_source_read_per_orbit_matches_every_block():

@@ -547,6 +547,25 @@ def test_orbit_route_matches_the_full_route(family, n, r):
     assert "cx" not in vars(hom)
 
 
+def test_shared_block_solvers_equal_fresh_ones():
+    # a block's Smith decomposition is shared by every content, rank and
+    # complex with its (left, right, nonzero entries, degree); each must be
+    # the one a fresh reduction of that content's own block gives
+    for family in "CD":
+        for n in range(8):
+            for r in range(5):
+                hom = cx.homology_of(family, n, r)
+                for i in range(n + 1):
+                    hom.invariants(i)
+                for b in cx.build(family, n, r).blocks:
+                    for i in range(n + 2):
+                        shared = hom.solver(i).block(b.content)
+                        fresh = la.LinearSolver(b.d(i), len(b.at(i)))
+                        assert shared.snf.diagonal == fresh.snf.diagonal, (family, n, r, b.content, i)
+                        assert shared.snf.urows == fresh.snf.urows, (family, n, r, b.content, i)
+                        assert shared.snf.vcols == fresh.snf.vcols, (family, n, r, b.content, i)
+
+
 def test_full_builder_places_each_block_in_ascending_positions():
     # _koszul's label order is the order of the basis positions
     for n in range(9):
@@ -588,21 +607,32 @@ def test_both_routes_share_one_smith_decomposition_per_block(monkeypatch):
     # neither the invariants nor the presentations build a full complex
     for name in ("_build_complex", "build_C", "build_D"):
         monkeypatch.setattr(cx, name, refuse)
-    cx.homology_of.cache_clear()
+    for cache in (cx.homology_of, cx._koszul):
+        cache.cache_clear()
     hom = cx.homology_of("C", 6, 3)
     for i in range(7):
         hom.invariants(i)
+    # one block per orbit and d_0, ..., d_7: the 7 partitions of 6 into at
+    # most 3 parts have different nonzero entries
     orbits = len(hom.source.orbits)
-    assert len(calls) == 8 * orbits
+    assert len(calls) == 8 * orbits == 56
     for i in range(1, 7):
         hom.presentation(i)
     # the presentations add the blocks with torsion that are not orbit
-    # representatives, each once, and the invariants reduce nothing again
-    added = len(calls) - 8 * orbits
-    assert added > 0
+    # representatives, but only (0, 4, 2) has nonzero entries in an order no
+    # representative has; (3, 0, 3) and (6, 0, 0) share (0, 3, 3)'s and
+    # (0, 0, 6)'s matrices.  The invariants reduce nothing again
+    assert len(calls) == 57
     for i in range(7):
         hom.invariants(i)
     for i in range(1, 7):
         hom.presentation(i)
-    assert len(calls) == 8 * orbits + added
-    assert sum(len(s._blocks) for s in hom._solver.values()) == len(calls)
+    assert len(calls) == 57
+    # each content's solver is the one of its matrix, reduced once
+    solvers = {id(s.block(c)) for s in hom._solver.values() for c in s._blocks}
+    assert len(solvers) == len(calls) < sum(len(s._blocks) for s in hom._solver.values())
+    # the partitions of 6 into at most 2 parts are among those above, so
+    # the same complex on Z^2 reduces nothing
+    for i in range(7):
+        cx.homology_of("C", 6, 2).invariants(i)
+    assert len(calls) == 57

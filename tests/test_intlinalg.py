@@ -22,6 +22,7 @@ from derham.complexes import (
     ComplexHomology,
     PairBasis,
     _check_dd_zero,
+    _koszul,
     build,
     build_C,
     homology_of,
@@ -427,6 +428,20 @@ def _pair_homology(d_in, d_out) -> ComplexHomology:
     return ComplexHomology(_pair_complex(d_in, d_out))
 
 
+def test_hand_built_complexes_keep_their_own_solvers():
+    # two one-block complexes of family "pair" and content (), with
+    # different matrices: neither may read the other's Smith decomposition
+    first = _pair_homology(la.intmat([[2]]), la.zeros(0, 1))
+    second = _pair_homology(la.intmat([[3]]), la.zeros(0, 1))
+    for _ in range(2):
+        assert first.invariants(1) == la.GroupInvariants(0, (2,))
+        assert second.invariants(1) == la.GroupInvariants(0, (3,))
+        assert first.presentation(1)[0] == (2,)
+        assert second.presentation(1)[0] == (3,)
+    assert first.solver(2).block(()) is not second.solver(2).block(())
+    assert _pair_homology(la.intmat([[5]]), la.zeros(0, 1)).invariants(1) == la.GroupInvariants(0, (5,))
+
+
 def test_homology_zero_maps():
     d0 = la.zeros(0, 4)
     dz = la.zeros(4, 0)
@@ -616,21 +631,25 @@ def test_iso_reduces_each_relation_matrix_once(monkeypatch):
 
 def test_complex_homology_reduces_each_differential_once(monkeypatch):
     calls = _count_reductions(monkeypatch)
+    for cache in (build_C, _koszul):
+        cache.cache_clear()
     full = build_C(4, 2)
     hom = ComplexHomology(full)
     for i in range(full.n + 1):
         hom.invariants(i)
     # d_0, ..., d_{n+1}: invariants(n) asks for d_{n+1}; the groups read one
-    # block per S_r orbit of content vectors
-    assert len(calls) == (full.n + 2) * len(full.orbits)
+    # block per S_r orbit of content vectors, here (0, 4), (1, 3) and (2, 2)
+    assert len(calls) == (full.n + 2) * len(full.orbits) == 18
 
     def one_round():
         for i in range(full.n + 1):
             hom.presentation(i)
             hom.invariants(i)
 
-    # the presentations add the blocks with torsion that are not orbit
-    # representatives, and nothing is reduced twice
+    # the presentations add the one block with torsion that is not an orbit
+    # representative, (4, 0) in degree 1, but its nonzero entries are those
+    # of (0, 4), so it shares their Smith decomposition; nothing is reduced
+    # twice, also not for a second homology of the same complex
     one_round()
     with_torsion = [
         (i, b.content)
@@ -639,10 +658,13 @@ def test_complex_homology_reduces_each_differential_once(monkeypatch):
         if b.content != tuple(sorted(b.content))
         and any(m > 1 for m in hom.solver(i).diagonal(b.content))
     ]
-    assert with_torsion
-    assert len(calls) == (full.n + 2) * len(full.orbits) + len(with_torsion)
+    assert with_torsion == [(1, (4, 0))]
+    assert hom.solver(1).block((4, 0)) is hom.solver(1).block((0, 4))
+    assert len(calls) == 18
     one_round()
-    assert len(calls) == (full.n + 2) * len(full.orbits) + len(with_torsion)
+    hom = ComplexHomology(full)
+    one_round()
+    assert len(calls) == 18
 
 
 # -- F_p routines ----------------------------------------------------------------

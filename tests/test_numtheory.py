@@ -81,6 +81,41 @@ def test_lemma_sweep_small():
         assert out["checked"] == sum(n - 1 for n in range(2, 26))
 
 
+def _reference_sweep(p, max_n):
+    """checked, failed and the first failing (n, k) of a sweep, one
+    ``check_binomial_lemma`` report per pair."""
+    reports = [nt.check_binomial_lemma(p, n, k) for n in range(2, max_n + 1) for k in range(1, n)]
+    failures = [{"p": p, "n": rep.n, "k": rep.k} for rep in reports if not rep.holds]
+    return len(reports), len(failures), failures[0] if failures else None
+
+
+def test_lemma_sweep_matches_the_per_check_reports():
+    for p in (2, 3, 5, 7):
+        for max_n in (2, 3, 17, 40):
+            out = nt.sweep_binomial_lemma(p, max_n)
+            checked, failed, first = _reference_sweep(p, max_n)
+            assert (out["checked"], out["failed"]) == (checked, failed) == (checked, 0)
+            assert "first_failure" not in out
+
+
+def test_lemma_sweep_reports_a_wrong_modulus(monkeypatch):
+    # Jacobsthal: the congruence holds modulo p^(3 + v_p(n k (n-k))) for
+    # p >= 5, but not modulo p^3 times the lemma's p^v_p(p n k (n-k))
+    modulus = nt._lemma_modulus
+    monkeypatch.setattr(nt, "_lemma_modulus", lambda p, n, k: modulus(p, n, k) * p**3)
+    for p in (2, 3, 5, 7):
+        out = nt.sweep_binomial_lemma(p, 40)
+        checked, failed, first = _reference_sweep(p, 40)
+        assert failed > 0
+        assert (out["checked"], out["failed"], out["first_failure"]) == (checked, failed, first)
+
+
+def test_lemma_sweep_refuses_a_non_prime():
+    for p in (1, 4, 9):
+        with pytest.raises(NotPrimeError):
+            nt.sweep_binomial_lemma(p, 10)
+
+
 def test_lemma_range_errors():
     with pytest.raises(nt.OutOfRangeError):
         nt.check_binomial_lemma(2, 3, 3)
