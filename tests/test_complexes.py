@@ -529,7 +529,9 @@ def test_orbit_route_matches_the_full_route(family, n, r):
     oc = cx.OrbitComplex(family, n, r)
     full = cx.build(family, n, r)
     hom = cx.ComplexHomology(oc)
-    reference = cx.ComplexHomology(full)
+    # the reference reduces its own blocks, not the shared _koszul solvers
+    own = tuple(dataclasses.replace(b, solvers={}) for b in full.blocks)
+    reference = cx.ComplexHomology(dataclasses.replace(full, blocks=own))
     # the partitions are the sorted contents, their sizes the blocks per orbit
     assert oc.orbits == dict(full.orbits)
     for rep in oc.orbits:
