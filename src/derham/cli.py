@@ -479,16 +479,12 @@ def _refuse_transforms(rows: int, cols: int) -> None:
 def cmd_snf(ns) -> int:
     try:
         with open(ns.input) if ns.input != "-" else nullcontext(sys.stdin) as fh:
-            # the shape on a text header line is refused before the body is
-            # read; JSON is read whole
-            head = fh.readline()
-            shape = head.split()[:2]
-            if len(shape) == 2 and all(map(str.isdecimal, shape)):
-                _refuse_transforms(*map(int, shape))
-            rows, cols = la.mat_parse(head + fh.read(), check=_refuse_transforms)
+            # text is streamed into sparse rows, its shape refused before the
+            # body is read; JSON is read whole
+            matrix = la.mat_read(fh, check=_refuse_transforms)
     except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read matrix: {exc}")
-    res = la.smith_normal_form(rows, cols)
+    res = la.smith_normal_form(matrix)
     names = "DUV" if ns.output_dir or ns.transforms else "D"
     texts = (la.mat_to_text(*res.sparse(name)) for name in names)
     if ns.output_dir:

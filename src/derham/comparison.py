@@ -114,7 +114,7 @@ def q_kills_boundaries(q: QMap) -> bool:
     return all(
         x * y % orders[k] == 0
         for c, column in q.columns.items()
-        for x in source.block(c).d(1)[0]
+        for x in source.block(c).d(1)[0].values()
         for k, y in column.items()
     )
 

@@ -15,8 +15,8 @@ wedge occurrence and with its exponent in a monomial.  So every complex is a
 direct sum of content blocks, one for each c with |c| = n: the integral
 Koszul complex on (c_j : c_j > 0), degrees reflected in D, which
 ``_koszul`` writes once per process from those entries, for C, D and the
-Koszul complex wedge^a (x) sym^(n-a) of ``koszul``.  A block's d_i is a
-tuple of rows of Python ints, so equal matrices are checked once.
+Koszul complex wedge^a (x) sym^(n-a) of ``koszul``.  A block's d_i is
+sparse rows, written and checked (d d = 0) once per process.
 
 Permuting the coordinates by sigma maps the block of c onto the block of
 sigma c by a signed permutation.  So ``homology_of(...).invariants`` reads,
@@ -43,10 +43,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from itertools import product as iproduct
 from math import factorial, prod
-from operator import add, mul
+from operator import mul
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
@@ -83,25 +83,24 @@ class PairBasis:
 class Block:
     """The content block c of a complex: positions[i] lists, ascending, the
     degree-i basis positions whose labels have content c (i = 0..n), and
-    diffs[i-1] is d_i restricted to them, as a tuple of rows: one row per
-    position of positions[i-1], one entry per position of positions[i].
-    solvers[i], once reduced, is the Smith decomposition of d(i)."""
+    diffs[i-1] is d_i restricted to them, as SparseRows: a row {k: value}
+    per position of positions[i-1], k the place of one of positions[i]; the
+    rows are shared, so only read.  solvers[i] is d(i)'s Smith decomposition."""
 
     content: tuple
     positions: tuple[tuple[int, ...], ...]
-    diffs: tuple[tuple[tuple[int, ...], ...], ...]
+    diffs: tuple[la.SparseRows, ...]
     solvers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def at(self, i: int) -> tuple[int, ...]:
         """Positions of degree i, () outside 0..n."""
         return self.positions[i] if 0 <= i < len(self.positions) else ()
 
-    def d(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """The rows of the block of d_i, with d_0 = d_{n+1} = 0; it has
-        len(at(i)) columns."""
+    def d(self, i: int) -> la.SparseRows:
+        """The block of d_i, len(at(i)) columns wide; d_0 = d_{n+1} = 0."""
         if 1 <= i <= len(self.diffs):
             return self.diffs[i - 1]
-        return ((0,) * len(self.at(i)),) * len(self.at(i - 1))
+        return la.SparseRows(({} for _ in self.at(i - 1)), len(self.at(i)))
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,7 @@ class ChainComplexZ:
         for b in self.blocks:
             row_at, col_at = b.at(i - 1), b.at(i)
             for k, row in enumerate(b.d(i)):
-                for l in compress(range(len(row)), row):
-                    triples.append((row_at[k], col_at[l], row[l]))
+                triples += ((row_at[k], col_at[l], x) for l, x in row.items())
         triples.sort()  # positions are distinct, so values are never compared
         return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
 
@@ -172,29 +170,25 @@ class ChainComplexZ:
 
 
 def _check_dd_zero(cx) -> None:
-    # a block's matrices depend on the values of its content, not on where
-    # its support sits, so most blocks share ``_koszul``'s matrices
-    for diffs in {id(b.diffs): b.diffs for b in cx.blocks}.values():
-        if i := _dd_nonzero(diffs):
+    """Refuse d d != 0 in a block not written (and checked) by _koszul."""
+    for b in cx.blocks:
+        if i := _dd_nonzero(b.diffs):
             raise AssertionError(f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})")
 
 
-@lru_cache(maxsize=None)
 def _dd_nonzero(diffs: tuple) -> int:
     """The first i with d_(i-1) d_i != 0, else 0: a row of d_(i-1) times d_i
-    adds the rows of d_i it picks, as the d_i of a weight-12 block reach
-    924 x 792 with at most 12 entries a row.  Cached, as blocks recur."""
+    adds the sparse rows of d_i it picks, as the d_i of a weight-12 block
+    reach 924 x 792 with at most 12 entries a row."""
     for i, (left, right) in enumerate(zip(diffs, diffs[1:]), start=2):
-        # most blocks are empty in most degrees: only multiply the others
-        if not (left and left[0] and right):
-            continue
-        if len(left[0]) != len(right):
+        if left.width != len(right):
             raise ValueError(f"d_{i-1} and d_{i} do not compose")
         for row in left:
-            acc = [0] * len(right[0])
-            for k in compress(range(len(row)), row):
-                acc = list(map(add, acc, map(row[k].__mul__, right[k])))
-            if any(acc):
+            acc: dict = {}
+            for k, x in row.items():
+                for j, y in right[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            if any(acc.values()):
                 return i
     return 0
 
@@ -223,8 +217,8 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
     index[W] is the place of W in its degree, and positions[i] numbers
     them.  d takes the factor j at place q (from 0) out of a left wedge with
     sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j of S - W
-    into a right wedge with the opposite sign and multiplicity c_j.
-    solvers, empty here, is shared by every block written from this one."""
+    into a right wedge with the opposite sign and multiplicity c_j; d d = 0
+    is checked here.  solvers, empty here, is shared by all blocks of it."""
     wedge_left, n, s = left == "wedge", sum(values), len(values)
     wedges = [()] * (n + 1)
     for w in range(s + 1):
@@ -234,12 +228,10 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
     diffs = []
     for i in range(1, n + 1):
         rows, cols = wedges[i - 1], wedges[i]
-        if not (rows and cols):
-            diffs.append(((0,) * len(cols),) * len(rows))
-            continue
-        mat = [[0] * len(cols) for _ in rows]
+        mat = la.SparseRows([{} for _ in rows], len(cols))
         # each W of the side with the larger wedges, and each factor j of it:
-        # a left wedge loses j, a right one gains it, with the opposite sign
+        # a left wedge loses j, a right one gains it, with the opposite sign;
+        # either way each row receives its columns in ascending order
         for k, W in enumerate(cols if wedge_left else rows):
             for q, j in enumerate(W):
                 x = (1 if q % 2 else -1) * (1 if right == "sym" else values[j])
@@ -247,7 +239,9 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
                     mat[index[W[:q] + W[q + 1:]]][k] = x
                 else:
                     mat[k][index[W[:q] + W[q + 1:]]] = -x
-        diffs.append(tuple(map(tuple, mat)))
+        diffs.append(mat)
+    if i := _dd_nonzero(diffs):
+        raise AssertionError(f"d_{i-1} d_{i} != 0 in the {left}/{right} block of {values}")
     positions = tuple(map(tuple, map(range, map(len, wedges))))
     return tuple(wedges), index, positions, tuple(diffs), {}
 
@@ -286,7 +280,6 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
         blocks.append(Block(c, tuple(positions), diffs, solvers))
     cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
     _check_partition(cx)
-    _check_dd_zero(cx)
     return cx
 
 
@@ -324,16 +317,16 @@ def _partitions(n: int, parts: int, least: int = 1):
 class OrbitComplex:
     """C^n(Z^r) or D^n(Z^r) as its S_r orbits of content blocks, with no
     basis: orbits maps the sorted content of each partition to its orbit
-    size, and block(c) is the block of c positioned in its own basis.
-    Checked: orbit sizes times block sizes give ``basis_size`` in every
-    degree, and d d = 0 holds on every orbit's block."""
+    size, and block(c) is the block of c positioned in its own basis, kept
+    per content.  Checked: orbit sizes times block sizes give
+    ``basis_size`` in every degree (``_koszul`` checks d d = 0)."""
 
     def __init__(self, family: str, n: int, rank: int):
         if family not in FACTORS or n < 0 or rank < 0:
             raise ValueError(f"no complex {family}^{n}(Z^{rank})")
         self.family, self.n, self.rank = family, n, rank
+        self._blocks: dict[tuple, Block] = {}
         _check_partition(self, list(self.orbits.values()))
-        _check_dd_zero(self)
 
     @cached_property
     def orbits(self) -> dict[tuple, int]:
@@ -351,9 +344,13 @@ class OrbitComplex:
         return exponent_vectors(self.n, self.rank)
 
     def block(self, content: tuple) -> Block:
+        if content in self._blocks:
+            return self._blocks[content]
         if len(content) != self.rank or sum(content) != self.n or min(content, default=0) < 0:
             raise ValueError(f"{content} is no content of {self.family}^{self.n}(Z^{self.rank})")
-        return Block(content, *_koszul(*FACTORS[self.family], tuple(x for x in content if x))[2:])
+        values = tuple(x for x in content if x)
+        b = self._blocks[content] = Block(content, *_koszul(*FACTORS[self.family], values)[2:])
+        return b
 
     @property
     def blocks(self) -> list[Block]:
@@ -385,7 +382,8 @@ def is_cycle(source, i: int, vec: dict) -> bool:
     """Whether d_i of source kills a block-keyed degree-i vector, applying
     one block at a time."""
     for content, coeffs in by_content(vec).items():
-        if any(sum(row[k] * x for k, x in coeffs.items()) for row in source.block(content).d(i)):
+        d = source.block(content).d(i)
+        if any(sum(x * coeffs.get(k, 0) for k, x in row.items()) for row in d):
             return False
     return True
 
@@ -414,7 +412,7 @@ class DifferentialSolver:
         if content not in self._blocks:
             b = self.hom.source.block(content)
             if self.i not in b.solvers:
-                b.solvers[self.i] = la.LinearSolver(b.d(self.i), len(b.at(self.i)))
+                b.solvers[self.i] = la.LinearSolver(b.d(self.i))
             self._blocks[content] = b.solvers[self.i]
         return self._blocks[content]
 

@@ -1,15 +1,15 @@
 """Exact linear algebra over the integers and over prime fields.
 
-A matrix is a sequence of rows (lists or tuples) of plain Python ints, so
-every operation is exact, entries may grow without bound, and no floating
-point is used anywhere.  A matrix without rows has no width of its own, so the
-functions that need one take it as ``cols``.  Every function also accepts a
-2-dimensional numpy array, read through its ``tolist()``, but none imports
-numpy: the dense helpers below (``intmat``, ``zeros``, ``identity``,
-``as_intmat``, ``hstack``, ``block_diag``, ``mat_mul``, ``mat_vec``,
-``is_zero``, ``det_exact``) and ``SnfResult.U``, ``.D`` and ``.V`` return
-numpy object arrays for tests, demos and tracing, and import numpy when
-called.
+Entries are plain Python ints, so every operation is exact, entries may grow
+without bound, and no floating point is used.  A matrix is a sequence of
+dense rows (a 2-d numpy array is read through ``tolist()``; ``cols`` gives
+the width of one without rows) or ``SparseRows``, the one form the Smith and
+F_p eliminations read, a dense matrix converted once on entry.  Only the
+dense helpers below (``intmat``, ``zeros``, ``identity``, ``as_intmat``,
+``hstack``, ``block_diag``, ``mat_mul``, ``mat_vec``, ``is_zero``,
+``det_exact``), ``SnfResult.U``/``.D``/``.V`` and ``np.asarray`` of
+SparseRows make numpy object arrays, for tests, demos and tracing, importing
+numpy when called.
 
 The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
@@ -30,9 +30,9 @@ rank and the cokernel rows come from one elimination on sparse rows mod p.
 
 The exchange format is plain text ("rows cols", then one line of entries
 per row) or JSON.  Text rows are written from the nonzero entries, spliced
-into one line of "0" tokens, and text is parsed through one ``int()`` per
-distinct token, so both directions pay per nonzero rather than per cell.
-JSON accepts only integers.
+into one line of "0" tokens, and text is streamed into SparseRows with one
+``int()`` per token other than "0", so both directions pay per nonzero
+rather than per cell beyond the split.  JSON accepts only integers.
 """
 
 from __future__ import annotations
@@ -90,6 +90,37 @@ def as_rows(m, cols: int | None = None) -> tuple[list, int]:
 def _nonzero(row: Sequence[int]) -> dict[int, int]:
     """A row's nonzero entries as {column: value}, ascending."""
     return {j: row[j] for j in compress(range(len(row)), row)}
+
+
+class SparseRows(list):
+    """A matrix as its rows {column: value}, nonzero entries only, columns
+    ascending, and its width: the one form the Smith and F_p eliminations
+    read.  ``tolist()`` and numpy read it as the dense rows x width matrix."""
+
+    __slots__ = ("width",)
+    shape = property(lambda self: (len(self), self.width))
+
+    def __init__(self, rows: Iterable[dict] = (), width: int = 0):
+        super().__init__(rows)
+        self.width = width
+
+    def tolist(self) -> list[list[int]]:
+        return [[row.get(j, 0) for j in range(self.width)] for row in self]
+
+    def __array__(self, dtype=None, copy=None):
+        out = zeros(*self.shape)
+        for i, row in enumerate(self):
+            for j, x in row.items():
+                out[i, j] = x
+        return out.astype(dtype or object, copy=False)
+
+
+def sparse_rows(m, cols: int | None = None) -> SparseRows:
+    """m itself when it is SparseRows, else the dense matrix m converted."""
+    if isinstance(m, SparseRows):
+        return m
+    rows, width = as_rows(m, cols)
+    return SparseRows(map(_nonzero, rows), width)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +255,6 @@ def det_exact(a) -> int:
     return sign * int(w[n - 1, n - 1])
 
 
-def _dense(rows: Sequence[dict], width: int):
-    """Sparse {column: value} rows as a numpy object matrix."""
-    out = zeros(len(rows), width)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[i, j] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -280,15 +302,15 @@ class SnfResult:
 
     @property
     def U(self):
-        return _dense(*self.sparse("U"))
+        return SparseRows(*self.sparse("U")).__array__()
 
     @property
     def D(self):
-        return _dense(*self.sparse("D"))
+        return SparseRows(*self.sparse("D")).__array__()
 
     @property
     def V(self):
-        return _dense(*self.sparse("V"))
+        return SparseRows(*self.sparse("V")).__array__()
 
     def __iter__(self):
         return iter((self.U, self.D, self.V))
@@ -388,12 +410,11 @@ def _eliminate(a: list[dict], width: int) -> tuple[list[dict], list[dict]]:
     return u, vt
 
 
-def _components(rows: list, width: int) -> tuple[list[tuple[list[int], list[int]]], list[dict]]:
+def _components(sparse: list[dict], width: int) -> list[tuple[list[int], list[int]]]:
     """The rows and columns, ascending, of each connected component of the
-    nonzero pattern of a matrix (a bipartite graph, edge (i, j) where row i
-    has a nonzero in column j) in the order of their first row, and its
-    sparse rows, from one scan."""
-    height = len(rows)
+    nonzero pattern of sparse rows (a bipartite graph, edge (i, j) where row
+    i has a nonzero in column j) in the order of their first row."""
+    height = len(sparse)
     parent = list(range(height + width))
 
     def find(x: int) -> int:
@@ -402,7 +423,6 @@ def _components(rows: list, width: int) -> tuple[list[tuple[list[int], list[int]
             x = parent[x]
         return x
 
-    sparse = [_nonzero(row) for row in rows]
     for i, row in enumerate(sparse):
         for j in row:
             ri, rj = find(i), find(height + j)
@@ -414,13 +434,13 @@ def _components(rows: list, width: int) -> tuple[list[tuple[list[int], list[int]
             groups.setdefault(find(i), ([], []))[0].append(i)
     for j in sorted(set().union(*sparse)):
         groups[find(height + j)][1].append(j)
-    return list(groups.values()), sparse
+    return list(groups.values())
 
 
-def _reduce(rows: list, width: int) -> tuple[list[int], list[dict], list[dict]]:
-    """The Smith diagonal of a matrix, the rows of U and the columns of V,
-    one connected component of its nonzero pattern at a time, by
-    elimination on sparse rows (V transposed, the dense pivots).
+def _reduce(sparse: list[dict], width: int) -> tuple[list[int], list[dict], list[dict]]:
+    """The Smith diagonal of sparse rows, the rows of U and the columns of
+    V, one connected component of its nonzero pattern at a time, by
+    elimination on copies of the rows (V transposed, the dense pivots).
 
     A zero matrix, with no component, is its own Smith form.  A matrix with
     one component is reduced whole.  Otherwise each component is reduced on
@@ -430,11 +450,12 @@ def _reduce(rows: list, width: int) -> tuple[list[int], list[dict], list[dict]]:
     columns), and one more reduction of the small diagonal of non-units
     restores the divisor chain (2 + 3 becomes 1 + 6).
     """
-    size = min(len(rows), width)
-    comps, sparse = _components(rows, width)
+    size = min(len(sparse), width)
+    comps = _components(sparse, width)
     if len(comps) <= 1:
-        urows, vcols = _eliminate(sparse, width)
-        return [sparse[t].get(t, 0) for t in range(size)], urows, vcols
+        a = [dict(row) for row in sparse]
+        urows, vcols = _eliminate(a, width)
+        return [a[t].get(t, 0) for t in range(size)], urows, vcols
     units, others, zero_rows, zero_cols = [], [], [], []
     for rs, cs in comps:
         at = {j: k for k, j in enumerate(cs)}
@@ -471,20 +492,14 @@ def smith_normal_form(m, cols: int | None = None) -> SnfResult:
     """Smith normal form with unimodular transforms: U @ m @ V = D.
 
     The diagonal of D is nonnegative and each entry divides the next
-    nonzero one; D is uniquely determined by m.  cols is the width of an m
-    without rows.
-    """
-    rows, width = as_rows(m, cols)
-    return SnfResult((len(rows), width), *_reduce(rows, width))
+    nonzero one; D is uniquely determined by m.  A dense m is converted to
+    SparseRows once; cols is the width of a dense m without rows."""
+    a = sparse_rows(m, cols)
+    return SnfResult(a.shape, *_reduce(a, a.width))
 
 
 def snf_diagonal(m) -> list[int]:
-    """The invariant factors of m: the diagonal of smith_normal_form(m).
-
-    There is one elimination on sparse rows, per connected component of m's
-    nonzero pattern, and it always accumulates U and V, so one routine
-    serves every reduction.
-    """
+    """The invariant factors of m: the diagonal of smith_normal_form(m)."""
     return smith_normal_form(m).diagonal
 
 
@@ -733,11 +748,11 @@ def _fp_pivot_rows(m, p: int) -> tuple[list[int], int]:
     kept.  These are the pivot rows of m's column echelon form mod p.
     """
     _require_prime(p)
-    rows, _ = as_rows(m)
+    rows = sparse_rows(m)
     kept: dict[int, dict] = {}  # leading column -> kept row, led by 1
     pivots = []
     for i, row in enumerate(rows):
-        r = {j: y for j, x in _nonzero(row).items() if (y := x % p)}
+        r = {j: y for j, x in row.items() if (y := x % p)}
         while hit := [j for j in r if j in kept]:
             j = min(hit)
             q = r[j]
@@ -811,11 +826,6 @@ def mat_to_text(m, cols: int | None = None) -> str:
     return buf.getvalue()
 
 
-def _split(values: list, rows: int, cols: int) -> list[list[int]]:
-    """A flat row-major list as rows of a matrix of the given shape."""
-    return [values[k : k + cols] for k in range(0, rows * cols, cols)] if cols else [[] for _ in range(rows)]
-
-
 def _check_shape(rows: int, cols: int, check: Callable[[int, int], None] | None) -> None:
     if rows < 0 or cols < 0:
         raise ValueError(f"a matrix cannot have shape {rows} x {cols}")
@@ -823,26 +833,54 @@ def _check_shape(rows: int, cols: int, check: Callable[[int, int], None] | None)
         check(rows, cols)
 
 
-_HEADER = re.compile(r"\s*(\S+)\s+(\S+)")
+_NONZERO = re.compile(r"[^0\s]\S*")  # from a character other than 0 to its token's end
+
+
+def _zero_tokens(text: str) -> int:
+    """How many tokens text of zeros and whitespace holds (a run "00" is one)."""
+    return text.count("0") if "00" not in text else len(text.split())
+
+
+def read_text(lines: Iterable[str], check: Callable[[int, int], None] | None = None) -> SparseRows:
+    """A matrix in the text format, read a line (or any piece cut at
+    whitespace) at a time, entries counted across lines, so any layout reads
+    alike: a regex finds the tokens other than "0", the only ones through
+    ``int()``, and counts the "0" between.  check gets the header's shape
+    before the body is read.  Errors, in order: header, shape, count, token."""
+    lines, head = iter(lines), []
+    while len(head) < 2 and (line := next(lines, None)) is not None:
+        head += line.split()
+    if len(head) < 2:
+        raise ValueError("matrix text must start with 'rows cols'")
+    height, width = int(head[0]), int(head[1])
+    _check_shape(height, width, check)
+    out, size, seen, bad = SparseRows(({} for _ in range(height)), width), height * width, 0, None
+    for line in itertools.chain([" ".join(head[2:])], lines):
+        prev = 0
+        for m in _NONZERO.finditer(line):
+            gap = line[prev : m.start()]
+            lead = gap.rstrip("0")  # zeros glued to the token open it
+            seen += _zero_tokens(lead)
+            try:
+                x = int(gap[len(lead) :] + m[0])
+            except ValueError as exc:
+                bad = bad or exc
+            else:
+                if x and seen < size:
+                    out[seen // width][seen % width] = x
+            seen, prev = seen + 1, m.end()
+        seen += _zero_tokens(line[prev:])
+    if seen != size:
+        raise ValueError(f"expected {size} entries, found {seen}")
+    if bad:
+        raise bad
+    return out
 
 
 def mat_from_text(text: str, check: Callable[[int, int], None] | None = None) -> tuple[list, int]:
-    """(rows, cols) of a matrix in the text format.  check, when given, is
-    called with the header's shape before the body is split."""
-    header = _HEADER.match(text)
-    if header is None:
-        raise ValueError("matrix text must start with 'rows cols'")
-    rows, cols = int(header[1]), int(header[2])
-    _check_shape(rows, cols, check)
-    data = text.split()[2:]
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(data)}")
-    try:
-        value = {t: int(t) for t in set(data)}
-    except ValueError:
-        list(map(int, data))  # name the first bad token, as in reading order
-        raise
-    return _split(list(map(value.__getitem__, data)), rows, cols), cols
+    """(rows, cols) of a matrix in the text format, dense; see ``read_text``."""
+    m = read_text((text,), check)
+    return m.tolist(), m.width
 
 
 def mat_to_json(m) -> str:
@@ -876,13 +914,21 @@ def mat_from_json(text: str, check: Callable[[int, int], None] | None = None) ->
         raise ValueError("data length does not match rows*cols")
     for x in data:
         _json_int(x, "every entry")
-    return _split(data, rows, cols), cols
+    return [data[k * cols : (k + 1) * cols] for k in range(rows)], cols
+
+
+def mat_read(lines: Iterable[str], check: Callable[[int, int], None] | None = None) -> SparseRows:
+    """Either exchange form from its lines (a file, or one string): JSON,
+    told by "{" after whitespace, joined and read whole, else text streamed
+    by ``read_text``; check is called with the shape before the body."""
+    lines = iter(lines)
+    first = next((line for line in lines if not line.isspace()), "")
+    if first.lstrip().startswith("{"):
+        return sparse_rows(*mat_from_json(first + "".join(lines), check))
+    return read_text(itertools.chain([first], lines), check)
 
 
 def mat_parse(text: str, check: Callable[[int, int], None] | None = None) -> tuple[list, int]:
-    """Parse either exchange form (plain text or JSON) into (rows, cols);
-    check, when given, is called with the shape before the body is read."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return mat_from_json(stripped, check)
-    return mat_from_text(text, check)
+    """Either exchange form as dense (rows, cols); see ``mat_read``."""
+    m = mat_read((text,), check)
+    return m.tolist(), m.width

@@ -32,7 +32,7 @@ def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
     cx = _build_complex("K", "wedge", "sym", n, r)
 
     def mod_p(d):
-        return tuple(tuple(x % p for x in row) for row in d)
+        return la.SparseRows(({j: y for j, x in row.items() if (y := x % p)} for row in d), d.width)
 
     blocks = tuple(replace(b, diffs=tuple(map(mod_p, b.diffs))) for b in cx.blocks)
     return replace(cx, blocks=blocks)

@@ -668,6 +668,27 @@ def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
     assert peak_kb < 30 * 1024
 
 
+def test_snf_transforms_of_a_large_signed_identity_in_bounded_memory(tmp_path):
+    # 4.5 MB of text, 2.25e6 tokens: streamed line by line into sparse rows,
+    # the body never sits whole in memory as text, tokens or dense rows (it
+    # peaked at 71 MB so).  D = I, U = the input and V = I, byte for byte.
+    n = 1500
+    def line(i, x):
+        return " ".join(["0"] * i + [x] + ["0"] * (n - 1 - i)) + "\n"
+
+    rows = [line(i, "1" if i % 2 else "-1") for i in range(n)]
+    ones = [line(i, "1") for i in range(n)]
+    src, out = tmp_path / "signed_identity.txt", tmp_path / "out.txt"
+    src.write_text(f"{n} {n}\n" + "".join(rows))
+    assert src.stat().st_size > 4_500_000
+    with open(out, "w") as fh:
+        code, peak_kb = _run_with_peak_rss(["snf", str(src), "--transforms"], fh)
+    assert code == 0
+    identity = f"{n} {n}\n" + "".join(ones)
+    assert out.read_text() == identity + src.read_text() + identity
+    assert peak_kb < 45 * 1024
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "derham.cli", "--help"], capture_output=True, text=True

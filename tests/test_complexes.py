@@ -411,12 +411,12 @@ def _with_one_entry(c, change):
     """C with the first nonzero entry of d_1, in the first block that has
     one, replaced by change(entry)."""
     for k, b in enumerate(c.blocks):
-        d = [list(row) for row in b.d(1)]
-        hit = [(row, col) for row, line in enumerate(d) for col, x in enumerate(line) if x]
+        d = la.SparseRows(map(dict, b.d(1)), b.d(1).width)  # the shared rows stay as they are
+        hit = [(row, col) for row, line in enumerate(d) for col in line]
         if hit:
             row, col = hit[0]
             d[row][col] = change(d[row][col])
-            block = dataclasses.replace(b, diffs=(tuple(map(tuple, d)),) + b.diffs[1:])
+            block = dataclasses.replace(b, diffs=(d,) + b.diffs[1:])
             return dataclasses.replace(c, blocks=c.blocks[:k] + (block,) + c.blocks[k + 1 :])
     raise AssertionError("no nonzero entry")
 
@@ -428,6 +428,32 @@ def test_block_decomposition_refuses_a_changed_entry(monkeypatch, change):
     monkeypatch.setattr(cx, "build_C", lambda n, r: broken if (n, r) == (4, 3) else build_C(n, r))
     assert cx.block_decomposition_matches(4, 1, 2) is False
     assert _dense_block_decomposition_matches(4, 1, 2) is False
+
+
+def test_dd_check_refuses_a_changed_entry_on_sparse_rows():
+    # a changed entry of d_1 in a block with a d_2 makes d_1 d_2 != 0; the
+    # blocks of _koszul are checked where they are written, any other here
+    c = cx.build_C(4, 3)
+    cx._check_dd_zero(c)
+    wide = next(k for k, b in enumerate(c.blocks) if any(b.d(2)))
+    for change in (lambda x: -x, lambda x: 2 * x):
+        head = dataclasses.replace(c, blocks=c.blocks[wide:])
+        with pytest.raises(AssertionError, match="d_1 d_2 != 0"):
+            cx._check_dd_zero(_with_one_entry(head, change))
+    assert all(isinstance(d, la.SparseRows) for b in c.blocks for d in b.diffs)
+
+
+def test_orbit_complex_keeps_one_block_per_content():
+    oc = cx.OrbitComplex("C", 6, 3)
+    for c in oc.contents:
+        b = oc.block(c)
+        assert oc.block(c) is b
+        assert b.diffs is cx._koszul(*cx.FACTORS["C"], tuple(x for x in c if x))[3]
+    assert [oc.block(c) for c in oc.orbits] == oc.blocks
+    for bad in ((7, 0, -1), (1, 2), (1, 1, 1)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is no content"):
+                oc.block(bad)
 
 
 def test_kunneth_weight_two():

@@ -9,6 +9,7 @@ import itertools
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -190,7 +191,8 @@ def assert_sparse_elimination_matches_dense(m):
     _snf_dense(*want)
     a = [la._nonzero(row) for row in m.tolist()]
     urows, vcols = la._eliminate(a, cols)
-    got = (la._dense(a, cols), la._dense(urows, rows), la._dense(vcols, cols).T)
+    got = (np.asarray(la.SparseRows(a, cols)), np.asarray(la.SparseRows(urows, rows)),
+           np.asarray(la.SparseRows(vcols, cols)).T)
     for name, w, g in zip("DUV", want, got):
         assert g.shape == w.shape, name
         assert all(type(x) is int for x in g.flat), name
@@ -419,7 +421,7 @@ def _pair_complex(d_in, d_out) -> ChainComplexZ:
     dims = (d_out.shape[0], d_out.shape[1], d_in.shape[1])
     bases = tuple(PairBasis(tuple(range(k)), ((),)) for k in dims)
     # no content vector: the whole complex is one block
-    diffs = tuple(tuple(map(tuple, d.tolist())) for d in (d_out, d_in))
+    diffs = tuple(la.sparse_rows(d) for d in (d_out, d_in))
     block = Block((), tuple(tuple(range(k)) for k in dims), diffs)
     return ChainComplexZ("pair", 2, 0, bases, (block,))
 
@@ -837,6 +839,120 @@ def test_parser_reads_tokens_as_int_does():
     for text, first in (("1 3 x 1 y", "x"), ("1 3 1 y x", "y"), ("1 3 y y x", "y")):
         with pytest.raises(ValueError, match=f"'{first}'"):
             la.mat_from_text(text)
+
+
+def _whole_text_reference(text):
+    """The text parser as it read a whole text before the reader streamed
+    it: one split, every token through int(), the errors in this order."""
+    header = re.match(r"\s*(\S+)\s+(\S+)", text)
+    if header is None:
+        raise ValueError("matrix text must start with 'rows cols'")
+    rows, cols = int(header[1]), int(header[2])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"a matrix cannot have shape {rows} x {cols}")
+    data = text.split()[2:]
+    if len(data) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, found {len(data)}")
+    values = list(map(int, data))
+    return [values[k * cols : (k + 1) * cols] for k in range(rows)], cols
+
+
+def _layouts(tokens, rows, cols, rnd):
+    """The text of a matrix, given its tokens row-major, in several layouts."""
+    head = f"{rows} {cols}"
+    lines = [" ".join(tokens[k * cols : (k + 1) * cols]) for k in range(rows)]
+    yield "one row per line", "\n".join([head] + lines) + "\n"
+    yield "one line", " ".join([head] + tokens)
+    cuts = sorted(rnd.sample(range(len(tokens) + 1), min(len(tokens) + 1, 1 + len(tokens) // 3)))
+    pieces = [" ".join(tokens[a:b]) for a, b in zip([0] + cuts, cuts + [len(tokens)])]
+    yield "rows split across lines", "\n".join([head] + pieces) + "\n"
+    seps = [" ", "   ", "\t", " \t ", "\n", "\r\n", "\n\n  "]
+    mixed = "".join(rnd.choice(seps) + t for t in [str(rows), str(cols)] + tokens)
+    yield "tabs and runs of spaces", rnd.choice(["", "\n", " \t"]) + mixed + rnd.choice(["", "\n"])
+    k = rnd.randint(0, len(tokens))
+    yield "entries on the header line", " ".join([head] + tokens[:k]) + "\n" + " ".join(tokens[k:])
+
+
+def test_streaming_reader_matches_the_whole_text_parser_in_every_layout():
+    rnd = random.Random(23)
+    special = ["-0", "00", "+3", "007", "1_000", "-12", str(2**64 + 7), str(-(2**70) - 1),
+               "100", "-1000"]
+    cases = 0
+    for rows, cols, density in [(0, 0, 0), (0, 4, 0), (3, 0, 0), (1, 1, 1), (5, 7, 0.3),
+                                (12, 9, 0.1), (4, 30, 0.6), (20, 3, 0.9)]:
+        for _ in range(4):
+            tokens = [rnd.choice(special) if rnd.random() < density else "0"
+                      for _ in range(rows * cols)]
+            for name, text in _layouts(tokens, rows, cols, rnd):
+                want, width = _whole_text_reference(text)
+                sparse = [la._nonzero(row) for row in want]
+                assert la.mat_parse(text) == (want, width), name
+                for got in (la.read_text(text.splitlines(keepends=True)),
+                            la.read_text(text.split(" ")),  # pieces cut at any whitespace
+                            la.mat_read(io.StringIO(text))):
+                    assert isinstance(got, la.SparseRows) and got.width == width, name
+                    assert list(got) == sparse, (name, text)
+                    assert all(list(row) == sorted(row) for row in got), name
+                    assert all(type(x) is int for row in got for x in row.values()), name
+                cases += 1
+    assert cases == 8 * 4 * 5
+    # values past 2**64 and every special token were read, the zero ones dropped
+    got = la.read_text(["1 10\n", " ".join(special)])
+    assert dict(got[0]) == {2: 3, 3: 7, 4: 1000, 5: -12, 6: 2**64 + 7, 7: -(2**70) - 1,
+                            8: 100, 9: -1000}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2\n", "2 x\n1 2\n", "-1 2\n", "2 2\n1 0\n0\n", "", " \n\t\n", "x\n2 1 2\n",
+     "2 2 1 2 3", "1 2\n1 2.7\n", "1 3 x 1 y", "1 3 1 y x", "1 3\ny\ny x", "1 2 x\n",
+     "1 1\n1\n2\n", "2 -3\n", "1 2\n0x1 0\n", "3 1\n\n\n1\n2 x", "1 3\n0 00-1 0", "1 2 007 1e3"],
+)
+def test_streaming_reader_errors_as_the_whole_text_parser(text):
+    # the error cases of the snf command's test, and more: each raises the
+    # message the whole-text parser raised, however the text is fed
+    with pytest.raises(ValueError) as want:
+        _whole_text_reference(text)
+    for read in (lambda: la.read_text(text.splitlines(keepends=True)),
+                 lambda: la.mat_read(io.StringIO(text)),
+                 lambda: la.mat_parse(text)):
+        with pytest.raises(ValueError) as got:
+            read()
+        assert str(got.value) == str(want.value)
+
+
+def test_smith_reduction_leaves_the_shared_koszul_rows_unchanged():
+    # _eliminate works in place, so the reduction copies the rows it is
+    # given; the blocks of _koszul are shared by every complex that holds them
+    _koszul.cache_clear()
+    for left, right in (("wedge", "gamma"), ("sym", "wedge"), ("wedge", "sym")):
+        for values in [(1,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1, 1), (3, 2, 1), (2, 2, 2, 1)]:
+            diffs = _koszul(left, right, values)[3]
+            before = [[dict(row) for row in d] for d in diffs]
+            for d, rows in zip(diffs, before):
+                first, second = la.LinearSolver(d), la.LinearSolver(d)
+                assert [dict(row) for row in d] == rows, (left, right, values)
+                assert first.diag == second.diag
+                assert first.snf.urows == second.snf.urows
+                assert first.snf.vcols == second.snf.vcols
+                assert first.diag == la.LinearSolver(np.asarray(d)).diag  # read dense
+            assert _koszul(left, right, values)[3] is diffs
+    # a single component is reduced whole, on copies all the same
+    one = la.SparseRows([{0: 2, 1: 4}, {0: 4, 1: 6}], 2)
+    assert la.smith_normal_form(one).diagonal == [2, 2]
+    assert one == [{0: 2, 1: 4}, {0: 4, 1: 6}]
+
+
+def test_sparse_rows_read_as_dense_by_numpy_and_by_tolist():
+    m = la.SparseRows([{1: 2**70}, {}, {0: -3, 2: 1}], 4)
+    assert m.shape == (3, 4)
+    assert m.tolist() == [[0, 2**70, 0, 0], [0, 0, 0, 0], [-3, 0, 1, 0]]
+    a = np.asarray(m)
+    assert a.dtype == object and a.shape == (3, 4) and a.tolist() == m.tolist()
+    assert np.asarray(la.SparseRows([], 5)).shape == (0, 5)
+    assert la.sparse_rows(m) is m
+    assert la.sparse_rows(a) == list(m) and la.sparse_rows(a).width == 4
+    assert la.sparse_rows([], 3).shape == (0, 3)
 
 
 def test_text_format_shape():
