@@ -670,9 +670,11 @@ def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
 
 def test_snf_transforms_of_a_large_signed_identity_in_bounded_memory(tmp_path):
     # 4.5 MB of text, 2.25e6 tokens: streamed line by line into sparse rows,
-    # the body never sits whole in memory as text, tokens or dense rows (it
-    # peaked at 71 MB so).  D = I, U = the input and V = I, byte for byte.
+    # the body never sits whole in memory as text, tokens or dense rows (read
+    # whole and made dense, it peaked at 71 MB).  D = I, U = the input and
+    # V = I, byte for byte.
     n = 1500
+
     def line(i, x):
         return " ".join(["0"] * i + [x] + ["0"] * (n - 1 - i)) + "\n"
 
