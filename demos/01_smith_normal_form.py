@@ -54,7 +54,7 @@ print("cokernel of (2,4):", solver.cokernel())
 
 # A map from a finite presented group onto a sum of cyclic groups, given
 # by their orders, is decided from the relations and one Smith reduction.
-z6 = la.PresentedGroup(1, la.intmat([[6]]))
+z6 = la.intmat([[6]])
 f = la.intmat([[1], [1]])
 print("Z/6 -> Z/2 + Z/3 by g -> (1,1) is an isomorphism:",
       la.presented_map_is_iso(f, z6, [2, 3]))

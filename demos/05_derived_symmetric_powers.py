@@ -35,7 +35,7 @@ for n in range(1, 5):
 # Generators and relations reproduce the Koszul cokernel dimension.
 pres = generator_presentation(1, 4, 2, 2)
 print("\nweight-4 presentation: generators =", len(pres.generators),
-      " relations =", len(pres.relations[0]),
+      " relations =", pres.relations.width,
       " quotient dim =", presentation_dimension(pres))
 print("agrees with the cokernel:", presentations_agree(1, 4, 2, 2))
 

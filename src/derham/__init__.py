@@ -41,7 +41,6 @@ from .complexes import (
 )
 from .intlinalg import (
     GroupInvariants,
-    PresentedGroup,
     SnfResult,
     fp_cokernel_basis,
     fp_rank,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GroupInvariants",
-    "PresentedGroup",
     "ChainComplexZ",
     "SnfResult",
     "binomial",

@@ -13,7 +13,9 @@ Three verification layers:
 
 Everything is checked with exact integer linear algebra.  Every map lands
 in a finite sum of cyclic groups, given by its orders (those of H_i, or of
-``h0_target``), and is decided against them.  Cycles stay sparse vectors
+``h0_target``), and is decided against them.  A source is its relation
+matrix, [p I | the F_p relations] as sparse rows, and the prime summands
+are block-summed by shifting columns.  Cycles stay sparse vectors
 in block-local coordinates, {(content c, k): coefficient} with k the place
 of a label in the block of c: a class is read off the rows of U of that
 block, and boundary membership is an integral solve on it, so no basis of
@@ -42,7 +44,7 @@ from .bases import (
     wedge_normalize,
 )
 from .complexes import ComplexHomology, homology_of, is_cycle, label_key
-from .intlinalg import GroupInvariants, PresentedGroup
+from .intlinalg import GroupInvariants
 from .koszul import generator_presentation
 from .numtheory import binomial
 
@@ -348,15 +350,16 @@ def _generator_lifts(label, n_over_p: int, i: int) -> list[int]:
 
 @dataclass(frozen=True)
 class TheoremBlock:
-    """One prime summand of the degree-i comparison: its source presentation
-    over Z and its matrix into the homology presentation, as rows: one per
-    cyclic summand of H_i, one entry per source generator."""
+    """One prime summand of the degree-i comparison: the relations of its
+    source over Z, [p I | the F_p relations] as sparse rows, one per source
+    generator, and its matrix into the homology presentation, as dense rows:
+    one per cyclic summand of H_i, one entry per source generator."""
 
     i: int
     n: int
     p: int
     r: int
-    source: PresentedGroup
+    relations: la.SparseRows
     matrix: list[list[int]]
     generator_labels: tuple
 
@@ -384,12 +387,11 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
         for key, c in eta(i, p, n, lifts, r).items():
             for k, u in hits.get(key, ()):
                 mat[k][col] += c * u
-    relations = []  # [p I | the F_p relations]
-    for k, rel in enumerate(pres.relations):
-        relations.append([0] * gens + rel)
-        relations[-1][k] = p
-    source = PresentedGroup(gens, relations)
-    return TheoremBlock(i, n, p, r, source, mat, pres.generators)
+    relations = la.SparseRows(
+        ({k: p} | {gens + j: x for j, x in rel.items()} for k, rel in enumerate(pres.relations)),
+        gens + pres.relations.width,
+    )
+    return TheoremBlock(i, n, p, r, relations, mat, pres.generators)
 
 
 def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:
@@ -397,7 +399,7 @@ def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:
     relation checked to go to 0 modulo the cyclic orders of H_i."""
     block = theorem_block(i, n, p, r)
     orders, _ = homology_of("C", n, r).presentation(i)
-    facts = la.presented_map_facts(block.matrix, block.source, orders)
+    facts = la.presented_map_facts(block.matrix, block.relations, orders)
     if not facts.well_defined:
         raise la.NotWellDefinedError(
             f"comparison relations not boundaries at i={i}, n={n}, p={p}"
@@ -405,9 +407,10 @@ def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:
     return block.matrix
 
 
-def assemble_comparison(i: int, n: int, r: int) -> tuple[list[list[int]], PresentedGroup]:
+def assemble_comparison(i: int, n: int, r: int) -> tuple[list[list[int]], la.SparseRows]:
     """Block sum of the per-prime comparisons into the degree-i homology:
-    the matrices side by side, the source relations down the diagonal.
+    the matrices side by side, the source relations down the diagonal, each
+    block's columns shifted past those of the blocks before it.
 
     Primes p with no degree-i source (i > n/p - 1) contribute no block.
     """
@@ -417,14 +420,12 @@ def assemble_comparison(i: int, n: int, r: int) -> tuple[list[list[int]], Presen
         for p in prime_divisors(n)
         if 1 <= i <= n // p - 1
     ]
-    widths = [len(b.source.relations[0]) if b.source.gens else 0 for b in blocks]
-    relations, before = [], 0
-    for b, width in zip(blocks, widths):
-        after = sum(widths) - before - width
-        relations += ([0] * before + row + [0] * after for row in b.source.relations)
-        before += width
+    relations = la.SparseRows()
+    for b in blocks:
+        relations += ({relations.width + j: x for j, x in row.items()} for row in b.relations)
+        relations.width += b.relations.width
     mat = [list(chain.from_iterable(b.matrix[k] for b in blocks)) for k in range(len(orders))]
-    return mat, PresentedGroup(len(relations), relations)
+    return mat, relations
 
 
 def verify_theorem(i: int, n: int, r: int) -> bool:
@@ -432,8 +433,8 @@ def verify_theorem(i: int, n: int, r: int) -> bool:
     if not (1 <= i and 2 <= n):
         raise ValueError("need i >= 1 and n >= 2")
     orders, _ = homology_of("C", n, r).presentation(i)
-    mat, source = assemble_comparison(i, n, r)
-    return la.presented_map_is_iso(mat, source, orders)
+    mat, relations = assemble_comparison(i, n, r)
+    return la.presented_map_is_iso(mat, relations, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +546,8 @@ def f18_counterexample(r: int) -> dict:
     target_inv = hom.invariants(1)
     block = theorem_block(1, 8, 2, r)
     orders, _ = hom.presentation(1)
-    facts = la.presented_map_facts(block.matrix, block.source, orders)
-    source_inv = block.source.invariants()
+    facts = la.presented_map_facts(block.matrix, block.relations, orders)
+    source_inv = la.invariants_of_cokernel(block.relations)
     exponent = 1 if source_inv.is_trivial else max(source_inv.torsion)
     return {
         "rank": r,

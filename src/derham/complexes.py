@@ -405,16 +405,13 @@ class DifferentialSolver:
     def __init__(self, hom: ComplexHomology, i: int):
         self.hom = hom
         self.i = i
-        self._blocks: dict[tuple, la.LinearSolver] = {}
 
     def block(self, content: tuple) -> la.LinearSolver:
         """The Smith decomposition of the block of d_i with this content."""
-        if content not in self._blocks:
-            b = self.hom.source.block(content)
-            if self.i not in b.solvers:
-                b.solvers[self.i] = la.LinearSolver(b.d(self.i))
-            self._blocks[content] = b.solvers[self.i]
-        return self._blocks[content]
+        b = self.hom.source.block(content)
+        if self.i not in b.solvers:
+            b.solvers[self.i] = la.LinearSolver(b.d(self.i))
+        return b.solvers[self.i]
 
     def diagonal(self, content: tuple) -> list[int]:
         """The Smith diagonal of a block, read off its orbit representative."""
@@ -429,12 +426,10 @@ class DifferentialSolver:
     @cached_property
     def torsion(self) -> tuple[int, ...]:
         """The Smith diagonal entries above 1, over all blocks."""
-        return tuple(
-            m
-            for rep, count in self.hom.source.orbits.items()
-            for m in self.block(rep).diag * count
-            if m > 1
-        )
+        torsion = []
+        for rep, count in self.hom.source.orbits.items():
+            torsion += [m for m in self.block(rep).diag if m > 1] * count
+        return tuple(torsion)
 
     def cokernel(self) -> GroupInvariants:
         """Invariants of Z^rows / (column span of d_i)."""

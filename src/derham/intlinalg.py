@@ -13,11 +13,13 @@ numpy when called.
 
 The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
-group presentations) reduces to it.  A map from a presented group into a
-finite sum of cyclic groups takes the target as its list of orders: it is
-well defined when row k of f times the source relations is divisible by
-m_k, onto when one Smith reduction of [f | diag(orders)] has a trivial
-cokernel, and the target's invariants are the orders themselves.  The
+group presentations) reduces to it.  A presented group is its relation
+matrix, one row per generator and one column per relation, and its
+invariants are those of the cokernel.  A map from one into a finite sum of
+cyclic groups takes the target as its list of orders: it is well defined
+when row k of f times the source relations is divisible by m_k, onto when
+one Smith reduction of [f | diag(orders)], built as sparse rows, has a
+trivial cokernel, and the target's invariants are the orders themselves.  The
 reduction runs on each connected component of a matrix's nonzero pattern
 separately, by elimination on sparse {column: value} rows with V kept
 transposed, step for step as the dense elimination the tests keep as the
@@ -622,41 +624,21 @@ class LinearSolver:
             return False
 
 
-@dataclass(frozen=True)
-class PresentedGroup:
-    """Z^gens modulo the column span of the relation matrix, given as its
-    gens rows (one relation per column)."""
-
-    gens: int
-    relations: list
-
-    def __post_init__(self):
-        rows, _ = as_rows(self.relations)
-        if len(rows) != self.gens:
-            raise ValueError("relation matrix must have one row per generator")
-        object.__setattr__(self, "relations", rows)
-
-    def invariants(self) -> GroupInvariants:
-        return LinearSolver(self.relations).cokernel()
-
-
 def invariants_of_cokernel(m) -> GroupInvariants:
-    """Invariants of Z^rows / (column span of m)."""
-    rows, _ = as_rows(m)
-    return PresentedGroup(len(rows), rows).invariants()
+    """Invariants of Z^rows / (column span of m): a presented group, one row
+    per generator and one column per relation, in any form ``sparse_rows``
+    reads."""
+    return LinearSolver(m).cokernel()
 
 
 def onto_cyclic_sum(f, orders: Sequence[int]) -> bool:
     """Whether f (columns in Z^k) hits every generator of Z/m_1 + ... + Z/m_k:
-    one Smith reduction of [f | diag(m_1, ..., m_k)]."""
-    f, _ = as_rows(f)
+    one Smith reduction of [f | diag(m_1, ..., m_k)], as sparse rows."""
+    f = sparse_rows(f)
     if len(f) != len(orders):
         raise ValueError("map rows do not match the orders")
-    rows = []
-    for t, (row, m) in enumerate(zip(f, orders)):
-        rows.append(list(row) + [0] * len(orders))
-        rows[-1][len(row) + t] = m
-    return invariants_of_cokernel(rows).is_trivial
+    rows = (row | ({f.width + t: m} if m else {}) for t, (row, m) in enumerate(zip(f, orders)))
+    return invariants_of_cokernel(SparseRows(rows, f.width + len(orders))).is_trivial
 
 
 class MapFacts(NamedTuple):
@@ -673,11 +655,13 @@ class MapFacts(NamedTuple):
         return self.well_defined and self.surjective and source == self.target
 
 
-def presented_map_facts(f, source: PresentedGroup, orders: Sequence[int]) -> MapFacts:
+def presented_map_facts(f, relations, orders: Sequence[int]) -> MapFacts:
     """What f (source generators to the generators of Z/m_1 + ... + Z/m_k,
-    m_k = orders[k]) induces: whether it sends every source relation to 0,
-    that is, whether row k of f times the relations is divisible by m_k;
-    whether it is onto; and the target's invariants.
+    m_k = orders[k]) induces from the group presented by relations (one row
+    per generator): whether it sends every source relation to 0, that is,
+    whether row k of f times the relations is divisible by m_k; whether it
+    is onto; and the target's invariants.  f and relations are in any form
+    ``sparse_rows`` reads.
 
     An order of 0 (Z) raises InfiniteGroupUnsupportedError and a negative
     one ValueError, before anything is reduced."""
@@ -686,32 +670,28 @@ def presented_map_facts(f, source: PresentedGroup, orders: Sequence[int]) -> Map
         raise ValueError(f"cyclic orders must be nonnegative: {orders}")
     if 0 in orders:
         raise InfiniteGroupUnsupportedError("both groups must be finite")
-    f, width = as_rows(f, source.gens)
-    if len(f) != len(orders) or width != source.gens:
+    relations = sparse_rows(relations)
+    f = sparse_rows(f, len(relations))
+    if len(f) != len(orders) or f.width != len(relations):
         raise ValueError("map shape does not match the source and the orders")
-    relations = [_nonzero(row) for row in source.relations]
-    well_defined = True
-    for row, m in zip(f, orders):
-        mapped: dict = {}
-        for g in compress(range(width), row):
-            _axpy(mapped, -row[g], relations[g])
-        if any(x % m for x in mapped.values()):
-            well_defined = False
-            break
+    well_defined = not any(
+        x % m for row, m in zip(f, orders) for x in _combine(row, relations).values()
+    )
     return MapFacts(well_defined, onto_cyclic_sum(f, orders), GroupInvariants(0, orders))
 
 
-def presented_map_is_iso(f, source: PresentedGroup, orders: Sequence[int]) -> bool:
-    """Decide whether f induces an isomorphism from a finite presented group
-    onto Z/m_1 + ... + Z/m_k, given as its orders.
+def presented_map_is_iso(f, relations, orders: Sequence[int]) -> bool:
+    """Decide whether f induces an isomorphism from the finite group
+    presented by relations onto Z/m_1 + ... + Z/m_k, given as its orders.
 
     f maps source generators to target generators.  Both groups must be
     finite, which raises InfiniteGroupUnsupportedError.  Well-definedness
     (every source relation sent to 0) is a precondition and raises
     NotWellDefinedError when violated.
     """
-    facts = presented_map_facts(f, source, orders)
-    src_inv = source.invariants()
+    relations = sparse_rows(relations)
+    facts = presented_map_facts(f, relations, orders)
+    src_inv = LinearSolver(relations).cokernel()
     if src_inv.free_rank:
         raise InfiniteGroupUnsupportedError("both groups must be finite")
     if not facts.well_defined:
@@ -734,7 +714,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """Raise NotPrimeError unless p is prime."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
 
@@ -747,7 +728,7 @@ def _fp_pivot_rows(m, p: int) -> tuple[list[int], int]:
     each kept row scaled to lead with 1; a row that does not reduce to 0 is
     kept.  These are the pivot rows of m's column echelon form mod p.
     """
-    _require_prime(p)
+    require_prime(p)
     rows = sparse_rows(m)
     kept: dict[int, dict] = {}  # leading column -> kept row, led by 1
     pivots = []

@@ -4,8 +4,9 @@ The weight-n Koszul complex on V = (F_p)^r has terms wedge^a(V) (x)
 sym^(n-a)(V); the differential moves one wedge factor into the symmetric
 side with alternating sign.  Derived symmetric powers are cokernels of these
 differentials, with the top derived functor reducing to a plain wedge power.
-A second, generators-and-relations presentation of the same groups is kept
-alongside so the two descriptions can be compared dimension by dimension.
+A second, generators-and-relations presentation of the same groups, its
+F_p relations written as sparse rows with no zero stored, is kept alongside
+so the two descriptions can be compared dimension by dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from . import intlinalg as la
 from .bases import enumerate_basis, sym_multiply, wedge_delete
 from .complexes import ChainComplexZ, _build_complex
-from .intlinalg import NotPrimeError, is_prime
+from .intlinalg import require_prime
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -27,8 +28,7 @@ class DegreeOutOfRangeError(ValueError):
 def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
     """Weight-n Koszul complex on (F_p)^r: the integral complex with terms
     wedge^a (x) sym^(n-a) (d d = 0 checked over Z), each d reduced mod p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     cx = _build_complex("K", "wedge", "sym", n, r)
 
     def mod_p(d):
@@ -67,8 +67,7 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
     content block's echelon form, sorted: a row is a pivot of the whole
     map's column echelon form exactly when it is one of its block's.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     if not 0 <= i <= n - 1:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
     cpx = build_koszul(n, r, p)
@@ -101,13 +100,12 @@ class GeneratorPresentation:
     p: int
     r: int
     generators: tuple[tuple, ...]
-    relations: list[list[int]]  # over F_p, one row per generator, one column per relation
+    relations: la.SparseRows  # over F_p, one row per generator, one column per relation
 
 
 @lru_cache(maxsize=None)
 def generator_presentation(i: int, n: int, p: int, r: int) -> GeneratorPresentation:
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     if not 0 <= i <= n - 1:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
     wedges = enumerate_basis("wedge", i + 1, r)
@@ -119,12 +117,13 @@ def generator_presentation(i: int, n: int, p: int, r: int) -> GeneratorPresentat
         for xs in enumerate_basis("wedge", i + 2, r)
         for y in enumerate_basis("sym", n - i - 2, r)
     ]
-    relations = [[0] * len(tails) for _ in generators]
+    relations = la.SparseRows(({} for _ in generators), len(tails))
     for col, (xs, y) in enumerate(tails):
         for k in range(1, i + 3):
             sign, w2 = wedge_delete(xs, k)
             row = relations[gen_index[(w2, sym_multiply(xs[k - 1], y))]]
-            row[col] = (row[col] + sign) % p
+            if x := (row.pop(col, 0) + sign) % p:
+                row[col] = x
     return GeneratorPresentation(i, n, p, r, generators, relations)
 
 

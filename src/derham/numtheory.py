@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intlinalg import NotPrimeError, is_prime
+from .intlinalg import require_prime
 
 
 class OutOfRangeError(ValueError):
@@ -14,8 +14,7 @@ class OutOfRangeError(ValueError):
 
 def v_p(p: int, x: int) -> int:
     """The p-adic valuation of x != 0."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     if x == 0:
         raise OutOfRangeError("valuation of 0 is undefined")
     x = abs(x)
@@ -67,8 +66,7 @@ def check_binomial_lemma(p: int, n: int, k: int) -> LemmaReport:
     The congruence holds for every prime p and 0 < k < n; the report form
     exists so sweeps can surface a counterexample if one ever appeared.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     if not 0 < k < n:
         raise OutOfRangeError("need 0 < k < n")
     modulus = _lemma_modulus(p, n, k)
@@ -95,8 +93,7 @@ def check_central_divisibility(n: int, k: int) -> bool:
 def sweep_binomial_lemma(p: int, max_n: int) -> dict:
     """Exhaustive lemma sweep over 1 <= k < n <= max_n for one prime: the
     congruence of ``check_binomial_lemma``, with p tested once."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     pairs = [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
     failures = [
         {"p": p, "n": n, "k": k}

@@ -654,6 +654,21 @@ def test_verify_h0_rank4_weight12_in_bounded_memory():
     assert peak_kb < 70 * 1024
 
 
+def test_derived_sp_rank6_in_bounded_memory(tmp_path):
+    # the generator presentation is written as sparse rows; its dense
+    # gens x relations matrix peaked at 39.5 MB (digest recorded from it)
+    out = tmp_path / "out.json"
+    with open(out, "w") as fh:
+        code, peak_kb = _run_with_peak_rss(
+            ["derived-sp", "--i", "2", "--n", "7", "--p", "2", "--rank", "6"], fh
+        )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "68377227b1b08bafc6fbc505016f9c1aa6533ad06edde785bc7476d8eb5cf89f"
+    )
+    assert peak_kb < 32 * 1024
+
+
 def test_snf_refuses_an_oversized_header_in_bounded_memory(tmp_path):
     # an 18 MB file of a 3000 x 3000 zero matrix: the transforms guard reads
     # the header line's shape before the body is read (the guard on the

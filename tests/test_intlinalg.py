@@ -562,7 +562,7 @@ def test_coordinates_not_in_lattice():
 
 
 def _cyclic(n):
-    return la.PresentedGroup(1, la.intmat([[n]]))
+    return la.intmat([[n]])
 
 
 def test_iso_identity_map():
@@ -585,7 +585,7 @@ def test_iso_not_well_defined():
 
 def test_iso_rejects_infinite_groups():
     # the target Z is the order 0
-    free = la.PresentedGroup(1, la.zeros(1, 0))
+    free = la.zeros(1, 0)
     with pytest.raises(la.InfiniteGroupUnsupportedError):
         la.presented_map_is_iso(la.identity(1), free, [0])
     # Z/2 -> Z is not well defined either, but infiniteness is checked first
@@ -609,6 +609,45 @@ def test_iso_between_equal_invariants_with_different_presentations():
     # Z/6 presented directly, onto Z/2 + Z/3
     f = la.intmat([[1], [1]])  # g -> (1, 1), a generator of Z/2 + Z/3
     assert la.presented_map_is_iso(f, _cyclic(6), [2, 3]) is True
+
+
+# (f, relations, orders, width of f, facts, is_iso or the error it raises)
+_MAP_CASES = [
+    ([[1]], [[6]], [6], 1, (True, True), True),
+    ([[1], [1]], [[6]], [2, 3], 1, (True, True), True),
+    ([[0]], [[2]], [2], 1, (True, False), False),
+    ([[1]], [[4]], [2], 1, (True, True), False),
+    ([[1]], [[2]], [3], 1, (False, True), la.NotWellDefinedError),
+    ([[3, 2]], [[2, 0], [0, 3]], [6], 2, (True, True), True),
+    ([[1, 1]], [[2, 0], [0, 3]], [6], 2, (False, True), la.NotWellDefinedError),
+    # a free source, Z with no relation: its numpy form is zeros(1, 0)
+    ([[1]], [[]], [2], 1, (True, True), la.InfiniteGroupUnsupportedError),
+    # a source with no generators onto Z/1 and onto Z/2
+    ([[]], [], [1], 0, (True, True), True),
+    ([[]], [], [2], 0, (True, False), False),
+]
+
+
+def _map_forms(rows, width):
+    """The matrix rows as dense lists, a numpy object array and SparseRows."""
+    return [rows, la.intmat(rows, width), la.sparse_rows(rows, width)]
+
+
+def _iso_or_error(f, relations, orders):
+    try:
+        return la.presented_map_is_iso(f, relations, orders)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", range(len(_MAP_CASES)))
+def test_presented_map_reads_every_matrix_form(case):
+    rows, rel, orders, gens, facts, iso = _MAP_CASES[case]
+    width = len(rel[0]) if rel else 0
+    target = la.GroupInvariants(0, orders)
+    for f, relations in itertools.product(_map_forms(rows, gens), _map_forms(rel, width)):
+        assert la.presented_map_facts(f, relations, orders) == (*facts, target)
+        assert _iso_or_error(f, relations, orders) is iso
 
 
 def _count_reductions(monkeypatch) -> list:

@@ -1,11 +1,13 @@
 """Koszul complexes mod p and derived symmetric powers."""
 
+from itertools import product as iproduct
 from math import comb
 
 import pytest
 
 from derham import koszul as kz
 from derham import intlinalg as la
+from derham.bases import enumerate_basis, sym_multiply, wedge_delete
 
 
 def test_weight_one_identity():
@@ -88,8 +90,40 @@ def test_lie_cube_dimension_formula():
 def test_presentation_top_case_no_relations():
     pres = kz.generator_presentation(1, 2, 2, 2)
     assert len(pres.generators) == 1
-    assert pres.relations == [[]]
+    assert pres.relations.tolist() == [[]]
     assert kz.presentation_dimension(pres) == 1
+
+
+def _dense_relations(i, n, p, r):
+    """The F_p relations as one dense row per generator, written in place
+    column by column: the reference for the sparse rows."""
+    generators = [
+        (w, m)
+        for w in enumerate_basis("wedge", i + 1, r)
+        for m in enumerate_basis("sym", n - i - 1, r)
+    ]
+    gen_index = {g: k for k, g in enumerate(generators)}
+    tails = [
+        (xs, y)
+        for xs in enumerate_basis("wedge", i + 2, r)
+        for y in enumerate_basis("sym", n - i - 2, r)
+    ]
+    relations = [[0] * len(tails) for _ in generators]
+    for col, (xs, y) in enumerate(tails):
+        for k in range(1, i + 3):
+            sign, w2 = wedge_delete(xs, k)
+            row = relations[gen_index[(w2, sym_multiply(xs[k - 1], y))]]
+            row[col] = (row[col] + sign) % p
+    return relations
+
+
+def test_presentation_relations_match_the_dense_reference():
+    for n, p, r in iproduct(range(1, 9), (2, 3, 5), range(5)):
+        for i in range(n):
+            rel = kz.generator_presentation(i, n, p, r).relations
+            assert rel.tolist() == _dense_relations(i, n, p, r), (i, n, p, r)
+            assert all(x for row in rel for x in row.values()), (i, n, p, r)
+            assert all(list(row) == sorted(row) for row in rel), (i, n, p, r)
 
 
 def test_presentation_agreement_small():

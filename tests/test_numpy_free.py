@@ -57,6 +57,9 @@ def _run(argv):
         ["verify", "kunneth"],
         ["counterexample", "f18", "--rank", "2"],
         ["homology", "--family", "D", "--n", "6", "--rank", "3", "--format", "json"],
+        ["derived-sp", "--i", "2", "--n", "7", "--p", "2", "--rank", "3"],
+        ["table", "--rank", "2"],
+        ["basis", "--functor", "gamma", "--degree", "3", "--rank", "2"],
     ],
     ids=lambda argv: " ".join(argv) or "import",
 )
