@@ -640,9 +640,9 @@ def _iso_or_error(f, relations, orders):
         return type(exc)
 
 
-@pytest.mark.parametrize("case", range(len(_MAP_CASES)))
+@pytest.mark.parametrize("case", _MAP_CASES)
 def test_presented_map_reads_every_matrix_form(case):
-    rows, rel, orders, gens, facts, iso = _MAP_CASES[case]
+    rows, rel, orders, gens, facts, iso = case
     width = len(rel[0]) if rel else 0
     target = la.GroupInvariants(0, orders)
     for f, relations in itertools.product(_map_forms(rows, gens), _map_forms(rel, width)):
