@@ -264,8 +264,7 @@ def cmd_derived_sp(ns) -> int:
         raise UsageError(f"need 0 <= i <= n - 1, got i={ns.i}, n={ns.n}")
     if ns.rank < 0:
         raise UsageError("rank must be nonnegative")
-    # capped like every other command: the Koszul complex it builds holds n
-    # differentials for each of its content blocks
+    # capped like every other command: it reads a Koszul block per content
     if ns.n > HARD_MAX_N:
         raise UsageError(f"derived-sp is capped at n <= {HARD_MAX_N}")
     _refuse_costly(ns.n, ns.rank)

@@ -32,10 +32,10 @@ c: ``DifferentialSolver.solve``, ``is_cycle`` and the classes of
 ``ComplexHomology.presentation`` apply one block at a time and read no
 basis.  A finite H_i is presented from the Smith forms of the blocks of
 d_(i+1): their invariant factors give the cyclic summands, and the matching
-rows of their left transforms U send each cycle to its class.  Only
-``homology --dump-matrices``, ``build_koszul``,
-``block_decomposition_matches`` and the tests build a full complex, whose
-blocks sit at basis positions; only tests and demos assemble a dense d_i.
+rows of their left transforms U send each cycle to its class.  Of the
+commands only ``homology --dump-matrices`` builds a full complex, with
+blocks at basis positions; tests and demos also build one (``build_koszul``,
+``block_decomposition_matches``) and assemble a dense d_i.
 """
 
 from __future__ import annotations
@@ -246,11 +246,19 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
     return tuple(wedges), index, positions, tuple(diffs), {}
 
 
+def block_label(c: tuple, support: list[int], W: tuple) -> tuple[tuple, tuple]:
+    """The label of the place W, indices into support (the j >= 1 with
+    c_j > 0), in the block of c: the wedge W with the other factor c - 1_W."""
+    W, m = tuple(map(support.__getitem__, W)), list(c)
+    for j in W:
+        m[j - 1] -= 1
+    return W, tuple(m)
+
+
 def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
     """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r), one
     of the two the wedge: each content c's block from ``_koszul``, at the
-    basis positions of its labels, the wedge W with the other factor c - 1_W.
-    """
+    basis positions of its labels (``block_label``)."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     bases = tuple(
@@ -270,11 +278,8 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
         for at, width in zip(wedges, widths):
             found = []
             for W in at:
-                W = tuple(map(support.__getitem__, W))
-                m = list(c)
-                for j in W:
-                    m[j - 1] -= 1
-                a, b = wedge_at[len(W)][W], other_at[len(W)][tuple(m)]
+                W, m = block_label(c, support, W)
+                a, b = wedge_at[len(W)][W], other_at[len(W)][m]
                 found.append(a * width + b if wedge_left else b * width + a)
             positions.append(tuple(found))
         blocks.append(Block(c, tuple(positions), diffs, solvers))

@@ -3,10 +3,11 @@
 The weight-n Koszul complex on V = (F_p)^r has terms wedge^a(V) (x)
 sym^(n-a)(V); the differential moves one wedge factor into the symmetric
 side with alternating sign.  Derived symmetric powers are cokernels of these
-differentials, with the top derived functor reducing to a plain wedge power.
-A second, generators-and-relations presentation of the same groups, its
-F_p relations written as sparse rows with no zero stored, is kept alongside
-so the two descriptions can be compared dimension by dimension.
+differentials, read off its ``_koszul`` content blocks with no full complex
+built, the top derived functor reducing to a plain wedge power.  A second,
+generators-and-relations presentation of the same groups, its F_p relations
+written as sparse rows with no zero stored, is kept alongside so the two
+descriptions can be compared dimension by dimension.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import intlinalg as la
-from .bases import enumerate_basis, sym_multiply, wedge_delete
-from .complexes import ChainComplexZ, _build_complex
+from .bases import basis_index, enumerate_basis, exponent_vectors, sym_multiply, wedge_delete
+from .complexes import Block, ChainComplexZ, _build_complex, _koszul, block_label
 from .intlinalg import require_prime
 
 
@@ -26,8 +27,8 @@ class DegreeOutOfRangeError(ValueError):
 
 @lru_cache(maxsize=None)
 def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
-    """Weight-n Koszul complex on (F_p)^r: the integral complex with terms
-    wedge^a (x) sym^(n-a) (d d = 0 checked over Z), each d reduced mod p."""
+    """Weight-n Koszul complex on (F_p)^r, built by no command, the tests'
+    reference: terms wedge^a (x) sym^(n-a), d d = 0 checked over Z, d mod p."""
     require_prime(p)
     cx = _build_complex("K", "wedge", "sym", n, r)
 
@@ -63,19 +64,24 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
     the group is the whole wedge^n - the top derived functor is a plain
     wedge power.
 
-    The representatives are the positions outside the pivot rows of every
-    content block's echelon form, sorted: a row is a pivot of the whole
-    map's column echelon form exactly when it is one of its block's.
+    The representatives label, in basis order, the places outside the pivot
+    rows of the map's ``_koszul`` blocks, found once per distinct block: a
+    row is a pivot of the map's column echelon form iff it is one of its block's.
     """
     require_prime(p)
     if not 0 <= i <= n - 1:
         raise DegreeOutOfRangeError(f"need 0 <= i <= {n - 1}, got {i}")
-    cpx = build_koszul(n, r, p)
-    reps = sorted(
-        b.at(i + 1)[k] for b in cpx.blocks for k in la.fp_cokernel_basis(b.d(i + 2), p)
-    )
-    labels = cpx.labels(i + 1)
-    return DerivedSpGroup(i, n, p, r, len(reps), tuple(labels[pos] for pos in reps))
+    free, reps = {}, []  # free: block values -> its places outside the pivots
+    for c in exponent_vectors(n, r):
+        support = [j for j, cj in enumerate(c, start=1) if cj]
+        values = tuple(c[j - 1] for j in support)
+        wedges, _, positions, diffs, solvers = _koszul("wedge", "sym", values)
+        if values not in free:
+            free[values] = la.fp_cokernel_basis(Block(c, positions, diffs, solvers).d(i + 2), p)
+        reps += (block_label(c, support, wedges[i + 1][k]) for k in free[values])
+    wedge_at, sym_at = basis_index("wedge", i + 1, r), basis_index("sym", n - i - 1, r)
+    reps.sort(key=lambda label: (wedge_at[label[0]], sym_at[label[1]]))
+    return DerivedSpGroup(i, n, p, r, len(reps), tuple(reps))
 
 
 def derived_sp_dimension(i: int, n: int, p: int, r: int) -> int:

@@ -152,12 +152,13 @@ def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
         ("verify h0 --max-n 8 --rank 3", 0),
         ("counterexample f18 --rank 3", 0),
         ("homology --family C --n 4 --rank 2 --dump-matrices DIR", 1),
+        ("derived-sp --i 2 --n 7 --p 2 --rank 3", 0),
     ],
 )
 def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path, command, builds):
     # the comparison cycles, their classes and solves, and the degree-0 map
-    # read content blocks in block-local coordinates; only the matrix dump
-    # places the blocks at basis positions
+    # read content blocks in block-local coordinates, as derived-sp reads its
+    # Koszul blocks; only the matrix dump places the blocks at basis positions
     from derham import comparison, complexes, koszul
 
     calls = []
@@ -167,7 +168,7 @@ def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path
         calls.append(args)
         return build_complex(*args)
 
-    # koszul binds the builder by name, for the Koszul complexes of derived_sp
+    # koszul binds the builder by name, for build_koszul, the tests' reference
     monkeypatch.setattr(complexes, "_build_complex", counted)
     monkeypatch.setattr(koszul, "_build_complex", counted)
     # start from fresh caches, as a new process would, so none hides a build
@@ -405,6 +406,25 @@ def test_derived_sp_command(capsys):
     payload = json.loads(out)
     assert payload["dimension"] == 2
     assert payload["dimension"] == payload["presentation_dimension"]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("--i 2 --n 7 --p 2 --rank 6",
+         "68377227b1b08bafc6fbc505016f9c1aa6533ad06edde785bc7476d8eb5cf89f"),
+        ("--i 0 --n 10 --p 2 --rank 5",
+         "3a1c80f15d3f184a7485166df170c1b3e3cab3148be19ee40e29fecadb097dc0"),
+        ("--i 0 --n 2 --p 2 --rank 60",
+         "fb0a41ecf00a3bdcb9f1ef6a07c70537dceead30ed656d6a3560b8b9ef12d5b3"),
+    ],
+)
+def test_derived_sp_stdout_pinned(capsys, argv, digest):
+    # digests of the cokernel read off the whole Koszul complex: the route
+    # through one block per distinct tuple of entries must reproduce them
+    code, out, _ = run_cli(["derived-sp", *argv.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_lemma(capsys):

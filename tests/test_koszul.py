@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from derham import complexes
 from derham import koszul as kz
 from derham import intlinalg as la
 from derham.bases import enumerate_basis, sym_multiply, wedge_delete
@@ -69,6 +70,25 @@ def test_derived_sp_representatives_match_the_dense_cokernel_basis():
                     got = kz.derived_sp(i, n, p, r)
                     assert got.representatives == want, (i, n, p, r)
                     assert got.dimension == len(want)
+
+
+def test_derived_sp_finds_pivots_once_per_distinct_block(monkeypatch):
+    # the 792 contents of weight 7 on Z^6 have 63 distinct tuples of nonzero
+    # entries (the compositions of 7 into at most 6 parts); one F_p
+    # elimination per content made 792 calls
+    calls = []
+    pivots = la._fp_pivot_rows
+
+    def counted(m, p):
+        calls.append(m)
+        return pivots(m, p)
+
+    monkeypatch.setattr(la, "_fp_pivot_rows", counted)
+    kz.derived_sp.cache_clear()
+    complexes._koszul.cache_clear()
+    kz.derived_sp(2, 7, 2, 6)
+    kz.derived_sp.cache_clear()
+    assert len(calls) == 63
 
 
 def test_derived_sp_degree_out_of_range():

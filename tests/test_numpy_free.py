@@ -58,6 +58,7 @@ def _run(argv):
         ["counterexample", "f18", "--rank", "2"],
         ["homology", "--family", "D", "--n", "6", "--rank", "3", "--format", "json"],
         ["derived-sp", "--i", "2", "--n", "7", "--p", "2", "--rank", "3"],
+        ["derived-sp", "--i", "2", "--n", "7", "--p", "2", "--rank", "6"],
         ["table", "--rank", "2"],
         ["basis", "--functor", "gamma", "--degree", "3", "--rank", "2"],
     ],
@@ -65,6 +66,15 @@ def _run(argv):
 )
 def test_command_leaves_numpy_unloaded(argv):
     assert _run(argv) == (0, "numpy absent")
+
+
+def test_dump_matrices_leaves_numpy_unloaded(tmp_path):
+    # the dump writes each d_i from the full complex's nonzero entries
+    argv = ["homology", "--family", "C", "--n", "5", "--rank", "3"]
+    assert _run(argv + ["--dump-matrices", str(tmp_path / "mats")]) == (0, "numpy absent")
+    assert sorted(p.name for p in (tmp_path / "mats").iterdir()) == [
+        f"d_{i}.txt" for i in range(1, 6)
+    ]
 
 
 def test_snf_transforms_leaves_numpy_unloaded(tmp_path, capsys):
