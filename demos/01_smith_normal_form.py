@@ -5,20 +5,22 @@ ever rounds.  The Smith normal form U @ M @ V = D is the engine behind all
 the homology computations in this package: it keeps the diagonal, the rows
 of U and the columns of V, and SnfResult.U, .D and .V build numpy object
 arrays from them for a demo like this one, as do the dense helpers
-la.intmat, la.mat_mul, la.is_zero and la.det_exact used below.
+ref.intmat, ref.mat_mul, ref.is_zero and ref.det_exact used below, from
+derham.reference, the module of code that no command runs.
 """
 
 from derham import intlinalg as la
+from derham import reference as ref
 from derham.complexes import build_C, homology_of
 
 # A matrix with interesting invariant factors.
-m = la.intmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+m = ref.intmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
 u, d, v = la.smith_normal_form(m)
 print("M =")
 print(m)
 print("diagonal of D:", la.smith_normal_form(m).diagonal)
-print("U M V == D:", la.is_zero(la.mat_mul(la.mat_mul(u, m), v) - d))
-print("det U, det V:", la.det_exact(u), la.det_exact(v))
+print("U M V == D:", ref.is_zero(ref.mat_mul(ref.mat_mul(u, m), v) - d))
+print("det U, det V:", ref.det_exact(u), ref.det_exact(v))
 
 # The cokernel Z^3 / im(M) read off the diagonal.
 print("\ncoker(M):", la.invariants_of_cokernel(m))
@@ -48,13 +50,13 @@ for j in range(full.dim(0)):
     print(f"class of basis vector {j} of C_0: {cls} mod {list(orders)}")
 
 # Exact coordinates inside a sublattice, from one Smith decomposition.
-solver = la.LinearSolver(la.intmat([[2], [4]]))
+solver = la.LinearSolver(ref.intmat([[2], [4]]))
 print("\n(6,12) in the lattice spanned by (2,4):", list(solver.solve([6, 12])))
 print("cokernel of (2,4):", solver.cokernel())
 
 # A map from a finite presented group onto a sum of cyclic groups, given
 # by their orders, is decided from the relations and one Smith reduction.
-z6 = la.intmat([[6]])
-f = la.intmat([[1], [1]])
+z6 = ref.intmat([[6]])
+f = ref.intmat([[1], [1]])
 print("Z/6 -> Z/2 + Z/3 by g -> (1,1) is an isomorphism:",
       la.presented_map_is_iso(f, z6, [2, 3]))

@@ -7,7 +7,8 @@ including the 4-torsion appearing at weight 4.
 """
 
 from derham.abelian import expected_table_entry
-from derham.complexes import build_C, homology, homology_of
+from derham.complexes import build_C, homology_of
+from derham.reference import homology
 
 RANK = 2
 

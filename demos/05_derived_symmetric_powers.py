@@ -8,13 +8,8 @@ sums) is computed independently and agrees in every degree.
 
 from math import comb
 
-from derham.koszul import (
-    build_koszul,
-    derived_sp,
-    generator_presentation,
-    presentation_dimension,
-    presentations_agree,
-)
+from derham.koszul import derived_sp, generator_presentation, presentation_dimension
+from derham.reference import build_koszul, presentations_agree
 
 cpx = build_koszul(3, 2, 2)
 print("weight-3 Koszul complex on (F_2)^2, term dimensions:",

@@ -8,13 +8,8 @@ weight 7.
 """
 
 from derham.complexes import build_C, homology_of
-from derham.comparison import (
-    eta,
-    f_matrix,
-    lift_change_in_boundaries,
-    verify_f_welldefined,
-    verify_theorem,
-)
+from derham.comparison import eta, verify_theorem
+from derham.reference import f_matrix, lift_change_in_boundaries, verify_f_welldefined
 
 def show(cycle, n, r, i):
     """A cycle, keyed by (content c, place k in the block of c), at the

@@ -8,6 +8,11 @@ descriptions of that homology: the degree-0 identification with divided
 powers of mod-p reductions, the full table of homology groups through
 weight 7 via explicit comparison cycles, the Koszul model for derived
 symmetric powers, and the weight-8 breakdown where 4-torsion appears.
+
+The package namespace holds what the commands run.  The code that no
+command runs, the dense numpy views, the full Koszul complex over F_p and
+the second routes the tests and demos check against, is in
+``derham.reference``, which neither the package nor any command imports.
 """
 
 from .abelian import (
@@ -17,15 +22,12 @@ from .abelian import (
     gamma_group,
     tensor,
     tor,
-    tor_power,
 )
-from .bases import enumerate_basis, gamma_module_action, gamma_product, wedge_insert
+from .bases import enumerate_basis
 from .comparison import (
     eta,
     f18_counterexample,
-    f_matrix,
     q_matrix,
-    verify_f_welldefined,
     verify_h0_iso,
     verify_q_relations,
     verify_theorem,
@@ -34,8 +36,6 @@ from .complexes import (
     ChainComplexZ,
     build_C,
     build_D,
-    cross_effect_h0,
-    homology,
     homology_of,
     kunneth_check,
 )
@@ -48,13 +48,8 @@ from .intlinalg import (
     presented_map_is_iso,
     smith_normal_form,
 )
-from .koszul import build_koszul, derived_sp, generator_presentation
-from .numtheory import (
-    binomial,
-    check_binomial_lemma,
-    check_central_divisibility,
-    gcd_stable,
-)
+from .koszul import derived_sp, generator_presentation
+from .numtheory import binomial, gcd_stable
 
 __version__ = "0.1.0"
 
@@ -65,26 +60,18 @@ __all__ = [
     "binomial",
     "build_C",
     "build_D",
-    "build_koszul",
-    "check_binomial_lemma",
-    "check_central_divisibility",
-    "cross_effect_h0",
     "derived_sp",
     "enumerate_basis",
     "eta",
     "expected_h0",
     "expected_table_entry",
     "f18_counterexample",
-    "f_matrix",
     "fp_cokernel_basis",
     "fp_rank",
     "gamma_cyclic",
     "gamma_group",
-    "gamma_module_action",
-    "gamma_product",
     "gcd_stable",
     "generator_presentation",
-    "homology",
     "homology_of",
     "invariants_of_cokernel",
     "kunneth_check",
@@ -93,10 +80,7 @@ __all__ = [
     "smith_normal_form",
     "tensor",
     "tor",
-    "tor_power",
-    "verify_f_welldefined",
     "verify_h0_iso",
     "verify_q_relations",
     "verify_theorem",
-    "wedge_insert",
 ]

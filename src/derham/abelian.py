@@ -1,7 +1,7 @@
 """Closed-form functor calculus on finitely generated abelian groups.
 
 Groups are ``GroupInvariants``, the type the computed homology has.  Tensor,
-Tor, iterated Tor and divided powers are evaluated summand by summand on the
+Tor and divided powers are evaluated summand by summand on the
 divisor-chain decomposition Z^f + Z/m1 + ... + Z/mk.  Any cyclic
 decomposition gives the same isomorphism type (tensor and Tor are additive,
 divided powers obey the exponential law), so the results can be compared
@@ -17,10 +17,6 @@ from typing import Iterable
 from .bases import exponent_vectors
 from .intlinalg import TRIVIAL_GROUP, GroupInvariants
 from .numtheory import OutOfRangeError, gcd_stable, v_p
-
-
-class DegreeTooSmallError(ValueError):
-    """Iterated Tor is only defined from the second power on."""
 
 
 class OutOfTableError(ValueError):
@@ -82,16 +78,6 @@ def tor(a: GroupInvariants, b: GroupInvariants) -> GroupInvariants:
     return GroupInvariants(
         0, tuple(math.gcd(x, y) for x in a.torsion for y in b.torsion)
     )
-
-
-def tor_power(n: int, a: GroupInvariants) -> GroupInvariants:
-    """Iterated torsion product Tor(...Tor(Tor(A, A), A)..., A), n factors."""
-    if n < 2:
-        raise DegreeTooSmallError("iterated Tor starts at the square")
-    out = tor(a, a)
-    for _ in range(n - 2):
-        out = tor(out, a)
-    return out
 
 
 def gamma_cyclic(r: int, n: int) -> GroupInvariants:

@@ -13,14 +13,10 @@ Vectors over a basis are dicts mapping basis index to an integer coefficient.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 from typing import Sequence
-
-from .intlinalg import as_rows
-from .numtheory import binomial
 
 WedgeIndex = tuple[int, ...]
 Exponents = tuple[int, ...]
@@ -83,39 +79,11 @@ def basis_size(functor: str, degree: int, rank: int) -> int:
 # structure constants
 
 
-def gamma_product(m1: Exponents, m2: Exponents) -> tuple[int, Exponents]:
-    """Product of divided monomials: coefficient prod_k C(e_k + f_k, e_k)."""
-    if len(m1) != len(m2):
-        raise DegreeMismatchError("monomials of different rank")
-    coeff = prod(binomial(e + f, e) for e, f in zip(m1, m2))
-    return coeff, tuple(e + f for e, f in zip(m1, m2))
-
-
-def gamma_module_action(j: int, m: Exponents) -> tuple[int, Exponents]:
-    """Multiply a divided monomial by the j-th generator (1-based)."""
-    e = m[j - 1]
-    out = list(m)
-    out[j - 1] = e + 1
-    return e + 1, tuple(out)
-
-
 def sym_multiply(j: int, m: Exponents) -> Exponents:
     """Multiply a symmetric monomial by the j-th generator; coefficient 1."""
     out = list(m)
     out[j - 1] += 1
     return tuple(out)
-
-
-def wedge_insert(j: int, w: WedgeIndex) -> tuple[int, WedgeIndex | None]:
-    """Insert generator j into a sorted wedge.
-
-    Sign is (-1)^(number of factors strictly before the insertion slot);
-    returns (0, None) when j already occurs.
-    """
-    if j in w:
-        return 0, None
-    pos = bisect_left(w, j)
-    return (-1) ** pos, w[:pos] + (j,) + w[pos:]
 
 
 def wedge_delete(w: WedgeIndex, position: int) -> tuple[int, WedgeIndex]:
@@ -152,22 +120,6 @@ def vec_add(acc: Vector, key: int, coeff: int) -> None:
             acc.pop(key, None)
 
 
-def to_dense(v: Vector, size: int) -> list[int]:
-    out = [0] * size
-    for k, x in v.items():
-        out[k] = x
-    return out
-
-
-def gamma_of_vector(vec: Sequence[int], degree: int) -> Vector:
-    """Degree-d divided power of an integer vector, expanded in monomials.
-
-    The sum-of-arguments relation makes the coefficient of the exponent
-    vector e equal to the product of the vector entries raised to e.
-    """
-    return divided_product([(degree, vec)], len(vec))
-
-
 def divided_monomials(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> dict:
     """Expand a product of divided powers of integer vectors, keyed by
     exponent vector: gamma_d(v) is the sum, over e with |e| = d on the
@@ -196,62 +148,12 @@ def divided_monomials(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> 
     return out
 
 
-def divided_product(terms: Sequence[tuple[int, Sequence[int]]], rank: int) -> Vector:
-    """``divided_monomials`` at the basis positions of the divided power of
-    total degree."""
-    out = divided_monomials(terms, rank)
-    if not out:
-        return {}
-    index = basis_index("gamma", sum(next(iter(out))), rank)
-    return {index[m]: c for m, c in out.items()}
-
-
 def unit_terms(monomial: Exponents) -> list[tuple[int, tuple[int, ...]]]:
     """A divided monomial as the (degree, unit vector) factors that
-    ``divided_product`` expands back into it."""
+    ``divided_monomials`` expands back into it."""
     rank = len(monomial)
     return [
         (e, tuple(1 if t == j else 0 for t in range(rank)))
         for j, e in enumerate(monomial)
         if e
     ]
-
-
-def gamma_induced_matrix(t, degree: int) -> list[list[int]]:
-    """Matrix of the divided-power functor applied to t: Z^r -> Z^s, as
-    rows; t is an s x r matrix (see ``intlinalg.as_rows``).
-
-    The column of a monomial e is the expansion of the product of the
-    degree-e_k divided powers of the image columns of t.
-    """
-    rows, r = as_rows(t)
-    images = [tuple(int(row[k]) for row in rows) for k in range(r)]
-    source = enumerate_basis("gamma", degree, r)
-    out = [[0] * len(source) for _ in range(basis_size("gamma", degree, len(rows)))]
-    for j, e in enumerate(source):
-        terms = [(e_k, images[k]) for k, e_k in enumerate(e)]
-        for pos, coeff in divided_product(terms, len(rows)).items():
-            out[pos][j] = coeff
-    return out
-
-
-def gamma_power_identity_check(r_max: int = 6, scalar_max: int = 4) -> bool:
-    """Sanity identities of divided powers on one generator.
-
-    Multiplying the unit by x r times must produce r! times the r-th
-    divided power, and substituting n*x must scale degree r by n^r.
-    """
-    for r in range(1, r_max + 1):
-        coeff, mono = 1, (0,)
-        for _ in range(r):
-            step, mono = gamma_module_action(1, mono)
-            coeff *= step
-        factorial = prod(range(1, r + 1))
-        if mono != (r,) or coeff != factorial:
-            return False
-        for n in range(-scalar_max, scalar_max + 1):
-            expanded = gamma_of_vector((n,), r)
-            expect = {0: n**r} if n else {}
-            if expanded != expect:
-                return False
-    return True

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import intlinalg as la
 from .abelian import closed_form_homology, expected_h0, expected_table_entry
@@ -69,11 +68,13 @@ def _refuse_costly(n: int, rank: int) -> None:
         )
 
 
-@dataclass
 class RunConfig:
-    max_n: int = DEFAULT_MAX_N
-    rank: int = DEFAULT_RANK
-    default: tuple[int, int] = (DEFAULT_MAX_N, 4)  # warn only above it and (7, 4)
+    """A command's range: weights up to max_n on Z^rank.  A range above
+    default, or above (7, 4), draws a warning."""
+
+    def __init__(self, max_n: int = DEFAULT_MAX_N, rank: int = DEFAULT_RANK,
+                 default: tuple[int, int] = (DEFAULT_MAX_N, 4)):
+        self.max_n, self.rank, self.default = max_n, rank, default
 
     def validate(self, first_n: int = 1, first_rank: int = 0) -> None:
         """Refuse a range past the caps or the cost limit, and one that ends

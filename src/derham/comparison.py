@@ -26,12 +26,12 @@ it to at most two generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from itertools import product as iproduct
 from math import gcd, prod
 from operator import add, mod
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .abelian import monomial_order_mod_p, prime_divisors
@@ -53,8 +53,7 @@ from .numtheory import binomial
 # the degree-0 comparison map
 
 
-@dataclass(frozen=True)
-class H0Target:
+class H0Target(NamedTuple):
     """Explicit generator list for the expected H_0: one generator per
     divided monomial of each summand, with its cyclic order."""
 
@@ -62,7 +61,7 @@ class H0Target:
     r: int
     generators: tuple[tuple[int, tuple[int, ...]], ...]  # (prime, monomial)
     orders: tuple[int, ...]
-    rows: dict = field(repr=False, compare=False)  # (prime, monomial) -> row
+    rows: dict  # (prime, monomial) -> row
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
         return tuple(map(mod, vec, self.orders))
@@ -80,8 +79,7 @@ def h0_target(n: int, r: int) -> H0Target:
     return H0Target(n, r, tuple(gens), tuple(orders), rows)
 
 
-@dataclass(frozen=True)
-class QMap:
+class QMap(NamedTuple):
     """The degree-0 comparison, one sparse column per content vector c of
     weight n: columns[c] = {target row: 1} at the row of c/p in the summand
     of each prime p dividing every entry of c.  So q keeps contents."""
@@ -184,8 +182,7 @@ def _substitution_pool(r: int) -> list[tuple[int, ...]]:
     return units + sums
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     n: int
     r: int
     checked: dict
@@ -348,8 +345,7 @@ def _generator_lifts(label, n_over_p: int, i: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TheoremBlock:
+class TheoremBlock(NamedTuple):
     """One prime summand of the degree-i comparison: the relations of its
     source over Z, [p I | the F_p relations] as sparse rows, one per source
     generator, and its matrix into the homology presentation, as dense rows:
@@ -394,19 +390,6 @@ def theorem_block(i: int, n: int, p: int, r: int) -> TheoremBlock:
     return TheoremBlock(i, n, p, r, relations, mat, pres.generators)
 
 
-def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:
-    """Matrix of the degree-i comparison for one prime, with every source
-    relation checked to go to 0 modulo the cyclic orders of H_i."""
-    block = theorem_block(i, n, p, r)
-    orders, _ = homology_of("C", n, r).presentation(i)
-    facts = la.presented_map_facts(block.matrix, block.relations, orders)
-    if not facts.well_defined:
-        raise la.NotWellDefinedError(
-            f"comparison relations not boundaries at i={i}, n={n}, p={p}"
-        )
-    return block.matrix
-
-
 def assemble_comparison(i: int, n: int, r: int) -> tuple[list[list[int]], la.SparseRows]:
     """Block sum of the per-prime comparisons into the degree-i homology:
     the matrices side by side, the source relations down the diagonal, each
@@ -435,102 +418,6 @@ def verify_theorem(i: int, n: int, r: int) -> bool:
     orders, _ = homology_of("C", n, r).presentation(i)
     mat, relations = assemble_comparison(i, n, r)
     return la.presented_map_is_iso(mat, relations, orders)
-
-
-# ---------------------------------------------------------------------------
-# well-definedness evidence
-
-
-def jacobi_eta_image(i: int, n: int, p: int, r: int, xs, tail) -> dict:
-    """Image of one alternating relation under the cycle assignment.
-
-    xs is a tuple of i+2 generator indices, tail a symmetric monomial; the
-    image is the signed sum of the cycles obtained by dropping one index
-    into the symmetric arguments.  The terms cancel pairwise, so the sum is
-    the zero vector in the chain group itself.
-    """
-    acc: dict = {}
-    for k in range(1, i + 3):
-        rest = xs[:k - 1] + xs[k:]
-        args = [_unit_vector(g, r) for g in rest]
-        sym_args = [_unit_vector(xs[k - 1], r)]
-        for j, e in enumerate(tail, start=1):
-            sym_args.extend([_unit_vector(j, r)] * e)
-        term = eta_vector(i, p, n, list(args) + sym_args, r)
-        sign = (-1) ** k
-        for key, c in term.items():
-            vec_add(acc, key, sign * c)
-    return acc
-
-
-def verify_f_welldefined(i: int, n: int, p: int, r: int) -> dict:
-    """Evidence that the degree-i comparison is well defined.
-
-    (a) scaling any single argument by p turns the cycle into a boundary,
-    certified by an exact integral solve against the incoming differential;
-    (b) every alternating relation maps to the literal zero vector (with a
-    boundary-membership fallback that is never expected to trigger).
-    """
-    block = theorem_block(i, n, p, r)
-    boundaries = homology_of("C", n, r).solver(i + 1)
-    m = n // p
-    report = {
-        "cell": {"i": i, "n": n, "p": p, "rank": r},
-        "cycles": len(block.generator_labels),
-        "scalings": {"checked": 0, "boundary": 0, "failures": []},
-        "jacobi": {"checked": 0, "zero": 0, "boundary": 0, "failures": []},
-    }
-    for label in block.generator_labels:
-        lifts = _generator_lifts(label, m, i)
-        for slot in range(m):
-            vectors = [_unit_vector(g, r) for g in lifts]
-            vectors[slot] = tuple(p * c for c in vectors[slot])
-            scaled = eta_vector(i, p, n, vectors, r)
-            report["scalings"]["checked"] += 1
-            if boundaries.contains(scaled):
-                report["scalings"]["boundary"] += 1
-            else:
-                report["scalings"]["failures"].append((label, slot))
-    tuples = enumerate_basis("wedge", i + 2, r)
-    tails = enumerate_basis("sym", m - i - 2, r)
-    for xs in tuples:
-        for tail in tails:
-            image = jacobi_eta_image(i, n, p, r, xs, tail)
-            report["jacobi"]["checked"] += 1
-            if not image:
-                report["jacobi"]["zero"] += 1
-            elif boundaries.contains(image):
-                report["jacobi"]["boundary"] += 1
-            else:
-                report["jacobi"]["failures"].append((xs, tail))
-    report["ok"] = not (
-        report["scalings"]["failures"] or report["jacobi"]["failures"]
-    )
-    return report
-
-
-def lift_change_in_boundaries(i: int, n: int, p: int, r: int) -> bool:
-    """Replacing a lift x_k by x_k + p*x_m moves the cycle by a boundary."""
-    block = theorem_block(i, n, p, r)
-    boundaries = homology_of("C", n, r).solver(i + 1)
-    m = n // p
-    for label in block.generator_labels:
-        lifts = _generator_lifts(label, m, i)
-        base = eta_vector(i, p, n, [_unit_vector(g, r) for g in lifts], r)
-        for slot in range(m):
-            for other in range(1, r + 1):
-                vectors = [_unit_vector(g, r) for g in lifts]
-                vectors[slot] = tuple(
-                    c + p * u
-                    for c, u in zip(vectors[slot], _unit_vector(other, r))
-                )
-                shifted = eta_vector(i, p, n, vectors, r)
-                diff = dict(shifted)
-                for key, c in base.items():
-                    vec_add(diff, key, -c)
-                if not boundaries.contains(diff):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -34,38 +34,28 @@ basis.  A finite H_i is presented from the Smith forms of the blocks of
 d_(i+1): their invariant factors give the cyclic summands, and the matching
 rows of their left transforms U send each cycle to its class.  Of the
 commands only ``homology --dump-matrices`` builds a full complex, with
-blocks at basis positions; tests and demos also build one (``build_koszul``,
-``block_decomposition_matches``) and assemble a dense d_i.
+blocks at basis positions; tests and demos also build one, and assemble a
+dense d_i, through ``derham.reference``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from itertools import product as iproduct
 from math import factorial, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
-from .bases import (
-    basis_index,
-    basis_size,
-    divided_product,
-    enumerate_basis,
-    exponent_vectors,
-    to_dense,
-    unit_terms,
-)
+from .bases import basis_index, basis_size, enumerate_basis, exponent_vectors
 from .intlinalg import GroupInvariants
 
 FACTORS = {"C": ("wedge", "gamma"), "D": ("sym", "wedge")}  # left^i (x) right^(n-i)
 
 
-@dataclass(frozen=True)
-class PairBasis:
+class PairBasis(NamedTuple):
     """Tensor basis ordered lexicographically by (left label, right label)."""
 
     left: tuple
@@ -79,31 +69,35 @@ class PairBasis:
         return tuple((l, r) for l in self.left for r in self.right)
 
 
-@dataclass(frozen=True)
 class Block:
     """The content block c of a complex: positions[i] lists, ascending, the
     degree-i basis positions whose labels have content c (i = 0..n), and
-    diffs[i-1] is d_i restricted to them, as SparseRows: a row {k: value}
-    per position of positions[i-1], k the place of one of positions[i]; the
-    rows are shared, so only read.  solvers[i] is d(i)'s Smith decomposition."""
+    diffs[t] is d_i, i = first + t, restricted to them, as SparseRows: a row
+    {k: value} per position of positions[i-1], k the place of one of
+    positions[i]; the rows are shared, so only read.  Every other d_i has no
+    entry.  solvers[i] is d(i)'s Smith decomposition, a dict of the block's
+    own unless one is given."""
 
-    content: tuple
-    positions: tuple[tuple[int, ...], ...]
-    diffs: tuple[la.SparseRows, ...]
-    solvers: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("content", "positions", "diffs", "solvers", "first")
+
+    def __init__(self, content: tuple, positions: tuple[tuple[int, ...], ...],
+                 diffs: tuple[la.SparseRows, ...], solvers: dict | None = None, first: int = 1):
+        self.content, self.positions, self.diffs = content, positions, diffs
+        self.solvers = {} if solvers is None else solvers
+        self.first = first
 
     def at(self, i: int) -> tuple[int, ...]:
         """Positions of degree i, () outside 0..n."""
         return self.positions[i] if 0 <= i < len(self.positions) else ()
 
     def d(self, i: int) -> la.SparseRows:
-        """The block of d_i, len(at(i)) columns wide; d_0 = d_{n+1} = 0."""
-        if 1 <= i <= len(self.diffs):
-            return self.diffs[i - 1]
+        """The block of d_i, len(at(i - 1)) rows and len(at(i)) columns; a
+        d_i outside diffs, such as d_0 and d_{n+1}, is zero."""
+        if 0 <= i - self.first < len(self.diffs):
+            return self.diffs[i - self.first]
         return la.SparseRows(({} for _ in self.at(i - 1)), len(self.at(i)))
 
 
-@dataclass(frozen=True)
 class ChainComplexZ:
     """Length-n complex of based free modules with integer differentials,
     stored as content blocks: every d_i is the block sum of blocks[k].d(i)
@@ -111,11 +105,9 @@ class ChainComplexZ:
     A complex without content is one block, with content ().
     """
 
-    family: str
-    n: int
-    rank: int
-    bases: tuple[PairBasis, ...]
-    blocks: tuple[Block, ...]
+    def __init__(self, family: str, n: int, rank: int, bases: tuple[PairBasis, ...],
+                 blocks: tuple[Block, ...]):
+        self.family, self.n, self.rank, self.bases, self.blocks = family, n, rank, bases, blocks
 
     def dim(self, i: int) -> int:
         if 0 <= i <= self.n:
@@ -164,23 +156,17 @@ class ChainComplexZ:
         import numpy as np
 
         rows, cols, values = self.entries(i)
-        mat = la.zeros(self.dim(i - 1), self.dim(i))
+        mat = np.zeros((self.dim(i - 1), self.dim(i)), dtype=object)
         mat[rows, cols] = np.array(values, dtype=object)
         return mat
 
 
-def _check_dd_zero(cx) -> None:
-    """Refuse d d != 0 in a block not written (and checked) by _koszul."""
-    for b in cx.blocks:
-        if i := _dd_nonzero(b.diffs):
-            raise AssertionError(f"d_{i-1} d_{i} != 0 in {cx.family}^{cx.n}(Z^{cx.rank})")
-
-
-def _dd_nonzero(diffs: tuple) -> int:
-    """The first i with d_(i-1) d_i != 0, else 0: a row of d_(i-1) times d_i
-    adds the sparse rows of d_i it picks, as the d_i of a weight-12 block
-    reach 924 x 792 with at most 12 entries a row."""
-    for i, (left, right) in enumerate(zip(diffs, diffs[1:]), start=2):
+def _dd_nonzero(diffs: tuple, first: int = 1) -> int:
+    """The first i with d_(i-1) d_i != 0, else 0, for diffs d_first, d_(first
+    + 1), ...: a row of d_(i-1) times d_i adds the sparse rows of d_i it
+    picks, as the d_i of a weight-12 block reach 924 x 792 with at most 12
+    entries a row."""
+    for i, (left, right) in enumerate(zip(diffs, diffs[1:]), start=first + 1):
         if left.width != len(right):
             raise ValueError(f"d_{i-1} and d_{i} do not compose")
         for row in left:
@@ -207,26 +193,31 @@ def _check_partition(cx, sizes=None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict, tuple, tuple, dict]:
-    """(wedges, index, positions, diffs, solvers) of the block of left^i (x)
-    right^(n-i) whose content c has the nonzero entries values.  With S the
-    support, each W in S is a label, the wedge W with the other factor
-    c - 1_W, in degree |W| (n - |W| for a right wedge).  wedges[i] lists the
-    degree-i W, as indices into S, by basis position: in lex order for a
-    left wedge, else in descending lex order of c - 1_W, the reverse;
+def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple:
+    """(wedges, index, positions, diffs, solvers, first) of the block of
+    left^i (x) right^(n-i) whose content c has the nonzero entries values.
+    With S the support, each W in S is a label, the wedge W with the other
+    factor c - 1_W, in degree |W| (n - |W| for a right wedge).  wedges[i]
+    lists the degree-i W, as indices into S, by basis position: in lex order
+    for a left wedge, else in descending lex order of c - 1_W, the reverse;
     index[W] is the place of W in its degree, and positions[i] numbers
     them.  d takes the factor j at place q (from 0) out of a left wedge with
     sign (-1)^(q+1) and coefficient c_j (1 into sym), or puts j of S - W
-    into a right wedge with the opposite sign and multiplicity c_j; d d = 0
-    is checked here.  solvers, empty here, is shared by all blocks of it."""
+    into a right wedge with the opposite sign and multiplicity c_j.  The
+    labels fill the |S| + 1 degrees 0..|S| (n - |S|..n for a right wedge),
+    so diffs holds only the |S| differentials between two of them, d_first
+    and up; d d = 0 is checked here.  solvers, empty here, is shared by all
+    blocks of it."""
     wedge_left, n, s = left == "wedge", sum(values), len(values)
-    wedges = [()] * (n + 1)
+    wedges, positions, index = [()] * (n + 1), [()] * (n + 1), {}
     for w in range(s + 1):
         at = tuple(combinations(range(s), w))
-        wedges[w if wedge_left else n - w] = at if wedge_left else at[::-1]
-    index = {W: k for at in wedges for k, W in enumerate(at)}
+        at, i = (at, w) if wedge_left else (at[::-1], n - w)
+        wedges[i], positions[i] = at, tuple(range(len(at)))
+        index.update(zip(at, positions[i]))
+    first = 1 if wedge_left else n - s + 1
     diffs = []
-    for i in range(1, n + 1):
+    for i in range(first, first + s):
         rows, cols = wedges[i - 1], wedges[i]
         mat = la.SparseRows([{} for _ in rows], len(cols))
         # each W of the side with the larger wedges, and each factor j of it:
@@ -240,10 +231,9 @@ def _koszul(left: str, right: str, values: tuple[int, ...]) -> tuple[tuple, dict
                 else:
                     mat[k][index[W[:q] + W[q + 1:]]] = -x
         diffs.append(mat)
-    if i := _dd_nonzero(diffs):
+    if i := _dd_nonzero(diffs, first):
         raise AssertionError(f"d_{i-1} d_{i} != 0 in the {left}/{right} block of {values}")
-    positions = tuple(map(tuple, map(range, map(len, wedges))))
-    return tuple(wedges), index, positions, tuple(diffs), {}
+    return tuple(wedges), index, tuple(positions), tuple(diffs), {}, first
 
 
 def block_label(c: tuple, support: list[int], W: tuple) -> tuple[tuple, tuple]:
@@ -273,7 +263,8 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
     widths, blocks = [len(b.right) for b in bases], []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
-        wedges, _, _, diffs, solvers = _koszul(left, right, tuple([c[j - 1] for j in support]))
+        values = tuple([c[j - 1] for j in support])
+        wedges, _, _, diffs, solvers, first = _koszul(left, right, values)
         positions = []
         for at, width in zip(wedges, widths):
             found = []
@@ -282,7 +273,7 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
                 a, b = wedge_at[len(W)][W], other_at[len(W)][m]
                 found.append(a * width + b if wedge_left else b * width + a)
             positions.append(tuple(found))
-        blocks.append(Block(c, tuple(positions), diffs, solvers))
+        blocks.append(Block(c, tuple(positions), diffs, solvers, first))
     cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
     _check_partition(cx)
     return cx
@@ -540,83 +531,8 @@ def homology_of(family: str, n: int, r: int) -> ComplexHomology:
     return ComplexHomology(OrbitComplex(family, n, r))
 
 
-def homology(cx: ChainComplexZ, i: int) -> GroupInvariants:
-    """Invariants of the degree-i homology of a built complex."""
-    return homology_of(cx.family, cx.n, cx.rank).invariants(i)
-
-
 # ---------------------------------------------------------------------------
-# direct sum decomposition of C^n(Z^(a+b)) into tensor products
-
-
-def _split_label(label, rank_a: int):
-    """Split a C^n(Z^(a+b)) basis label into first/second block labels."""
-    wedge, exps = label
-    w_a = tuple(g for g in wedge if g <= rank_a)
-    w_b = tuple(g - rank_a for g in wedge if g > rank_a)
-    e_a = exps[:rank_a]
-    e_b = exps[rank_a:]
-    weight_a = len(w_a) + sum(e_a)
-    k1 = len(w_a)
-    return weight_a, (k1, (w_a, e_a), (w_b, e_b))
-
-
-def _tensor_entries(a: ChainComplexZ, b: ChainComplexZ, k: int) -> dict:
-    """The nonzero entries of the degree-k differential of a (x) b,
-    d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, keyed by (row, column)
-    labels (k1, left, right).  dx (x) y lowers k1 and x (x) dy keeps it, so
-    the two parts never share an entry."""
-    out = {}
-    for k1 in range(k + 1):
-        k2 = k - k1
-        rows_a, cols_a, left = a.labels(k1 - 1), a.labels(k1), b.labels(k2)
-        for r, c, x in zip(*a.entries(k1)):
-            for y in left:
-                out[(k1 - 1, rows_a[r], y), (k1, cols_a[c], y)] = x
-        rows_b, cols_b, sign = b.labels(k2 - 1), b.labels(k2), (-1) ** k1
-        for r, c, x in zip(*b.entries(k2)):
-            for y in cols_a:
-                out[(k1, y, rows_b[r]), (k1, y, cols_b[c])] = sign * x
-    return out
-
-
-def block_decomposition_matches(n: int, rank_a: int, rank_b: int) -> bool:
-    """Entry-for-entry check of C^n(Z^(a+b)) against its weight blocks.
-
-    Splitting each basis label by the generators among the first rank_a
-    must map the degree-k labels one-to-one onto those of the sum over i of
-    C^i(Z^a) (x) C^(n-i)(Z^b), and carry the nonzero entries of every d_k
-    onto those of the tensor differentials.
-    """
-    big = build_C(n, rank_a + rank_b)
-    pairs = [(build_C(i, rank_a), build_C(n - i, rank_b)) for i in range(n + 1)]
-    position = []  # per degree: split label -> position in big
-    for k in range(n + 1):
-        split = {_split_label(label, rank_a): pos for pos, label in enumerate(big.labels(k))}
-        tensor_labels = {
-            (i, (k1, l1, l2))
-            for i, (a, b) in enumerate(pairs)
-            for k1 in range(k + 1)
-            for l1 in a.labels(k1)
-            for l2 in b.labels(k - k1)
-        }
-        if len(split) != big.dim(k) or split.keys() != tensor_labels:
-            return False
-        position.append(split)
-    for k in range(1, n + 1):
-        expect = {
-            (position[k - 1][i, row], position[k][i, col]): x
-            for i, (a, b) in enumerate(pairs)
-            for (row, col), x in _tensor_entries(a, b, k).items()
-        }
-        rows, cols, values = big.entries(k)
-        if dict(zip(zip(rows, cols), values)) != expect:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Kunneth and cross-effect checks
+# Kunneth checks
 
 
 def _homology_grid(n: int, rank: int) -> dict[tuple[int, int], GroupInvariants]:
@@ -649,68 +565,3 @@ def kunneth_check(n: int, rank_a: int, rank_b: int, k: int) -> bool:
         for r in range(k):
             pieces.append(tor(grid_a[i, r], grid_b[j, k - 1 - r]))
     return left == direct_sum(pieces)
-
-
-def cross_effect_h0(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
-    """H_0 of the blocks of C^n(Z^(a+b)) with both weights positive.
-
-    These are the content blocks c with c[:a] and c[a:] both nonzero, and
-    H_0 of a block is the cokernel of its d_1; the two pure parts are
-    exactly the summand complexes, so this is H_0 of the big complex minus
-    the pure summands.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    hom = homology_of("C", n, rank_a + rank_b)
-    return direct_sum(
-        hom.solver(1).block(c).cokernel()
-        for c in hom.source.contents
-        if any(c[:rank_a]) and any(c[rank_a:])
-    )
-
-
-def cross_effect_h0_expected(n: int, rank_a: int, rank_b: int) -> GroupInvariants:
-    """The closed-form cross-effect: sum of H_0 (x) H_0 over positive weights."""
-    grid_a = _homology_grid(n, rank_a)
-    grid_b = _homology_grid(n, rank_b)
-    pieces = [tensor(grid_a[i, 0], grid_b[n - i, 0]) for i in range(1, n)]
-    return direct_sum(pieces)
-
-
-# ---------------------------------------------------------------------------
-# divided powers of an elementary abelian group as a matrix-level cokernel
-
-
-def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
-    """Degree-n divided power of (Z/p)^r computed as an integral cokernel.
-
-    Present (Z/p)^r as Z^r modulo the sublattice p Z^r.  The integral
-    divided power then surjects onto the one of the quotient, with kernel
-    spanned by gamma_k(c) * m over kernel elements c, degrees 1 <= k <= n
-    and monomials m of degree n - k.  Values of gamma_k on the grid
-    {0..k}^r suffice to span, because a polynomial of degree at most k in
-    each variable is an integer combination of its values there.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return GroupInvariants(1, ())
-    dim = basis_size("gamma", n, r)
-    columns: list[list[int]] = []
-    seen: set[tuple] = set()
-    for k in range(1, n + 1):
-        tails = enumerate_basis("gamma", n - k, r)
-        for point in iproduct(range(k + 1), repeat=r):
-            if not any(point):
-                continue
-            scaled = tuple(p * c for c in point)
-            for tail in tails:
-                terms = [(k, scaled)] + unit_terms(tail)
-                key = tuple(to_dense(divided_product(terms, r), dim))
-                if any(key) and key not in seen:
-                    seen.add(key)
-                    columns.append(key)
-    if not columns:
-        return GroupInvariants(dim, ())
-    return la.invariants_of_cokernel([list(row) for row in zip(*columns)])
-

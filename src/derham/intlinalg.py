@@ -4,12 +4,12 @@ Entries are plain Python ints, so every operation is exact, entries may grow
 without bound, and no floating point is used.  A matrix is a sequence of
 dense rows (a 2-d numpy array is read through ``tolist()``; ``cols`` gives
 the width of one without rows) or ``SparseRows``, the one form the Smith and
-F_p eliminations read, a dense matrix converted once on entry.  Only the
-dense helpers below (``intmat``, ``zeros``, ``identity``, ``as_intmat``,
-``hstack``, ``block_diag``, ``mat_mul``, ``mat_vec``, ``is_zero``,
-``det_exact``), ``SnfResult.U``/``.D``/``.V`` and ``np.asarray`` of
-SparseRows make numpy object arrays, for tests, demos and tracing, importing
-numpy when called.
+F_p eliminations read, a dense matrix converted once on entry.  Only
+``SnfResult.U``/``.D``/``.V`` and ``np.asarray`` of SparseRows make numpy
+object arrays here, for tests, demos and tracing, importing numpy when
+called; the dense numpy views (``intmat``, ``zeros``, ``identity``,
+``as_intmat``, ``hstack``, ``block_diag``, ``mat_mul``, ``mat_vec``,
+``is_zero``, ``det_exact``) have moved to ``derham.reference``.
 
 The central primitive is the Smith normal form ``U @ M @ V = D`` with
 unimodular ``U``, ``V``; everything else (cokernels, lattice solves, finite
@@ -43,7 +43,6 @@ import io
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, inf
 from operator import itemgetter
@@ -110,7 +109,9 @@ class SparseRows(list):
         return [[row.get(j, 0) for j in range(self.width)] for row in self]
 
     def __array__(self, dtype=None, copy=None):
-        out = zeros(*self.shape)
+        import numpy as np
+
+        out = np.zeros(self.shape, dtype=object)
         for i, row in enumerate(self):
             for j, x in row.items():
                 out[i, j] = x
@@ -123,138 +124,6 @@ def sparse_rows(m, cols: int | None = None) -> SparseRows:
         return m
     rows, width = as_rows(m, cols)
     return SparseRows(map(_nonzero, rows), width)
-
-
-# ---------------------------------------------------------------------------
-# dense views (numpy object arrays, for tests and demos)
-
-
-def intmat(rows: Sequence[Sequence[int]], cols: int | None = None):
-    """Build an exact integer numpy matrix from nested sequences.
-
-    ``cols`` is required to disambiguate the empty matrix with zero rows.
-    """
-    rows = [list(r) for r in rows]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        if cols is not None and cols != width:
-            raise ValueError("cols does not match row length")
-    else:
-        width = 0 if cols is None else cols
-    a = zeros(len(rows), width)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            a[i, j] = int(x)
-    return a
-
-
-def zeros(rows: int, cols: int):
-    import numpy as np
-
-    return np.zeros((rows, cols), dtype=object)
-
-
-def identity(n: int):
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
-
-
-def as_intmat(m):
-    import numpy as np
-
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        if m.dtype == object:
-            return m
-        return m.astype(object)
-    return intmat(m)
-
-
-def hstack(blocks: Sequence):
-    import numpy as np
-
-    blocks = [as_intmat(b) for b in blocks]
-    if not blocks:
-        return zeros(0, 0)
-    return np.hstack(blocks)
-
-
-def block_diag(blocks: Sequence):
-    """Block sum: the blocks down the diagonal, zeros elsewhere."""
-    blocks = [as_intmat(b) for b in blocks]
-    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
-    r0 = c0 = 0
-    for b in blocks:
-        r, c = b.shape
-        out[r0 : r0 + r, c0 : c0 + c] = b
-        r0, c0 = r0 + r, c0 + c
-    return out
-
-
-def mat_mul(a, b):
-    """Exact product, accumulated column by column (fast when b is sparse)."""
-    import numpy as np
-
-    a = as_intmat(a)
-    b = as_intmat(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = zeros(a.shape[0], b.shape[1])
-    for j in range(b.shape[1]):
-        col = b[:, j]
-        for k in np.nonzero(col != 0)[0]:
-            out[:, j] += col[k] * a[:, k]
-    return out
-
-
-def mat_vec(a, v):
-    import numpy as np
-
-    a = as_intmat(a)
-    v = np.asarray(v, dtype=object)
-    out = np.zeros(a.shape[0], dtype=object)
-    for k in np.nonzero(v != 0)[0]:
-        out += v[k] * a[:, k]
-    return out
-
-
-def is_zero(a) -> bool:
-    import numpy as np
-
-    return bool(np.all(np.asarray(a) == 0))
-
-
-def det_exact(a) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = as_intmat(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    w = a.copy()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k, k] == 0:
-            for i in range(k + 1, n):
-                if w[i, k] != 0:
-                    w[[k, i], :] = w[[i, k], :]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i, j] = (w[i, j] * w[k, k] - w[i, k] * w[k, j]) // prev
-            w[i, k] = 0
-        prev = w[k, k]
-    return sign * int(w[n - 1, n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +140,6 @@ def _transpose(lines: Sequence[dict], length: int) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """U @ m @ V = D for a matrix m of the given shape: the diagonal of D,
     the rows of U and the columns of V, each sparse {index: value}.
@@ -281,10 +149,11 @@ class SnfResult:
     program reads ``diagonal``, ``urows``, ``vcols`` and ``sparse``.
     """
 
-    shape: tuple[int, int]
-    diagonal: list[int]
-    urows: list[dict]
-    vcols: list[dict]
+    __slots__ = ("shape", "diagonal", "urows", "vcols")
+
+    def __init__(self, shape: tuple[int, int], diagonal: list[int], urows: list[dict],
+                 vcols: list[dict]):
+        self.shape, self.diagonal, self.urows, self.vcols = shape, diagonal, urows, vcols
 
     @property
     def rank(self) -> int:
@@ -549,7 +418,6 @@ def _divisor_chain(torsion: Iterable[int]) -> tuple[int, ...]:
     return tuple(m for m in reversed(chain) if m > 1)
 
 
-@dataclass(frozen=True)
 class GroupInvariants:
     """Isomorphism type of a finitely generated abelian group.
 
@@ -557,11 +425,25 @@ class GroupInvariants:
     groups are isomorphic iff their invariants compare equal.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", _divisor_chain(self.torsion))
+    def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+        self.free_rank = free_rank
+        self.torsion = _divisor_chain(torsion)
+
+    def _key(self) -> tuple:
+        return self.free_rank, self.torsion
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GroupInvariants(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @property
     def is_trivial(self) -> bool:
@@ -856,22 +738,6 @@ def read_text(lines: Iterable[str], check: Callable[[int, int], None] | None = N
     if bad:
         raise bad
     return out
-
-
-def mat_from_text(text: str, check: Callable[[int, int], None] | None = None) -> tuple[list, int]:
-    """(rows, cols) of a matrix in the text format, dense; see ``read_text``."""
-    m = read_text((text,), check)
-    return m.tolist(), m.width
-
-
-def mat_to_json(m) -> str:
-    rows, width = as_rows(m)
-    payload = {
-        "rows": len(rows),
-        "cols": width,
-        "data": [int(x) for row in rows for x in row],
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def _json_int(x, what: str) -> int:

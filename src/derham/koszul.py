@@ -12,12 +12,12 @@ descriptions can be compared dimension by dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .bases import basis_index, enumerate_basis, exponent_vectors, sym_multiply, wedge_delete
-from .complexes import Block, ChainComplexZ, _build_complex, _koszul, block_label
+from .complexes import Block, _koszul, block_label
 from .intlinalg import require_prime
 
 
@@ -25,22 +25,7 @@ class DegreeOutOfRangeError(ValueError):
     """Derived functor degree outside 0 <= i <= n - 1."""
 
 
-@lru_cache(maxsize=None)
-def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
-    """Weight-n Koszul complex on (F_p)^r, built by no command, the tests'
-    reference: terms wedge^a (x) sym^(n-a), d d = 0 checked over Z, d mod p."""
-    require_prime(p)
-    cx = _build_complex("K", "wedge", "sym", n, r)
-
-    def mod_p(d):
-        return la.SparseRows(({j: y for j, x in row.items() if (y := x % p)} for row in d), d.width)
-
-    blocks = tuple(replace(b, diffs=tuple(map(mod_p, b.diffs))) for b in cx.blocks)
-    return replace(cx, blocks=blocks)
-
-
-@dataclass(frozen=True)
-class DerivedSpGroup:
+class DerivedSpGroup(NamedTuple):
     """The i-th derived functor of sym^n on (F_p)^r, as an F_p-vector space.
 
     Realized as the cokernel of the Koszul differential into
@@ -75,24 +60,16 @@ def derived_sp(i: int, n: int, p: int, r: int) -> DerivedSpGroup:
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
         values = tuple(c[j - 1] for j in support)
-        wedges, _, positions, diffs, solvers = _koszul("wedge", "sym", values)
+        wedges, _, *block = _koszul("wedge", "sym", values)
         if values not in free:
-            free[values] = la.fp_cokernel_basis(Block(c, positions, diffs, solvers).d(i + 2), p)
+            free[values] = la.fp_cokernel_basis(Block(c, *block).d(i + 2), p)
         reps += (block_label(c, support, wedges[i + 1][k]) for k in free[values])
     wedge_at, sym_at = basis_index("wedge", i + 1, r), basis_index("sym", n - i - 1, r)
     reps.sort(key=lambda label: (wedge_at[label[0]], sym_at[label[1]]))
     return DerivedSpGroup(i, n, p, r, len(reps), tuple(reps))
 
 
-def derived_sp_dimension(i: int, n: int, p: int, r: int) -> int:
-    """Dimension, with degrees outside the complex counted as zero."""
-    if i < 0 or i > n - 1:
-        return 0
-    return derived_sp(i, n, p, r).dimension
-
-
-@dataclass(frozen=True)
-class GeneratorPresentation:
+class GeneratorPresentation(NamedTuple):
     """Generators and relations for a derived symmetric power.
 
     Generators pair a wedge of length i+1 (the top derived functor of the
@@ -138,8 +115,11 @@ def presentation_dimension(pres: GeneratorPresentation) -> int:
     return len(pres.generators) - la.fp_rank(pres.relations, pres.p)
 
 
-def presentations_agree(i: int, n: int, p: int, r: int) -> bool:
-    """The relations quotient and the Koszul cokernel have equal dimension."""
-    return presentation_dimension(generator_presentation(i, n, p, r)) == derived_sp(
-        i, n, p, r
-    ).dimension
+def __getattr__(name: str):
+    """``build_koszul``, the reference Koszul complex over F_p, lives in
+    ``derham.reference``, which no command loads; reading it here loads it."""
+    if name == "build_koszul":
+        from .reference import build_koszul
+
+        return build_koszul
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .intlinalg import require_prime
 
@@ -49,32 +48,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    p: int
-    n: int
-    k: int
-    lhs: int
-    rhs: int
-    modulus: int
-    holds: bool
-
-
-def check_binomial_lemma(p: int, n: int, k: int) -> LemmaReport:
-    """Check C(pn, pk) = C(n, k) mod p^r with r = v_p(p*n*k*(n-k)).
-
-    The congruence holds for every prime p and 0 < k < n; the report form
-    exists so sweeps can surface a counterexample if one ever appeared.
-    """
-    require_prime(p)
-    if not 0 < k < n:
-        raise OutOfRangeError("need 0 < k < n")
-    modulus = _lemma_modulus(p, n, k)
-    lhs = binomial(p * n, p * k)
-    rhs = binomial(n, k)
-    return LemmaReport(p, n, k, lhs, rhs, modulus, (lhs - rhs) % modulus == 0)
-
-
 def _lemma_modulus(p: int, n: int, k: int) -> int:
     """p^v_p(p*n*k*(n-k)), for a prime p and 0 < k < n."""
     x, modulus = n * k * (n - k), p
@@ -83,16 +56,9 @@ def _lemma_modulus(p: int, n: int, k: int) -> int:
     return modulus
 
 
-def check_central_divisibility(n: int, k: int) -> bool:
-    """n/(n,k) divides C(n, k); exercised as a property suite."""
-    if not 1 <= k <= n:
-        raise OutOfRangeError("need 1 <= k <= n")
-    return binomial(n, k) % (n // math.gcd(n, k)) == 0
-
-
 def sweep_binomial_lemma(p: int, max_n: int) -> dict:
-    """Exhaustive lemma sweep over 1 <= k < n <= max_n for one prime: the
-    congruence of ``check_binomial_lemma``, with p tested once."""
+    """Exhaustive lemma sweep over 1 <= k < n <= max_n for one prime:
+    C(pn, pk) = C(n, k) mod p^v_p(p*n*k*(n-k)), with p tested once."""
     require_prime(p)
     pairs = [(n, k) for n in range(2, max_n + 1) for k in range(1, n)]
     failures = [

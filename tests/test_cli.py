@@ -12,6 +12,7 @@ import pytest
 
 from derham import cli
 from derham import intlinalg as la
+from derham import reference as ref
 from derham.abelian import closed_form_homology
 from derham.complexes import build
 
@@ -168,13 +169,12 @@ def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path
         calls.append(args)
         return build_complex(*args)
 
-    # koszul binds the builder by name, for build_koszul, the tests' reference
+    # build_koszul, the tests' reference, reads the builder through complexes
     monkeypatch.setattr(complexes, "_build_complex", counted)
-    monkeypatch.setattr(koszul, "_build_complex", counted)
     # start from fresh caches, as a new process would, so none hides a build
     for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
                   complexes._koszul, comparison.q_matrix, comparison.theorem_block,
-                  koszul.build_koszul, koszul.derived_sp):
+                  ref.build_koszul, koszul.derived_sp):
         cache.cache_clear()
     argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
     code, out, _ = run_cli(argv, capsys)
@@ -206,7 +206,7 @@ def test_verify_theorem_reduces_each_block_matrix_once(monkeypatch, capsys):
     monkeypatch.setattr(la, "smith_normal_form", counted_snf)
     for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
                   complexes._koszul, comparison.q_matrix, comparison.theorem_block,
-                  koszul.build_koszul, koszul.derived_sp):
+                  ref.build_koszul, koszul.derived_sp):
         cache.cache_clear()
     code, out, _ = run_cli(["verify", "theorem", "--rank", "4"], capsys)
     assert code == 0 and json.loads(out)["pass"] is True
@@ -286,7 +286,7 @@ def test_snf_dumped_differential(tmp_path, capsys):
 
 def test_snf_identity(tmp_path, capsys):
     src = tmp_path / "m.json"
-    src.write_text(la.mat_to_json(la.identity(3)))
+    src.write_text(ref.mat_to_json(ref.identity(3)))
     code, out, _ = run_cli(["snf", str(src), "--transforms"], capsys)
     assert code == 0
     assert out.count("3 3") == 3

@@ -1,6 +1,5 @@
 """The comparison maps: degree-0 structure, higher cycles, counterexample."""
 
-import dataclasses
 import random
 from itertools import product as iproduct
 
@@ -11,17 +10,17 @@ from derham import comparison as cmp
 from derham import complexes as cx
 from derham import intlinalg as la
 from derham import koszul as kz
+from derham import reference as ref
 from derham.abelian import direct_sum, elementary, prime_divisors
 from derham.bases import (
     basis_index,
     divided_monomials,
-    divided_product,
     enumerate_basis,
-    to_dense,
     vec_add,
     wedge_normalize,
 )
 from derham.intlinalg import GroupInvariants
+from derham.reference import divided_product, to_dense
 
 
 def _positions(full, i, vec):
@@ -76,7 +75,7 @@ def test_q_kills_boundaries_range():
 
 def _dense_q(q):
     """q as a dense matrix, one column per divided monomial in basis order."""
-    mat = la.zeros(len(q.target.orders), len(q.columns))
+    mat = ref.zeros(len(q.target.orders), len(q.columns))
     for j, column in enumerate(q.columns.values()):
         for k, y in column.items():
             mat[k, j] = y
@@ -89,7 +88,7 @@ def _dense_q_kills_boundaries(q):
     d1 = cx.build_C(q.n, q.r).d(1)
     mat = _dense_q(q)
     for j in range(d1.shape[1]):
-        image = la.mat_vec(mat, d1[:, j])
+        image = ref.mat_vec(mat, d1[:, j])
         if any(int(x) % m for x, m in zip(image, q.target.orders)):
             return False
     return True
@@ -110,12 +109,12 @@ def _with_entry(q, row, col, value):
     column = {k: y for k, y in q.columns[content].items() if k != row}
     if value:
         column[row] = value
-    return dataclasses.replace(q, columns={**q.columns, content: column})
+    return q._replace(columns={**q.columns, content: column})
 
 
 def _with_orders(q, orders):
     """q onto the same generators with other cyclic orders."""
-    return dataclasses.replace(q, target=dataclasses.replace(q.target, orders=orders))
+    return q._replace(target=q.target._replace(orders=orders))
 
 
 def test_q_kills_boundaries_matches_dense_reference():
@@ -295,7 +294,7 @@ def test_no_command_assembles_a_dense_differential(monkeypatch, capsys, tmp_path
     monkeypatch.setattr(cx.ChainComplexZ, "d", refuse)
     # start from fresh complexes and maps, as a new process would
     caches = (cx.build_C, cx.build_D, cx.homology_of, cmp.q_matrix, cmp.theorem_block)
-    for cache in caches + (kz.build_koszul, kz.derived_sp):
+    for cache in caches + (ref.build_koszul, kz.derived_sp):
         cache.cache_clear()
     argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
     assert cli.main(argv) == 0
@@ -317,6 +316,13 @@ def test_verify_q_relations_zero_failures():
             report = cmp.verify_q_relations(n, r)
             assert report.ok, report.failures[:3]
             assert report.total_checked > 0
+
+
+def test_relation_report_totals_its_checks():
+    report = cmp.verify_q_relations(4, 2)
+    assert (report.n, report.r, report.failures) == (4, 2, [])
+    assert report.total_checked == sum(report.checked.values()) > 0
+    assert report.ok
 
 
 def _without_binomials(terms, r):
@@ -495,7 +501,7 @@ def test_block_keyed_eta_is_a_cycle_of_the_full_complex_in_one_content():
             assert {c for c, _ in cycle} == {tuple(p * lifts.count(j) for j in range(1, r + 1))}
             vec = _positions(full, i, cycle)
             assert len(vec) == len(cycle)
-            assert la.is_zero(la.mat_vec(d, to_dense(vec, full.dim(i)))), (i, n, p, r, label)
+            assert ref.is_zero(ref.mat_vec(d, to_dense(vec, full.dim(i)))), (i, n, p, r, label)
             units = [cmp._unit_vector(g, r) for g in lifts]
             assert vec == _position_eta_vector(i, p, n, units, r), (i, n, p, r, label)
 
@@ -533,13 +539,13 @@ def test_block_keyed_eta_vector_matches_the_position_route_on_any_arguments():
 
 
 def test_scalings_are_boundaries_weight_four():
-    report = cmp.verify_f_welldefined(1, 4, 2, 2)
+    report = ref.verify_f_welldefined(1, 4, 2, 2)
     assert report["ok"]
     assert report["scalings"]["checked"] == report["scalings"]["boundary"]
 
 
 def test_jacobi_images_vanish_weight_six():
-    report = cmp.verify_f_welldefined(1, 6, 2, 3)
+    report = ref.verify_f_welldefined(1, 6, 2, 3)
     assert report["ok"]
     assert report["jacobi"]["checked"] > 0
     assert report["jacobi"]["zero"] == report["jacobi"]["checked"]
@@ -557,8 +563,8 @@ def test_explicit_boundary_identity_weight_four():
 
 
 def test_lift_changes_are_boundaries():
-    assert cmp.lift_change_in_boundaries(1, 4, 2, 2)
-    assert cmp.lift_change_in_boundaries(1, 6, 3, 2)
+    assert ref.lift_change_in_boundaries(1, 4, 2, 2)
+    assert ref.lift_change_in_boundaries(1, 6, 3, 2)
 
 
 # -- the isomorphism range -------------------------------------------------------
@@ -581,7 +587,7 @@ def test_theorem_prime_weights():
 
 
 def test_f_matrix_weight_four():
-    mat = cmp.f_matrix(1, 4, 2, 2)
+    mat = ref.f_matrix(1, 4, 2, 2)
     assert len(mat[0]) == 1  # one wedge pair over F_2
     # its class generates H_1 = Z/2: the assembled map is an isomorphism
     assert cmp.verify_theorem(1, 4, 2)
@@ -589,7 +595,7 @@ def test_f_matrix_weight_four():
 
 def test_f_matrix_weight_six_degree_two():
     # one wedge triple over F_2 onto H_2 = Z/2
-    mat = cmp.f_matrix(2, 6, 2, 3)
+    mat = ref.f_matrix(2, 6, 2, 3)
     assert len(mat[0]) == 1
     assert cx.homology_of("C", 6, 3).invariants(2) == GroupInvariants(0, (2,))
     assert cmp.verify_theorem(2, 6, 3)
@@ -597,7 +603,7 @@ def test_f_matrix_weight_six_degree_two():
 
 def test_f_matrix_weight_six_prime_three_part():
     # one wedge pair over F_3 onto the 3-torsion of H_1
-    mat = cmp.f_matrix(1, 6, 3, 2)
+    mat = ref.f_matrix(1, 6, 3, 2)
     assert len(mat[0]) == 1
     h1 = cx.homology_of("C", 6, 2).invariants(1)
     assert any(t % 3 == 0 for t in h1.torsion)
@@ -609,14 +615,14 @@ def _reference_map_facts(f, source, orders):
     reduction of the target relations, an integral solve per mapped source
     relation, and one reduction of [f | target relations]."""
     k = len(orders)
-    relations = la.zeros(k, k)
+    relations = ref.zeros(k, k)
     for t, m in enumerate(orders):
         relations[t, t] = m
     solver = la.LinearSolver(relations)
-    f = la.intmat(f, len(source))
-    mapped = la.mat_mul(f, la.intmat(source.tolist()))
+    f = ref.intmat(f, len(source))
+    mapped = ref.mat_mul(f, ref.intmat(source.tolist()))
     well_defined = all(solver.contains(mapped[:, j]) for j in range(mapped.shape[1]))
-    surjective = la.invariants_of_cokernel(la.hstack([f, relations])).is_trivial
+    surjective = la.invariants_of_cokernel(ref.hstack([f, relations])).is_trivial
     return la.MapFacts(well_defined, surjective, solver.cokernel())
 
 
@@ -625,15 +631,15 @@ def _reference_theorem_matrix(i, n, p, r):
     scattered into rows of width dim C_i, times each dense cycle."""
     full = cx.build_C(n, r)
     orders, classes = cx.homology_of("C", n, r).presentation(i)
-    dense = la.zeros(len(orders), full.dim(i))
+    dense = ref.zeros(len(orders), full.dim(i))
     for k, (content, row) in enumerate(classes):
         for l, u in row.items():
             dense[k, full.block(content).at(i)[l]] = u
     labels = kz.generator_presentation(i, n // p, p, r).generators
-    mat = la.zeros(len(orders), len(labels))
+    mat = ref.zeros(len(orders), len(labels))
     for col, label in enumerate(labels):
         cycle = cmp.eta(i, p, n, cmp._generator_lifts(label, n // p, i), r)
-        mat[:, col] = la.mat_vec(dense, to_dense(_positions(full, i, cycle), full.dim(i)))
+        mat[:, col] = ref.mat_vec(dense, to_dense(_positions(full, i, cycle), full.dim(i)))
     return mat
 
 

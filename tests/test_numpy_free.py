@@ -1,11 +1,15 @@
-"""No command imports numpy.
+"""No command imports numpy, dataclasses or the reference code.
 
 The program computes on lists of Python-int rows.  numpy backs only the
 dense views that tests, demos and the benchmark's tracer read
 (``ChainComplexZ.d``, ``SnfResult.U``/``.D``/``.V`` and the dense helpers of
-``intlinalg``), each importing it when called.  Here ``import derham.cli``,
-and each command the benchmark runs, at small sizes, run in a fresh
-interpreter through ``derham.cli.main``, which must leave numpy unloaded.
+``derham.reference``), each importing it when called.  No module of the
+package uses ``dataclasses`` (which loads ``inspect``), and the code that no
+command runs is in ``derham.reference``, which no command imports.  Here
+``import derham.cli``, and each command the benchmark runs, at small sizes,
+run in a fresh interpreter through ``derham.cli.main``, which must leave
+numpy, dataclasses, inspect and derham.reference unloaded, and load exactly
+the package and its eight command modules.
 """
 
 import os
@@ -25,12 +29,23 @@ from derham.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
 sys.stdout.flush()
 sys.stderr.write("numpy loaded\\n" if "numpy" in sys.modules else "numpy absent\\n")
+unwanted = [m for m in ("dataclasses", "inspect", "derham.reference") if m in sys.modules]
+package = sorted(m for m in sys.modules if m.split(".")[0] == "derham")
+sys.stderr.write(" ".join(unwanted) + "|" + " ".join(package) + "\\n")
 sys.exit(code)
 """
 
+COMMAND_MODULES = ["derham"] + [
+    f"derham.{name}"
+    for name in ("abelian", "bases", "cli", "comparison", "complexes", "intlinalg", "koszul",
+                 "numtheory")
+]
+
 
 def _run(argv):
-    """Exit code and the last stderr line of argv run in a fresh child."""
+    """Exit code and the numpy line of argv run in a fresh child, after
+    checking that the child loaded none of dataclasses, inspect and
+    derham.reference, and of the package only its command modules."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -43,7 +58,10 @@ def _run(argv):
         env=env,
         timeout=120,
     )
-    return proc.returncode, proc.stderr.strip().splitlines()[-1]
+    *_, numpy_line, modules = proc.stderr.strip().splitlines()
+    unwanted, package = modules.split("|")
+    assert (unwanted.split(), package.split()) == ([], COMMAND_MODULES)
+    return proc.returncode, numpy_line
 
 
 @pytest.mark.parametrize(
