@@ -7,14 +7,9 @@ powers, and induces an isomorphism from H_0.
 """
 
 from derham.abelian import expected_h0
-from derham.comparison import (
-    h0_target,
-    q_kills_boundaries,
-    q_matrix,
-    verify_h0_iso,
-    verify_q_relations,
-)
+from derham.comparison import h0_target, q_matrix, verify_h0_iso, verify_q_relations
 from derham.complexes import homology_of
+from derham.reference import q_kills_boundaries
 
 N, RANK = 6, 2
 

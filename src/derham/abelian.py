@@ -12,9 +12,10 @@ matrix pipeline is checked against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable
 
-from .bases import exponent_vectors
+from .bases import _partitions, basis_size
 from .intlinalg import TRIVIAL_GROUP, GroupInvariants
 from .numtheory import OutOfRangeError, gcd_stable, v_p
 
@@ -148,19 +149,28 @@ def closed_form_homology(family: str, n: int, i: int, rank: int) -> GroupInvaria
         H_i(C^n(Z^r)) = sum over |c| = n of (Z/gcd c)^C(s-1, i),
 
     and D, the dual Koszul complex, reflects the wedge degree n - i to
-    k = s - (n - i).
+    k = s - (n - i).  The summand of c depends only on its partition
+    lambda, the nonzero entries sorted, so the sum runs over the partitions
+    of n into at most rank parts, each counted r! / ((r - s)! prod m_k!)
+    times, the m_k the multiplicities of its parts.  Those counts must add
+    up to the number of contents, so a dropped partition raises.
     """
     if family not in ("C", "D"):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise OutOfRangeError("weight must be at least 1")
     torsion: list[int] = []
-    for c in exponent_vectors(n, rank):
-        g = math.gcd(*c)
-        s = sum(1 for x in c if x)
+    contents = 0
+    for part in _partitions(n, rank):
+        s = len(part)
+        orbit = math.perm(rank, s) // math.prod(map(math.factorial, Counter(part).values()))
+        contents += orbit
+        g = math.gcd(*part)
         k = i if family == "C" else s - (n - i)
         if g > 1 and 0 <= k < s:
-            torsion.extend([g] * math.comb(s - 1, k))
+            torsion.extend([g] * (orbit * math.comb(s - 1, k)))
+    if contents != basis_size("gamma", n, rank):
+        raise ValueError(f"the partitions of {n} into at most {rank} parts miss contents")
     return GroupInvariants(0, tuple(torsion))
 
 

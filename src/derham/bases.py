@@ -40,6 +40,15 @@ def exponent_vectors(degree: int, rank: int) -> tuple[Exponents, ...]:
     return tuple(out)
 
 
+def _partitions(n: int, parts: int, least: int = 1):
+    """The partitions of n into at most ``parts`` parts, none below ``least``,
+    each as its parts in ascending order."""
+    if n == 0:
+        yield ()
+    for k in range(least, n + 1 if parts else 0):
+        yield from ((k, *rest) for rest in _partitions(n - k, parts - 1, k))
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(functor: str, degree: int, rank: int) -> tuple[tuple, ...]:
     """Ordered basis labels of wedge/sym/gamma powers of Z^rank.

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
-from .bases import basis_index, basis_size, enumerate_basis, exponent_vectors
+from .bases import _partitions, basis_index, basis_size, enumerate_basis, exponent_vectors
 from .intlinalg import GroupInvariants
 
 FACTORS = {"C": ("wedge", "gamma"), "D": ("sym", "wedge")}  # left^i (x) right^(n-i)
@@ -299,15 +299,6 @@ def build(family: str, n: int, r: int) -> ChainComplexZ:
     if family not in FACTORS:
         raise ValueError(f"unknown family {family!r}")
     return (build_C if family == "C" else build_D)(n, r)
-
-
-def _partitions(n: int, parts: int, least: int = 1):
-    """The partitions of n into at most ``parts`` parts, none below ``least``,
-    each as its parts in ascending order."""
-    if n == 0:
-        yield ()
-    for k in range(least, n + 1 if parts else 0):
-        yield from ((k, *rest) for rest in _partitions(n - k, parts - 1, k))
 
 
 class OrbitComplex:

@@ -2,10 +2,11 @@
 
 The dense numpy views of a matrix, the dense exchange forms, the full
 Koszul complex over F_p, iterated Tor, the divided-power structure
-constants at basis positions, and the checks that build a full complex or
-certify the comparison maps by second routes.  No module on the command
-path imports this one, so a command neither compiles nor loads it; numpy is
-imported when a view is called.
+constants at basis positions, the degree-0 map decided column by column,
+and the checks that build a full complex or certify the comparison maps by
+second routes.  No module on the command path imports this one, so a
+command neither compiles nor loads it; numpy is imported when a view is
+called.
 
 The complexes and the lemma's modulus are read through their modules at
 call time, so a test that replaces ``complexes.build_C``,
@@ -37,7 +38,14 @@ from .bases import (
     unit_terms,
     vec_add,
 )
-from .comparison import _generator_lifts, _unit_vector, eta_vector, theorem_block
+from .comparison import (
+    QMap,
+    _column_onto,
+    _generator_lifts,
+    _unit_vector,
+    eta_vector,
+    theorem_block,
+)
 from .intlinalg import GroupInvariants, as_rows, read_text, require_prime
 from .koszul import derived_sp, generator_presentation, presentation_dimension
 from .numtheory import OutOfRangeError, binomial
@@ -524,6 +532,42 @@ def presentations_agree(i: int, n: int, p: int, r: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # well-definedness of the comparison maps
+
+
+def q_kills_boundaries(q: QMap) -> bool:
+    """Every column of d_1 must map to 0 modulo the target cyclic orders.
+
+    d_1 keeps contents, and its block of c is one row, the divided monomial
+    c, with entries x = ±c_j, read off the block alone.  Each column of that
+    block maps to x times the column y of c, so x·y_k must vanish modulo the
+    order of each row k."""
+    orders, source = q.target.orders, complexes.homology_of("C", q.n, q.r).source
+    return all(
+        x * y % orders[k] == 0
+        for c, column in q.columns.items()
+        for x in source.block(c).d(1)[0].values()
+        for k, y in column.items()
+    )
+
+
+def h0_map_is_iso(q: QMap, hom: complexes.ComplexHomology) -> bool:
+    """Whether q induces an isomorphism from H_0 of hom's complex onto the
+    target, the sum of cyclic groups of the target orders: a well-defined
+    surjection between isomorphic finite groups, decided column by column,
+    the reference for ``comparison.verify_h0_iso``.
+
+    The source is ``hom.invariants(0)``, read off one block of d_0 and d_1
+    per S_r orbit of content vectors.  If every target row lies in exactly
+    one column, q is the direct sum of its columns, so it is onto exactly
+    when each column, of at most 2 rows, is onto its rows' cyclic groups.
+    A q not graded this way is refused as not onto."""
+    orders = q.target.orders
+    rows = sorted(k for column in q.columns.values() for k in column)
+    onto = rows == list(range(len(orders))) and all(
+        _column_onto(column, orders) for column in q.columns.values()
+    )
+    target = GroupInvariants(0, orders)
+    return la.MapFacts(q_kills_boundaries(q), onto, target).iso(hom.invariants(0))
 
 
 def f_matrix(i: int, n: int, p: int, r: int) -> list[list[int]]:

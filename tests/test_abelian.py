@@ -6,6 +6,7 @@ import pytest
 
 from derham import abelian as ab
 from derham import reference as ref
+from derham.bases import exponent_vectors
 from derham.complexes import homology_of
 from derham.intlinalg import TRIVIAL_GROUP, GroupInvariants
 from derham.numtheory import OutOfRangeError
@@ -197,3 +198,36 @@ def test_closed_form_weight_eight():
         ab.closed_form_homology("C", 0, 0, 2)
     with pytest.raises(ValueError):
         ab.closed_form_homology("E", 4, 0, 2)
+
+
+def _closed_form_per_content(family, n, i, rank):
+    """The reference: the closed form summed over every content vector c,
+    (Z/gcd c)^C(s-1, k) with s = |supp c| and k = i (C) or s - (n - i) (D)."""
+    torsion = []
+    for c in exponent_vectors(n, rank):
+        g = math.gcd(*c)
+        s = sum(1 for x in c if x)
+        k = i if family == "C" else s - (n - i)
+        if g > 1 and 0 <= k < s:
+            torsion.extend([g] * math.comb(s - 1, k))
+    return GroupInvariants(0, tuple(torsion))
+
+
+def test_closed_form_per_partition_matches_the_sum_over_contents():
+    for family in "CD":
+        for n in range(1, 9):
+            for r in range(6):
+                for i in range(-1, n + 2):
+                    got = ab.closed_form_homology(family, n, i, r)
+                    assert got == _closed_form_per_content(family, n, i, r), (family, n, i, r)
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (5, 5), (8, 2)])
+def test_closed_form_refuses_a_dropped_partition(monkeypatch, n, r):
+    partitions = list(ab._partitions(n, r))
+    ab.closed_form_homology("C", n, 1, r)
+    for k in range(len(partitions)):
+        dropped = partitions[:k] + partitions[k + 1:]
+        monkeypatch.setattr(ab, "_partitions", lambda n, parts: iter(dropped))
+        with pytest.raises(ValueError, match="miss contents"):
+            ab.closed_form_homology("C", n, 1, r)

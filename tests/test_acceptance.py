@@ -15,7 +15,6 @@ from derham import reference as ref
 from derham.abelian import elementary, expected_table_entry, prime_divisors
 from derham.comparison import (
     f18_counterexample,
-    q_kills_boundaries,
     q_matrix,
     verify_h0_iso,
     verify_q_relations,
@@ -29,6 +28,7 @@ from derham.reference import (
     check_central_divisibility,
     lift_change_in_boundaries,
     presentations_agree,
+    q_kills_boundaries,
     verify_f_welldefined,
 )
 

@@ -674,6 +674,55 @@ def test_verify_h0_rank4_weight12_in_bounded_memory():
     assert peak_kb < 70 * 1024
 
 
+# Runs the Python source that follows and writes the child's peak RSS (in
+# kB) as the last line of stderr, as _PEAK_RSS_CHILD does for the CLI.
+_PEAK_RSS_LIBRARY = """
+import sys
+exec(sys.argv[1])
+with open("/proc/self/status") as fh:
+    peak = next(line for line in fh if line.startswith("VmHWM:"))
+sys.stderr.write(peak.split()[1] + "\\n")
+"""
+
+
+def _library_call_with_peak_rss(source):
+    """Run library code in a child: its stdout and its peak RSS in kB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LIBRARY, source],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, int(proc.stderr.split()[-1])
+
+
+def test_verify_h0_rank12_every_weight_in_bounded_memory():
+    # decided per partition of n; one q column per content and a block read
+    # per content peaked at 1563 MB
+    out, peak_kb = _library_call_with_peak_rss(
+        "from derham.comparison import verify_h0_iso\n"
+        "print(all(verify_h0_iso(n, 12) for n in range(2, 13)))"
+    )
+    assert out == "True\n"
+    assert peak_kb < 64 * 1024
+
+
+def test_closed_form_c12_rank12_in_bounded_memory():
+    # summed per partition of 12; the sum over the 1.35e6 contents of every
+    # degree peaked at 549 MB (digest recorded from it)
+    out, peak_kb = _library_call_with_peak_rss(
+        "import json\n"
+        "from derham.abelian import closed_form_homology\n"
+        "groups = [closed_form_homology('C', 12, i, 12).as_dict() for i in range(13)]\n"
+        "print(json.dumps(groups, sort_keys=True, separators=(',', ':')))"
+    )
+    assert hashlib.sha256(out.strip().encode()).hexdigest() == (
+        "a300766838ab865c52c3f0064bfed1b71f2af9a696cfc3b6c465b2b40f749102"
+    )
+    assert peak_kb < 64 * 1024
+
+
 def test_derived_sp_rank6_in_bounded_memory(tmp_path):
     # the generator presentation is written as sparse rows; its dense
     # gens x relations matrix peaked at 39.5 MB (digest recorded from it)

@@ -1,6 +1,7 @@
 """The comparison maps: degree-0 structure, higher cycles, counterexample."""
 
 import random
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -70,7 +71,7 @@ def test_q_matrix_entries_are_boolean():
 def test_q_kills_boundaries_range():
     for n in range(2, 9):
         for r in (1, 2):
-            assert cmp.q_kills_boundaries(cmp.q_matrix(n, r))
+            assert ref.q_kills_boundaries(cmp.q_matrix(n, r))
 
 
 def _dense_q(q):
@@ -121,7 +122,7 @@ def test_q_kills_boundaries_matches_dense_reference():
     for n in range(2, 13):
         for r in range(4):
             q = cmp.q_matrix(n, r)
-            assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
+            assert ref.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
 
 
 def test_q_kills_boundaries_rejects_a_moved_entry():
@@ -132,10 +133,10 @@ def test_q_kills_boundaries_rejects_a_moved_entry():
     assert q.target.orders == (4, 2, 4)
     assert q.columns[2, 2] == {1: 1}
     moved = _with_entry(_with_entry(q, 1, 2, 0), 2, 2, 1)
-    assert cmp.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
+    assert ref.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
     q8 = cmp.q_matrix(8, 2)
     moved = _with_entry(_with_entry(q8, 3, 6, 0), 4, 6, 1)
-    assert cmp.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
+    assert ref.q_kills_boundaries(moved) is _dense_q_kills_boundaries(moved) is False
 
 
 def test_h0_iso_rejects_a_doubled_entry():
@@ -143,10 +144,10 @@ def test_h0_iso_rejects_a_doubled_entry():
     # generator of order 2 misses it: not surjective
     q = cmp.q_matrix(4, 2)
     hom = cx.homology_of("C", 4, 2)
-    assert cmp.h0_map_is_iso(q, hom)
+    assert ref.h0_map_is_iso(q, hom)
     doubled = _with_entry(q, 1, 2, 2)
-    assert cmp.q_kills_boundaries(doubled) is _dense_q_kills_boundaries(doubled) is True
-    assert not cmp.h0_map_is_iso(doubled, hom)
+    assert ref.q_kills_boundaries(doubled) is _dense_q_kills_boundaries(doubled) is True
+    assert not ref.h0_map_is_iso(doubled, hom)
 
 
 def test_h0_iso_rejects_a_wrong_target_order():
@@ -155,20 +156,20 @@ def test_h0_iso_rejects_a_wrong_target_order():
     # too large: x1^[4] maps to its generator, and d_1 of x1 (x) x1^[3] is
     # 4 x1^[4], not 0 mod 8
     larger = _with_orders(q, (8, 2, 4))
-    assert not cmp.q_kills_boundaries(larger)
-    assert not cmp.h0_map_is_iso(larger, hom)
+    assert not ref.q_kills_boundaries(larger)
+    assert not ref.h0_map_is_iso(larger, hom)
     # too small: still well defined and onto, but onto a smaller group
     smaller = _with_orders(q, (4, 1, 4))
-    assert cmp.q_kills_boundaries(smaller)
-    assert not cmp.h0_map_is_iso(smaller, hom)
+    assert ref.q_kills_boundaries(smaller)
+    assert not ref.h0_map_is_iso(smaller, hom)
 
 
 def test_h0_decision_per_content_matches_dense_reference():
     for n in range(2, 13):
         for r in range(5):
             q, hom = cmp.q_matrix(n, r), cx.homology_of("C", n, r)
-            assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
-            assert cmp.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is True, (n, r)
+            assert ref.q_kills_boundaries(q) is _dense_q_kills_boundaries(q) is True
+            assert ref.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is True, (n, r)
     q4, q8 = cmp.q_matrix(4, 2), cmp.q_matrix(8, 2)
     mutated = [
         (_with_entry(_with_entry(q4, 1, 2, 0), 2, 2, 1), False),
@@ -180,8 +181,8 @@ def test_h0_decision_per_content_matches_dense_reference():
     ]
     for q, iso in mutated:
         hom = cx.homology_of("C", q.n, q.r)
-        assert cmp.q_kills_boundaries(q) is _dense_q_kills_boundaries(q)
-        assert cmp.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is iso
+        assert ref.q_kills_boundaries(q) is _dense_q_kills_boundaries(q)
+        assert ref.h0_map_is_iso(q, hom) is _dense_h0_map_is_iso(q, hom) is iso
 
 
 def _smith_column_onto(column, orders):
@@ -232,14 +233,14 @@ def test_h0_iso_rejects_a_map_not_graded_by_content():
     hom = cx.homology_of("C", 4, 2)
     # the generator of x1 x2 (order 2) hit by no column: not onto
     missed = _with_entry(q, 1, 2, 0)
-    assert cmp.q_kills_boundaries(missed)
-    assert not cmp.h0_map_is_iso(missed, hom)
+    assert ref.q_kills_boundaries(missed)
+    assert not ref.h0_map_is_iso(missed, hom)
     assert not _dense_h0_map_is_iso(missed, hom)
     # hit by the columns of x1^[2] x2^[2] and of x1^[4]: the map is still
     # well defined, but q no longer keeps contents, and is refused
     twice = _with_entry(q, 1, 0, 1)
-    assert cmp.q_kills_boundaries(twice)
-    assert not cmp.h0_map_is_iso(twice, hom)
+    assert ref.q_kills_boundaries(twice)
+    assert not ref.h0_map_is_iso(twice, hom)
 
 
 def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
@@ -261,18 +262,90 @@ def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
     assert max(rows for rows, _ in shapes) <= 2, max(shapes)
 
 
-def test_verify_h0_iso_checks_well_definedness_once(monkeypatch):
-    calls = []
-    check = cmp.q_kills_boundaries
+def test_verify_h0_iso_decides_once_per_partition(monkeypatch):
+    # no q_matrix or target basis is built, and the decision reads the
+    # block of each partition's representative once; the source invariants
+    # are read first, so their own block reads are not counted
+    for cache in (cx._koszul, cx.homology_of, cmp.h0_target, cmp.q_matrix):
+        cache.cache_clear()
+    hom = cx.homology_of("C", 6, 2)
+    hom.invariants(0)
+    reads = []
+    block = cx.OrbitComplex.block
 
-    def counting(q):
-        calls.append(q)
-        return check(q)
+    def counting(self, content):
+        reads.append(content)
+        return block(self, content)
 
-    monkeypatch.setattr(cmp, "q_kills_boundaries", counting)
-    cmp.q_matrix.cache_clear()
+    monkeypatch.setattr(cx.OrbitComplex, "block", counting)
     assert cmp.verify_h0_iso(6, 2)
-    assert len(calls) == 1
+    assert cmp.q_matrix.cache_info().misses == cmp.h0_target.cache_info().misses == 0
+    assert len(reads) == len(set(reads)) and set(reads) <= set(hom.source.orbits)
+
+
+def test_q_commutes_with_coordinate_permutations():
+    # the column of sigma c is the row of (p, sigma(c/p)), whose order is
+    # that of (p, c/p), and the d_1 row of sigma c holds the entries of c up
+    # to sign: so verify_h0_iso may decide one content per partition
+    for n in range(2, 9):
+        for r in range(5):
+            q = cmp.q_matrix(n, r)
+            rows, orders = q.target.rows, q.target.orders
+            source = cx.homology_of("C", n, r).source
+            for c in q.columns:
+                primes = [p for p in prime_divisors(n) if not any(x % p for x in c)]
+                for sigma in permutations(range(r)):
+                    moved = tuple(c[j] for j in sigma)
+                    roots = {p: tuple(x // p for x in moved) for p in primes}
+                    assert q.columns[moved] == {rows[p, root]: 1 for p, root in roots.items()}
+                    for p, root in roots.items():
+                        order = cmp.monomial_order_mod_p(tuple(x // p for x in c), p)
+                        assert cmp.monomial_order_mod_p(root, p) == order == orders[rows[p, root]]
+                    d1 = source.block(moved).d(1)[0]
+                    assert sorted(map(abs, d1.values())) == sorted(x for x in c if x)
+
+
+@pytest.mark.parametrize(
+    "mutate,iso,decided",
+    [
+        (lambda m, p: m, True, {(True, True)}),
+        # too large: d_1 of the smallest entry of c is not 0 modulo the order
+        (lambda m, p: m * p, False, {(False, True)}),
+        # too small: well defined and onto, but onto a smaller group
+        (lambda m, p: m // p, False, {(True, True)}),
+        # at 6 | n, the two rows of a column share the factor 6: not onto
+        (lambda m, p: m * 6, False, {(False, True), (False, False)}),
+    ],
+    ids=["orders", "orders-times-p", "orders-over-p", "orders-times-6"],
+)
+def test_h0_facts_per_partition_match_the_per_monomial_route(monkeypatch, mutate, iso, decided):
+    # well-definedness, surjectivity and the target, each decided alike by
+    # both routes, on the true orders and on orders mutated in
+    # monomial_order_mod_p, which both routes read
+    facts, seen = [], set()
+    record, order = la.MapFacts, cmp.monomial_order_mod_p
+
+    def recording(*args):
+        facts.append(record(*args))
+        return facts[-1]
+
+    monkeypatch.setattr(la, "MapFacts", recording)
+    monkeypatch.setattr(cmp, "monomial_order_mod_p", lambda e, p: mutate(order(e, p), p))
+    cmp.h0_target.cache_clear()
+    cmp.q_matrix.cache_clear()
+    try:
+        for n in range(2, 13 if iso else 9):
+            for r in range(5) if iso else (1, 2, 3):
+                facts.clear()
+                hom = cx.homology_of("C", n, r)
+                per_monomial = ref.h0_map_is_iso(cmp.q_matrix(n, r), hom)
+                assert per_monomial is cmp.verify_h0_iso(n, r) is iso, (n, r)
+                assert facts[0] == facts[1], (n, r)
+                seen.add(facts[0][:2])
+    finally:
+        cmp.h0_target.cache_clear()
+        cmp.q_matrix.cache_clear()
+    assert seen == decided
 
 
 @pytest.mark.parametrize(
@@ -364,6 +437,30 @@ def test_relation_suite_reports_a_wrong_q(monkeypatch, formula, n, r, kinds, cou
     assert report.checked == checked
     assert {failure[0] for failure in report.failures} == kinds
     assert len(report.failures) == count
+
+
+@pytest.mark.parametrize(
+    "n,r,evaluated,checked",
+    [
+        (8, 2, 353, {"merge": 252, "sum": 324, "sign": 108}),
+        (7, 2, 29, {"merge": 168, "sum": 252, "sign": 84}),
+    ],
+)
+def test_relation_suite_evaluates_only_live_expressions(monkeypatch, n, r, evaluated, checked):
+    # the counts of the route that built every group's expressions: groups
+    # that no prime evaluates are counted, and each live expression is still
+    # evaluated once
+    calls = []
+    value = cmp._q_value
+
+    def counting(*args):
+        calls.append(args)
+        return value(*args)
+
+    monkeypatch.setattr(cmp, "_q_value", counting)
+    report = cmp.verify_q_relations(n, r)
+    assert report.ok and report.checked == checked
+    assert len(calls) == evaluated
 
 
 def test_h0_source_read_per_orbit_matches_every_block():
