@@ -11,7 +11,8 @@ derham.reference, the module of code that no command runs.
 
 from derham import intlinalg as la
 from derham import reference as ref
-from derham.complexes import build_C, homology_of
+from derham.complexes import homology_of
+from derham.reference import build_C
 
 # A matrix with interesting invariant factors.
 m = ref.intmat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])

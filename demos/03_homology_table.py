@@ -7,8 +7,8 @@ including the 4-torsion appearing at weight 4.
 """
 
 from derham.abelian import expected_table_entry
-from derham.complexes import build_C, homology_of
-from derham.reference import homology
+from derham.complexes import homology_of
+from derham.reference import build_C, homology
 
 RANK = 2
 
@@ -31,7 +31,7 @@ print("\nweight 4 on Z: d_1 =", c4.d(1).tolist(), " d_2 =", c4.d(2).tolist())
 print("H_0 =", homology(c4, 0))
 
 # The companion family (symmetric times wedge) is built the same way.
-from derham.complexes import build_D
+from derham.reference import build_D
 
 d3 = build_D(3, 2)
 print("\ncompanion weight-3 complex on Z^2, homology:",

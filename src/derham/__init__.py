@@ -10,9 +10,10 @@ weight 7 via explicit comparison cycles, the Koszul model for derived
 symmetric powers, and the weight-8 breakdown where 4-torsion appears.
 
 The package namespace holds what the commands run.  The code that no
-command runs, the dense numpy views, the full Koszul complex over F_p and
-the second routes the tests and demos check against, is in
-``derham.reference``, which neither the package nor any command imports.
+command runs, the dense numpy views, the full complexes with their bases
+(``build_C``, ``build_D`` and the Koszul complex over F_p) and the second
+routes the tests and demos check against, is in ``derham.reference``,
+which neither the package nor any command imports.
 """
 
 from .abelian import (
@@ -32,13 +33,7 @@ from .comparison import (
     verify_q_relations,
     verify_theorem,
 )
-from .complexes import (
-    ChainComplexZ,
-    build_C,
-    build_D,
-    homology_of,
-    kunneth_check,
-)
+from .complexes import homology_of, kunneth_check
 from .intlinalg import (
     GroupInvariants,
     SnfResult,
@@ -55,11 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GroupInvariants",
-    "ChainComplexZ",
     "SnfResult",
     "binomial",
-    "build_C",
-    "build_D",
     "derived_sp",
     "enumerate_basis",
     "eta",

@@ -22,7 +22,14 @@ from .comparison import (
     verify_q_relations,
     verify_theorem,
 )
-from .complexes import build, homology_of, kunneth_check
+from .complexes import (
+    FACTORS,
+    _check_partition,
+    block_entries,
+    homology_of,
+    kunneth_check,
+    placed_blocks,
+)
 from .koszul import derived_sp, generator_presentation, presentation_dimension
 from .numtheory import sweep_binomial_lemma
 
@@ -214,11 +221,12 @@ def cmd_homology(ns) -> int:
     ]
     if ns.dump_matrices:
         os.makedirs(ns.dump_matrices, exist_ok=True)
-        cx = build(ns.family, ns.n, ns.rank)
+        blocks, cx = placed_blocks(*FACTORS[ns.family], ns.n, ns.rank), hom.source
+        _check_partition(cx, blocks, [1] * len(blocks))
         for i in range(1, ns.n + 1):
             path = os.path.join(ns.dump_matrices, f"d_{i}.txt")
             with open(path, "w") as fh:
-                la.write_text(fh, (cx.dim(i - 1), cx.dim(i)), *cx.entries(i))
+                la.write_text(fh, (cx.dim(i - 1), cx.dim(i)), *block_entries(blocks, i))
     if ns.format == "json":
         _emit(_json_dumps({"command": "homology", "records": records}), ns.output)
     else:

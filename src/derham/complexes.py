@@ -32,10 +32,13 @@ c: ``DifferentialSolver.solve``, ``is_cycle`` and the classes of
 ``ComplexHomology.presentation`` apply one block at a time and read no
 basis.  A finite H_i is presented from the Smith forms of the blocks of
 d_(i+1): their invariant factors give the cyclic summands, and the matching
-rows of their left transforms U send each cycle to its class.  Of the
-commands only ``homology --dump-matrices`` builds a full complex, with
-blocks at basis positions; tests and demos also build one, and assemble a
-dense d_i, through ``derham.reference``.
+rows of their left transforms U send each cycle to its class.
+
+``homology --dump-matrices`` reads every block placed at the basis
+positions of its labels (``placed_blocks``) and writes each d_i from their
+entries in row order (``block_entries``), with no basis listed and no
+complex kept.  The full complexes that tests and demos read, with labels
+and a dense d_i, are built from the same placement in ``derham.reference``.
 """
 
 from __future__ import annotations
@@ -45,28 +48,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial, prod
 from operator import mul
-from typing import NamedTuple
 
 from . import intlinalg as la
 from .abelian import direct_sum, tensor, tor
-from .bases import _partitions, basis_index, basis_size, enumerate_basis, exponent_vectors
+from .bases import _partitions, basis_index, basis_size, exponent_vectors
 from .intlinalg import GroupInvariants
 
 FACTORS = {"C": ("wedge", "gamma"), "D": ("sym", "wedge")}  # left^i (x) right^(n-i)
-
-
-class PairBasis(NamedTuple):
-    """Tensor basis ordered lexicographically by (left label, right label)."""
-
-    left: tuple
-    right: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.left) * len(self.right)
-
-    def labels(self) -> tuple:
-        return tuple((l, r) for l in self.left for r in self.right)
 
 
 class Block:
@@ -98,69 +86,6 @@ class Block:
         return la.SparseRows(({} for _ in self.at(i - 1)), len(self.at(i)))
 
 
-class ChainComplexZ:
-    """Length-n complex of based free modules with integer differentials,
-    stored as content blocks: every d_i is the block sum of blocks[k].d(i)
-    over the positions of each block.  Outside 0..n every module is zero.
-    A complex without content is one block, with content ().
-    """
-
-    def __init__(self, family: str, n: int, rank: int, bases: tuple[PairBasis, ...],
-                 blocks: tuple[Block, ...]):
-        self.family, self.n, self.rank, self.bases, self.blocks = family, n, rank, bases, blocks
-
-    def dim(self, i: int) -> int:
-        if 0 <= i <= self.n:
-            return self.bases[i].size
-        return 0
-
-    def labels(self, i: int) -> tuple:
-        """Basis labels of degree i, ordered as the rows and columns of d."""
-        if 0 <= i <= self.n:
-            return self.bases[i].labels()
-        return ()
-
-    def block(self, content: tuple) -> Block:
-        return self._by_content[content]
-
-    @cached_property
-    def _by_content(self) -> dict[tuple, Block]:
-        return {b.content: b for b in self.blocks}
-
-    @property
-    def contents(self):
-        """The content of every block, in order."""
-        return self._by_content.keys()
-
-    @cached_property
-    def orbits(self) -> Counter:
-        """Number of blocks per S_r-orbit representative, the sorted content."""
-        return Counter(tuple(sorted(b.content)) for b in self.blocks)
-
-    def entries(self, i: int) -> tuple[list[int], list[int], list[int]]:
-        """The nonzero entries of d_i as (rows, cols, values), read off the
-        blocks, in row-major order."""
-        triples = []
-        for b in self.blocks:
-            row_at, col_at = b.at(i - 1), b.at(i)
-            for k, row in enumerate(b.d(i)):
-                triples += ((row_at[k], col_at[l], x) for l, x in row.items())
-        triples.sort()  # positions are distinct, so values are never compared
-        return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
-
-    def d(self, i: int):
-        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0, a
-        numpy object array assembled from the blocks on every call.  Only
-        tests and demos read a dense d_i; the library reads the blocks and
-        ``entries``."""
-        import numpy as np
-
-        rows, cols, values = self.entries(i)
-        mat = np.zeros((self.dim(i - 1), self.dim(i)), dtype=object)
-        mat[rows, cols] = np.array(values, dtype=object)
-        return mat
-
-
 def _dd_nonzero(diffs: tuple, first: int = 1) -> int:
     """The first i with d_(i-1) d_i != 0, else 0, for diffs d_first, d_(first
     + 1), ...: a row of d_(i-1) times d_i adds the sparse rows of d_i it
@@ -179,13 +104,13 @@ def _dd_nonzero(diffs: tuple, first: int = 1) -> int:
     return 0
 
 
-def _check_partition(cx, sizes=None) -> None:
-    """The blocks hold every label of every degree, each block counted once
-    or, given sizes, sizes[k] times.  Blocks come from contents, not from
-    the labels, so a missed label would otherwise drop out silently."""
+def _check_partition(cx, blocks, sizes) -> None:
+    """The blocks hold every label of every degree of cx, block k counted
+    sizes[k] times.  Blocks come from contents, not from the labels, so a
+    missed label would otherwise drop out silently."""
     held = [0] * (cx.n + 1)
-    for i, degree in enumerate(zip(*(b.positions for b in cx.blocks))):
-        held[i] = sum(map(mul, map(len, degree), sizes)) if sizes else sum(map(len, degree))
+    for i, degree in enumerate(zip(*(b.positions for b in blocks))):
+        held[i] = sum(map(mul, map(len, degree), sizes))
     if held != [cx.dim(i) for i in range(cx.n + 1)]:
         raise ValueError(
             f"the blocks of {cx.family}^{cx.n}(Z^{cx.rank}) do not hold every position"
@@ -245,22 +170,19 @@ def block_label(c: tuple, support: list[int], W: tuple) -> tuple[tuple, tuple]:
     return W, tuple(m)
 
 
-def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r), one
-    of the two the wedge: each content c's block from ``_koszul``, at the
-    basis positions of its labels (``block_label``)."""
-    if n < 0 or r < 0:
-        raise ValueError("need n >= 0 and r >= 0")
-    bases = tuple(
-        PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
-        for i in range(n + 1)
-    )
+def placed_blocks(left: str, right: str, n: int, r: int) -> list[Block]:
+    """Every content block of the complex with degree-i term left^i(Z^r)
+    (x) right^(n-i)(Z^r), one of the two the wedge, in the order of
+    ``exponent_vectors``: c's block from ``_koszul``, each place at the basis
+    position of its label (``block_label``), the basis of a degree ordered
+    lexicographically by (left label, right label).  No basis is listed;
+    ``basis_index`` ranks each factor."""
     wedge_left = left == "wedge"
     other = right if wedge_left else left
     sizes = range(min(n, r) + 1)  # of a wedge
     wedge_at = [basis_index("wedge", w, r) for w in sizes]
     other_at = [basis_index(other, n - w, r) for w in sizes]
-    widths, blocks = [len(b.right) for b in bases], []
+    widths, blocks = [basis_size(right, n - i, r) for i in range(n + 1)], []
     for c in exponent_vectors(n, r):
         support = [j for j, cj in enumerate(c, start=1) if cj]
         values = tuple([c[j - 1] for j in support])
@@ -274,31 +196,20 @@ def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainC
                 found.append(a * width + b if wedge_left else b * width + a)
             positions.append(tuple(found))
         blocks.append(Block(c, tuple(positions), diffs, solvers, first))
-    cx = ChainComplexZ(family, n, r, bases, tuple(blocks))
-    _check_partition(cx)
-    return cx
+    return blocks
 
 
-@lru_cache(maxsize=None)
-def build_C(n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r).
-
-    n = 0 gives the unit complex: Z in degree 0, with the one label
-    ((), (0,) * r), the weight-0 factor of a tensor decomposition.
-    """
-    return _build_complex("C", *FACTORS["C"], n, r)
-
-
-@lru_cache(maxsize=None)
-def build_D(n: int, r: int) -> ChainComplexZ:
-    """The complex with degree-i term sym^i(Z^r) (x) wedge^(n-i)(Z^r)."""
-    return _build_complex("D", *FACTORS["D"], n, r)
-
-
-def build(family: str, n: int, r: int) -> ChainComplexZ:
-    if family not in FACTORS:
-        raise ValueError(f"unknown family {family!r}")
-    return (build_C if family == "C" else build_D)(n, r)
+def block_entries(blocks, i: int) -> tuple[list[int], list[int], list[int]]:
+    """The nonzero entries of d_i, the sum of the blocks at their positions,
+    as (rows, cols, values) in row-major order."""
+    triples = []
+    for b in blocks:
+        row_at, col_at = b.at(i - 1), b.at(i)
+        if row_at and col_at:  # else d_i of the block is empty
+            for k, row in enumerate(b.d(i)):
+                triples += ((row_at[k], col_at[l], x) for l, x in row.items())
+    triples.sort()  # positions are distinct, so values are never compared
+    return [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
 
 
 class OrbitComplex:
@@ -313,7 +224,7 @@ class OrbitComplex:
             raise ValueError(f"no complex {family}^{n}(Z^{rank})")
         self.family, self.n, self.rank = family, n, rank
         self._blocks: dict[tuple, Block] = {}
-        _check_partition(self, list(self.orbits.values()))
+        _check_partition(self, self.blocks, list(self.orbits.values()))
 
     @cached_property
     def orbits(self) -> dict[tuple, int]:
@@ -450,7 +361,7 @@ class ComplexHomology:
     source, one content at a time, in block-local coordinates.  No full
     basis is enumerated for an ``OrbitComplex``."""
 
-    def __init__(self, source: ChainComplexZ | OrbitComplex):
+    def __init__(self, source: OrbitComplex):
         self.source = source
         self._solver: dict[int, DifferentialSolver] = {}
         self._invariants: dict[int, GroupInvariants] = {}
@@ -556,3 +467,15 @@ def kunneth_check(n: int, rank_a: int, rank_b: int, k: int) -> bool:
         for r in range(k):
             pieces.append(tor(grid_a[i, r], grid_b[j, k - 1 - r]))
     return left == direct_sum(pieces)
+
+
+def __getattr__(name: str):
+    """``build_C`` and ``build_D``, the full complexes of ``derham.reference``,
+    read here only by the benchmark: ``bench/spans.py`` wraps both and
+    ``bench/test_bench.py`` imports ``build_C``.  Reading one loads
+    ``derham.reference``, which no command does."""
+    if name in ("build_C", "build_D"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -114,12 +114,3 @@ def presentation_dimension(pres: GeneratorPresentation) -> int:
     """Dimension of the presented F_p-vector space."""
     return len(pres.generators) - la.fp_rank(pres.relations, pres.p)
 
-
-def __getattr__(name: str):
-    """``build_koszul``, the reference Koszul complex over F_p, lives in
-    ``derham.reference``, which no command loads; reading it here loads it."""
-    if name == "build_koszul":
-        from .reference import build_koszul
-
-        return build_koszul
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

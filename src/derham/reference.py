@@ -1,24 +1,26 @@
 """Code that no command runs: the references the tests and demos read.
 
 The dense numpy views of a matrix, the dense exchange forms, the full
-Koszul complex over F_p, iterated Tor, the divided-power structure
-constants at basis positions, the degree-0 map decided column by column,
-and the checks that build a full complex or certify the comparison maps by
-second routes.  No module on the command path imports this one, so a
-command neither compiles nor loads it; numpy is imported when a view is
+complexes C, D and the Koszul complex over F_p with their bases (the
+blocks of ``complexes.placed_blocks``), iterated Tor, the divided-power
+structure constants at basis positions, the degree-0 map decided column by
+column, and the checks that read a full complex or certify the comparison
+maps by second routes.  No module on the command path imports this one, so
+a command neither compiles nor loads it; numpy is imported when a view is
 called.
 
-The complexes and the lemma's modulus are read through their modules at
-call time, so a test that replaces ``complexes.build_C``,
-``complexes._build_complex`` or ``numtheory._lemma_modulus`` reaches the
-checks here as well.
+The full builders are read as this module's own names, the orbit route and
+the lemma's modulus through their modules, all at call time: a test that
+replaces ``build_C``, ``_build_complex``, ``complexes.homology_of`` or
+``numtheory._lemma_modulus`` reaches the checks here as well.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from functools import lru_cache
+from collections import Counter
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, prod
 from typing import Callable, NamedTuple, Sequence
@@ -352,10 +354,117 @@ def gamma_power_identity_check(r_max: int = 6, scalar_max: int = 4) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# full complexes: homology, d d = 0, the tensor split and cross-effects
+# full complexes: the builder, homology, d d = 0, the tensor split and
+# cross-effects
 
 
-def homology(cx: complexes.ChainComplexZ, i: int) -> GroupInvariants:
+class PairBasis(NamedTuple):
+    """Tensor basis ordered lexicographically by (left label, right label)."""
+
+    left: tuple
+    right: tuple
+
+    @property
+    def size(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def labels(self) -> tuple:
+        return tuple((l, r) for l in self.left for r in self.right)
+
+
+class ChainComplexZ:
+    """Length-n complex of based free modules with integer differentials,
+    stored as content blocks: every d_i is the block sum of blocks[k].d(i)
+    over the positions of each block.  Outside 0..n every module is zero.
+    A complex without content is one block, with content ().
+    """
+
+    def __init__(self, family: str, n: int, rank: int, bases: tuple[PairBasis, ...],
+                 blocks: tuple[complexes.Block, ...]):
+        self.family, self.n, self.rank, self.bases, self.blocks = family, n, rank, bases, blocks
+
+    def dim(self, i: int) -> int:
+        if 0 <= i <= self.n:
+            return self.bases[i].size
+        return 0
+
+    def labels(self, i: int) -> tuple:
+        """Basis labels of degree i, ordered as the rows and columns of d."""
+        if 0 <= i <= self.n:
+            return self.bases[i].labels()
+        return ()
+
+    def block(self, content: tuple) -> complexes.Block:
+        return self._by_content[content]
+
+    @cached_property
+    def _by_content(self) -> dict[tuple, complexes.Block]:
+        return {b.content: b for b in self.blocks}
+
+    @property
+    def contents(self):
+        """The content of every block, in order."""
+        return self._by_content.keys()
+
+    @cached_property
+    def orbits(self) -> Counter:
+        """Number of blocks per S_r-orbit representative, the sorted content."""
+        return Counter(tuple(sorted(b.content)) for b in self.blocks)
+
+    def entries(self, i: int) -> tuple[list[int], list[int], list[int]]:
+        """The nonzero entries of d_i as (rows, cols, values), read off the
+        blocks, in row-major order."""
+        return complexes.block_entries(self.blocks, i)
+
+    def d(self, i: int):
+        """Matrix of d_i with the boundary conventions d_0 = d_{n+1} = 0, a
+        numpy object array assembled from the blocks on every call."""
+        import numpy as np
+
+        rows, cols, values = self.entries(i)
+        mat = np.zeros((self.dim(i - 1), self.dim(i)), dtype=object)
+        mat[rows, cols] = np.array(values, dtype=object)
+        return mat
+
+
+def _build_complex(family: str, left: str, right: str, n: int, r: int) -> ChainComplexZ:
+    """The complex with degree-i term left^i(Z^r) (x) right^(n-i)(Z^r), one
+    of the two the wedge, with its basis: the blocks of
+    ``complexes.placed_blocks``, checked to hold every position once."""
+    if n < 0 or r < 0:
+        raise ValueError("need n >= 0 and r >= 0")
+    bases = tuple(
+        PairBasis(enumerate_basis(left, i, r), enumerate_basis(right, n - i, r))
+        for i in range(n + 1)
+    )
+    cx = ChainComplexZ(family, n, r, bases, tuple(complexes.placed_blocks(left, right, n, r)))
+    complexes._check_partition(cx, cx.blocks, [1] * len(cx.blocks))
+    return cx
+
+
+@lru_cache(maxsize=None)
+def build_C(n: int, r: int) -> ChainComplexZ:
+    """The complex with degree-i term wedge^i(Z^r) (x) divided^(n-i)(Z^r).
+
+    n = 0 gives the unit complex: Z in degree 0, with the one label
+    ((), (0,) * r), the weight-0 factor of a tensor decomposition.
+    """
+    return _build_complex("C", *complexes.FACTORS["C"], n, r)
+
+
+@lru_cache(maxsize=None)
+def build_D(n: int, r: int) -> ChainComplexZ:
+    """The complex with degree-i term sym^i(Z^r) (x) wedge^(n-i)(Z^r)."""
+    return _build_complex("D", *complexes.FACTORS["D"], n, r)
+
+
+def build(family: str, n: int, r: int) -> ChainComplexZ:
+    if family not in complexes.FACTORS:
+        raise ValueError(f"unknown family {family!r}")
+    return (build_C if family == "C" else build_D)(n, r)
+
+
+def homology(cx: ChainComplexZ, i: int) -> GroupInvariants:
     """Invariants of the degree-i homology of a built complex."""
     return complexes.homology_of(cx.family, cx.n, cx.rank).invariants(i)
 
@@ -379,7 +488,7 @@ def _split_label(label, rank_a: int):
     return weight_a, (k1, (w_a, e_a), (w_b, e_b))
 
 
-def _tensor_entries(a: complexes.ChainComplexZ, b: complexes.ChainComplexZ, k: int) -> dict:
+def _tensor_entries(a: ChainComplexZ, b: ChainComplexZ, k: int) -> dict:
     """The nonzero entries of the degree-k differential of a (x) b,
     d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy, keyed by (row, column)
     labels (k1, left, right).  dx (x) y lowers k1 and x (x) dy keeps it, so
@@ -406,7 +515,6 @@ def block_decomposition_matches(n: int, rank_a: int, rank_b: int) -> bool:
     C^i(Z^a) (x) C^(n-i)(Z^b), and carry the nonzero entries of every d_k
     onto those of the tensor differentials.
     """
-    build_C = complexes.build_C
     big = build_C(n, rank_a + rank_b)
     pairs = [(build_C(i, rank_a), build_C(n - i, rank_b)) for i in range(n + 1)]
     position = []  # per degree: split label -> position in big
@@ -499,12 +607,12 @@ def gamma_elementary_invariants(n: int, p: int, r: int) -> GroupInvariants:
 
 
 @lru_cache(maxsize=None)
-def build_koszul(n: int, r: int, p: int) -> complexes.ChainComplexZ:
+def build_koszul(n: int, r: int, p: int) -> ChainComplexZ:
     """Weight-n Koszul complex on (F_p)^r, built by no command, the tests'
     reference: terms wedge^a (x) sym^(n-a), d d = 0 checked over Z, d mod p.
     Its blocks hold matrices of their own, so each has its own solvers."""
     require_prime(p)
-    cx = complexes._build_complex("K", "wedge", "sym", n, r)
+    cx = _build_complex("K", "wedge", "sym", n, r)
 
     def mod_p(d):
         return la.SparseRows(({j: y for j, x in row.items() if (y := x % p)} for row in d), d.width)
@@ -513,7 +621,7 @@ def build_koszul(n: int, r: int, p: int) -> complexes.ChainComplexZ:
         complexes.Block(b.content, b.positions, tuple(map(mod_p, b.diffs)), first=b.first)
         for b in cx.blocks
     )
-    return complexes.ChainComplexZ(cx.family, cx.n, cx.rank, cx.bases, blocks)
+    return ChainComplexZ(cx.family, cx.n, cx.rank, cx.bases, blocks)
 
 
 def derived_sp_dimension(i: int, n: int, p: int, r: int) -> int:

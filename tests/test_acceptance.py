@@ -20,11 +20,13 @@ from derham.comparison import (
     verify_q_relations,
     verify_theorem,
 )
-from derham.complexes import build, build_C, homology_of, kunneth_check
+from derham.complexes import homology_of, kunneth_check
 from derham.intlinalg import GroupInvariants
 from derham.koszul import derived_sp
 from derham.numtheory import sweep_binomial_lemma
 from derham.reference import (
+    build,
+    build_C,
     check_central_divisibility,
     lift_change_in_boundaries,
     presentations_agree,

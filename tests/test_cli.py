@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from derham import cli
 from derham import intlinalg as la
 from derham import reference as ref
 from derham.abelian import closed_form_homology
-from derham.complexes import build
 
 
 def run_cli(args, capsys):
@@ -119,9 +119,28 @@ def test_dump_matrices_equal_the_dense_differentials(tmp_path, capsys):
         argv = ["homology", "--family", family, "--n", "4", "--rank", "3",
                 "--dump-matrices", str(dump)]
         assert run_cli(argv, capsys)[0] == 0
-        cx = build(family, 4, 3)
+        cx = ref.build(family, 4, 3)
         for i in range(1, 5):
             assert (dump / f"d_{i}.txt").read_text() == la.mat_to_text(cx.d(i))
+
+
+def test_dump_matrices_match_the_golden_digests(tmp_path, capsys):
+    # every C and D cell of differentials_sha256.json, rank 0 and the empty
+    # degrees above the rank included, written by the command itself
+    golden = json.loads((Path(__file__).parent / "differentials_sha256.json").read_text())
+    cells = [key for key in golden if key[0] in "CD"]
+    assert len(cells) == 48
+    for key in cells:
+        family, n, rank = key.split()
+        dump = tmp_path / key.replace(" ", "_")
+        argv = ["homology", "--family", family, "--n", n, "--rank", rank,
+                "--dump-matrices", str(dump)]
+        assert run_cli(argv, capsys)[0] == 0, key
+        digests = [
+            hashlib.sha256((dump / f"d_{i}.txt").read_bytes()).hexdigest()
+            for i in range(1, int(n) + 1)
+        ]
+        assert digests == golden[key], key
 
 
 @pytest.mark.parametrize("family,n,rank", [("C", 8, 4), ("D", 8, 4), ("C", 6, 5)])
@@ -137,8 +156,8 @@ def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
     def refuse(n, r):
         raise AssertionError(f"full complex of weight {n} on Z^{r} built")
 
-    monkeypatch.setattr(complexes, "build_C", refuse)
-    monkeypatch.setattr(complexes, "build_D", refuse)
+    monkeypatch.setattr(ref, "build_C", refuse)
+    monkeypatch.setattr(ref, "build_D", refuse)
     for cache in (complexes.homology_of, complexes._koszul):
         cache.cache_clear()
     assert run_cli(argv, capsys)[:2] == (0, expected)
@@ -152,27 +171,28 @@ def test_homology_builds_no_full_complex(monkeypatch, capsys, family, n, rank):
         ("table --rank 4", 0),
         ("verify h0 --max-n 8 --rank 3", 0),
         ("counterexample f18 --rank 3", 0),
-        ("homology --family C --n 4 --rank 2 --dump-matrices DIR", 1),
+        ("homology --family C --n 4 --rank 2 --dump-matrices DIR", 0),
         ("derived-sp --i 2 --n 7 --p 2 --rank 3", 0),
     ],
 )
 def test_comparison_commands_build_no_full_complex(monkeypatch, capsys, tmp_path, command, builds):
     # the comparison cycles, their classes and solves, and the degree-0 map
     # read content blocks in block-local coordinates, as derived-sp reads its
-    # Koszul blocks; only the matrix dump places the blocks at basis positions
+    # Koszul blocks; the matrix dump places the blocks at basis positions,
+    # with no basis listed and no full complex built
     from derham import comparison, complexes, koszul
 
     calls = []
-    build_complex = complexes._build_complex
+    build_complex = ref._build_complex
 
     def counted(*args):
         calls.append(args)
         return build_complex(*args)
 
-    # build_koszul, the tests' reference, reads the builder through complexes
-    monkeypatch.setattr(complexes, "_build_complex", counted)
+    # build_C, build_D and build_koszul read the builder as a name of ref
+    monkeypatch.setattr(ref, "_build_complex", counted)
     # start from fresh caches, as a new process would, so none hides a build
-    for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
+    for cache in (ref.build_C, ref.build_D, complexes.homology_of,
                   complexes._koszul, comparison.q_matrix, comparison.theorem_block,
                   ref.build_koszul, koszul.derived_sp):
         cache.cache_clear()
@@ -204,7 +224,7 @@ def test_verify_theorem_reduces_each_block_matrix_once(monkeypatch, capsys):
 
     monkeypatch.setattr(complexes.DifferentialSolver, "block", counted_block)
     monkeypatch.setattr(la, "smith_normal_form", counted_snf)
-    for cache in (complexes.build_C, complexes.build_D, complexes.homology_of,
+    for cache in (ref.build_C, ref.build_D, complexes.homology_of,
                   complexes._koszul, comparison.q_matrix, comparison.theorem_block,
                   ref.build_koszul, koszul.derived_sp):
         cache.cache_clear()
@@ -786,7 +806,7 @@ def test_console_entry_point():
 def test_snf_transforms_of_shuffled_differential_pinned(tmp_path, capsys):
     # D, U and V of a matrix with many components, byte for byte: the
     # digest was recorded before the elimination moved to sparse rows.
-    d = build("C", 8, 4).d(2)
+    d = ref.build("C", 8, 4).d(2)
     rng = np.random.default_rng(11)
     d = d[rng.permutation(d.shape[0])]
     d = d[:, rng.permutation(d.shape[1])]

@@ -86,7 +86,7 @@ def _dense_q(q):
 def _dense_q_kills_boundaries(q):
     """The reference: q applied to every column of the assembled dense d_1,
     one matrix-vector product per column."""
-    d1 = cx.build_C(q.n, q.r).d(1)
+    d1 = ref.build_C(q.n, q.r).d(1)
     mat = _dense_q(q)
     for j in range(d1.shape[1]):
         image = ref.mat_vec(mat, d1[:, j])
@@ -253,7 +253,7 @@ def test_h0_decision_reduces_at_most_two_rows(monkeypatch):
         return res
 
     monkeypatch.setattr(la, "smith_normal_form", recording)
-    for cache in (cx.build_C, cx._koszul, cx.homology_of, cmp.h0_target, cmp.q_matrix):
+    for cache in (ref.build_C, cx._koszul, cx.homology_of, cmp.h0_target, cmp.q_matrix):
         cache.cache_clear()
     assert cmp.verify_h0_iso(12, 4)
     # the blocks of d_0 (no rows) and d_1 (one row) of the 34 partitions of
@@ -364,9 +364,9 @@ def test_no_command_assembles_a_dense_differential(monkeypatch, capsys, tmp_path
     def refuse(self, i):
         raise AssertionError(f"dense d_{i} assembled")
 
-    monkeypatch.setattr(cx.ChainComplexZ, "d", refuse)
+    monkeypatch.setattr(ref.ChainComplexZ, "d", refuse)
     # start from fresh complexes and maps, as a new process would
-    caches = (cx.build_C, cx.build_D, cx.homology_of, cmp.q_matrix, cmp.theorem_block)
+    caches = (ref.build_C, ref.build_D, cx.homology_of, cmp.q_matrix, cmp.theorem_block)
     for cache in caches + (ref.build_koszul, kz.derived_sp):
         cache.cache_clear()
     argv = [str(tmp_path) if word == "DIR" else word for word in command.split()]
@@ -469,7 +469,7 @@ def test_h0_source_read_per_orbit_matches_every_block():
         for r in range(5):
             hom = cx.homology_of("C", n, r)
             every_block = direct_sum(
-                hom.solver(1).block(b.content).cokernel() for b in cx.build_C(n, r).blocks
+                hom.solver(1).block(b.content).cokernel() for b in ref.build_C(n, r).blocks
             )
             assert hom.invariants(0) == every_block, (n, r)
 
@@ -486,7 +486,7 @@ def test_verify_h0_iso_examples():
 
 
 def test_eta_weight_four():
-    full = cx.build_C(4, 2)
+    full = ref.build_C(4, 2)
     cycle = _positions(full, 1, cmp.eta(1, 2, 4, [1, 2], 2))
     labels = full.labels(1)
     readable = {labels[k]: c for k, c in cycle.items()}
@@ -497,7 +497,7 @@ def test_eta_weight_four():
 
 
 def test_eta_weight_six_three_terms():
-    full = cx.build_C(6, 3)
+    full = ref.build_C(6, 3)
     cycle = _positions(full, 2, cmp.eta(2, 2, 6, [1, 2, 3], 3))
     labels = full.labels(2)
     readable = {labels[k]: c for k, c in cycle.items()}
@@ -510,7 +510,7 @@ def test_eta_weight_six_three_terms():
 
 def test_eta_weight_six_prime_three():
     # x1 (x) gamma_2(x1) gamma_3(x2)  -  x2 (x) gamma_2(x2) gamma_3(x1)
-    full = cx.build_C(6, 2)
+    full = ref.build_C(6, 2)
     cycle = _positions(full, 1, cmp.eta(1, 3, 6, [1, 2], 2))
     labels = full.labels(1)
     readable = {labels[k]: c for k, c in cycle.items()}
@@ -555,7 +555,7 @@ def _position_eta_vector(i, p, n, args, r):
     at the positions of its degree, offset by the wedge's row of labels."""
     m = n // p
     wedge_at = basis_index("wedge", i, r)
-    width = len(cx.build_C(n, r).bases[i].right)
+    width = len(ref.build_C(n, r).bases[i].right)
     out = {}
     for t in range(1, i + 2):
         wedge_args = [args[k] for k in range(i + 1) if k != t - 1]
@@ -589,7 +589,7 @@ def test_block_keyed_eta_is_a_cycle_of_the_full_complex_in_one_content():
     # killed by the dense d_i, and every key in the content p * sum of the lifts
     assert {(n, p) for _, n, p, _ in ETA_CELLS} == {(4, 2), (6, 2), (6, 3), (8, 2)}
     for i, n, p, r in ETA_CELLS:
-        full = cx.build_C(n, r)
+        full = ref.build_C(n, r)
         d = full.d(i)
         for label in kz.generator_presentation(i, n // p, p, r).generators:
             lifts = cmp._generator_lifts(label, n // p, i)
@@ -610,7 +610,7 @@ def test_block_keyed_eta_vector_matches_the_position_route_on_any_arguments():
     rng = random.Random(21)
     spread = 0
     for i, n, p, r in ETA_CELLS:
-        full = cx.build_C(n, r)
+        full = ref.build_C(n, r)
         m = n // p
         for label in kz.generator_presentation(i, m, p, r).generators:
             lifts = cmp._generator_lifts(label, m, i)
@@ -650,7 +650,7 @@ def test_jacobi_images_vanish_weight_six():
 
 def test_explicit_boundary_identity_weight_four():
     # d_2 of x1^x2 (x) x1 x2 is exactly twice the comparison cycle
-    c4 = cx.build_C(4, 2)
+    c4 = ref.build_C(4, 2)
     pair2 = c4.bases[2]
     labels2 = pair2.labels()
     col = labels2.index(((1, 2), (1, 1)))
@@ -726,7 +726,7 @@ def _reference_map_facts(f, source, orders):
 def _reference_theorem_matrix(i, n, p, r):
     """The comparison matrix from the dense class matrix: the class rows
     scattered into rows of width dim C_i, times each dense cycle."""
-    full = cx.build_C(n, r)
+    full = ref.build_C(n, r)
     orders, classes = cx.homology_of("C", n, r).presentation(i)
     dense = ref.zeros(len(orders), full.dim(i))
     for k, (content, row) in enumerate(classes):

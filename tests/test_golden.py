@@ -16,9 +16,8 @@ import json
 from pathlib import Path
 
 from derham import cli
-from derham.complexes import build_C, build_D
 from derham.intlinalg import mat_to_text
-from derham.koszul import build_koszul
+from derham.reference import build_C, build_D, build_koszul
 
 GOLDEN = json.loads((Path(__file__).parent / "differentials_sha256.json").read_text())
 

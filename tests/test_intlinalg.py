@@ -18,17 +18,8 @@ from hypothesis import strategies as st
 
 from derham import intlinalg as la
 from derham import reference
-from derham.complexes import (
-    Block,
-    ChainComplexZ,
-    ComplexHomology,
-    PairBasis,
-    _koszul,
-    build,
-    build_C,
-    homology_of,
-)
-from derham.reference import _check_dd_zero
+from derham.complexes import Block, ComplexHomology, _koszul, homology_of
+from derham.reference import ChainComplexZ, PairBasis, _check_dd_zero, build, build_C
 
 
 def small_matrices(max_dim=4, max_entry=6):

@@ -2,8 +2,8 @@
 
 The program computes on lists of Python-int rows.  numpy backs only the
 dense views that tests, demos and the benchmark's tracer read
-(``ChainComplexZ.d``, ``SnfResult.U``/``.D``/``.V`` and the dense helpers of
-``derham.reference``), each importing it when called.  No module of the
+(``SnfResult.U``/``.D``/``.V``, and in ``derham.reference`` the dense d_i of
+a full complex and the dense helpers), each importing it when called.  No module of the
 package uses ``dataclasses`` (which loads ``inspect``), and the code that no
 command runs is in ``derham.reference``, which no command imports.  Here
 ``import derham.cli``, and each command the benchmark runs, at small sizes,
@@ -87,7 +87,8 @@ def test_command_leaves_numpy_unloaded(argv):
 
 
 def test_dump_matrices_leaves_numpy_unloaded(tmp_path):
-    # the dump writes each d_i from the full complex's nonzero entries
+    # the dump writes each d_i from the nonzero entries of the content
+    # blocks placed at basis positions, with no full complex built
     argv = ["homology", "--family", "C", "--n", "5", "--rank", "3"]
     assert _run(argv + ["--dump-matrices", str(tmp_path / "mats")]) == (0, "numpy absent")
     assert sorted(p.name for p in (tmp_path / "mats").iterdir()) == [
